@@ -131,7 +131,7 @@ def cmd_validate(args):
     C = _load_couple(args.file)
     report = C.validate()
     return {"ok": True, "sigma": C.bidegrees.sigma,
-            "positions_checked": report.get("checked", len(C.E) + len(C.D))}
+            "positions_checked": report["d_positions"] + report["e_positions"]}
 
 
 def cmd_pages(args):

@@ -164,6 +164,7 @@ class ExactCouple:
         self.E = {tuple(x): G for x, G in E.items() if not G.is_trivial()}
         self.diagonal_tails = dict(diagonal_tails or {})
         self._diagrams: Dict[int, ZDiagram] = {}
+        self._checked_ss: Optional[SpectralSequence] = None
         self.i = {tuple(x): f for x, f in i.items() if not f.is_zero()}
         self.j = {tuple(x): f for x, f in j.items() if not f.is_zero()}
         self.k = {tuple(x): f for x, f in k.items() if not f.is_zero()}
@@ -479,7 +480,15 @@ class ExactCouple:
         with ``advance``; when ``check`` is set, the engine's accumulated
         cycle/boundary subgroups are asserted equal to the internal ones on
         every page (two independent computation paths).
+
+        The first full build (``up_to`` unset) with ``check`` set is kept on
+        the couple; every later full build and ``e_infinity`` return that
+        one object, so callers share it and must not mutate it.  Builds with
+        ``check`` off or an explicit ``up_to`` are never kept.
         """
+        full = up_to is None
+        if full and self._checked_ss is not None:
+            return self._checked_ss
         bounds = self.page_bounds()
         first = self.internal_page(1)
         ss = SpectralSequence(
@@ -501,6 +510,8 @@ class ExactCouple:
                         (Subgroup.full(self.E_at(e)), Subgroup.zero(self.E_at(e))),
                     )
                     assert got == want, ("page anchoring disagrees", e, r)
+        if full and check:
+            self._checked_ss = ss
         return ss
 
     def e_infinity(self, check: bool = True) -> dict:
@@ -508,7 +519,9 @@ class ExactCouple:
 
         Computed from the stable image tower (omega-cycles over omega-
         boundaries); when ``check`` is set this is asserted equal to the
-        limit page of the generic engine.
+        limit page of the generic engine, built by
+        ``internal_spectral_sequence()`` (the couple's kept build, when
+        there is one).
         """
         out = {}
         for e in self.E:

@@ -243,11 +243,6 @@ class SpectralSequence:
         while self.top_r < r:
             self.advance()
 
-    def subquotient_data(self, r: int, x: Position) -> SubquotientData:
-        """E^r_x presented as a subquotient of E^{r0}_x."""
-        self.ensure_page(r)
-        return self._sq[r - self.r0][tuple(x)]
-
     # -- cycles / boundaries / E-infinity ------------------------------------
 
     def cycles_boundaries(self, x: Position, r: int):

@@ -15,11 +15,13 @@ the exact computations takes priority over generality.
 from __future__ import annotations
 
 import enum
+import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .zlinalg import (
+    ContainmentViolation,
     FPAbGroup,
     Hom,
     NotWellDefined,
@@ -64,13 +66,20 @@ _TRIVIAL = FPAbGroup()
 
 @dataclass(frozen=True)
 class ZDiagram:
-    """A diagram ... -> A_p -> A_{p+1} -> ... with finite window and tails."""
+    """A diagram ... -> A_p -> A_{p+1} -> ... with finite window and tails.
+
+    Derived data -- composites, colimit, limit and lim^1, stable image,
+    image towers, filtrations -- is computed once per instance and kept in
+    ``_memo``, which takes no part in equality, hashing or ``repr``.  The
+    returned objects are shared between all callers: do not mutate them.
+    """
 
     window: tuple  # (p0, p1)
     groups: tuple  # groups[p - p0] is the group at index p
     maps: tuple  # maps[p - p0]: A_p -> A_{p+1}, length p1 - p0
     left_tail: Tail = Tail.ZERO
     right_tail: Tail = Tail.CONSTANT
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p0, p1 = self.window
@@ -123,13 +132,19 @@ class ZDiagram:
         return Hom.zero_map(src, dst)
 
     def composite(self, p: int, q: int) -> Hom:
-        """The composite A_p -> A_q for p <= q (identity when p == q)."""
+        """The composite A_p -> A_q for p <= q (identity when p == q).
+
+        The composites out of A_p are kept as one chain per p; a call
+        extends the chain by one ``compose`` per missing step.
+        """
         if q < p:
             raise ValueError("composite runs forward only")
-        f = Hom.identity(self.group_at(p))
-        for r in range(p, q):
-            f = self.map_at(r).compose(f)
-        return f
+        chain = self._memo.get(("composite", p))
+        if chain is None:
+            chain = self._memo[("composite", p)] = [Hom.identity(self.group_at(p))]
+        while len(chain) <= q - p:
+            chain.append(self.map_at(p + len(chain) - 1).compose(chain[-1]))
+        return chain[q - p]
 
     def pad_to(self, p0: int, p1: int) -> "ZDiagram":
         """The same diagram presented on a larger window."""
@@ -209,34 +224,25 @@ class ZDiagramMorphism:
         )
 
 
-def align(f: ZDiagramMorphism, g: ZDiagramMorphism):
-    """Pad two morphisms to a common window."""
-    p0 = min(f.source.p0, g.source.p0)
-    p1 = max(f.source.p1, g.source.p1)
-
-    def pad(m):
-        A = m.source.pad_to(p0, p1)
-        B = m.target.pad_to(p0, p1)
-        comps = tuple(
-            m.component(p) if m.source.p0 - 1 <= p <= m.source.p1 + 1
-            else (
-                m.component(m.source.p0 - 1) if p < m.source.p0 - 1
-                else m.component(m.source.p1 + 1)
-            )
-            for p in A.padded_range()
-        )
-        # Out-of-range components only make sense when the tails are constant
-        # or trivial; both cases are covered by reusing the boundary component.
-        return ZDiagramMorphism(A, B, comps)
-
-    return pad(f), pad(g)
-
-
 # ---------------------------------------------------------------------------
 # colimit / limit / lim^1
 # ---------------------------------------------------------------------------
 
 
+def _per_diagram(fn):
+    """Evaluate ``fn(A, *args)`` once per diagram instance and argument tuple."""
+
+    @functools.wraps(fn)
+    def memoized(A: ZDiagram, *args):
+        key = (fn.__name__,) + args
+        if key not in A._memo:
+            A._memo[key] = fn(A, *args)
+        return A._memo[key]
+
+    return memoized
+
+
+@_per_diagram
 def colimit(A: ZDiagram):
     """Colimit with its cocone.
 
@@ -250,6 +256,7 @@ def colimit(A: ZDiagram):
     return G, cocone
 
 
+@_per_diagram
 def limit_and_lim1(A: ZDiagram):
     """Limit, cone, and lim^1 (always trivial under the supported tails).
 
@@ -350,12 +357,29 @@ def Q_tower(A: ZDiagram, r: int) -> dict:
     return {p: A.composite(p, p + r).image() for p in A.padded_range()}
 
 
+def _chain_until_repeat(A: ZDiagram, tower, budget: int) -> list:
+    """Towers r = 1, 2, ... up to the first r with tower(r + 1) == tower(r).
+
+    Raises ``BudgetExceeded`` when no repeat occurs by r + 1 = budget.
+    """
+    chain = [tower(A, 1)]
+    for r in range(2, budget + 1):
+        nxt = tower(A, r)
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+    raise BudgetExceeded(budget)
+
+
 def image_towers(A: ZDiagram, budget: Optional[int] = None) -> dict:
     """All finite image towers plus their stable (omega) versions.
 
     Returns a dict with ``I`` and ``Q`` (lists of towers for r = 1..r_stab),
     ``I_omega`` (stabilized intersection, per index), ``Q_omega`` (image in
-    the colimit, per index), and a stabilization report.
+    the colimit, per index), and a stabilization report.  Each chain is
+    built one tower at a time and stops at its first repeat.  The result is
+    memoized on ``A`` per resolved budget and shared between callers: do not
+    mutate it.
 
     Raises:
         BudgetExceeded: if the I- or Q-chains fail to stabilize within the
@@ -366,27 +390,21 @@ def image_towers(A: ZDiagram, budget: Optional[int] = None) -> dict:
         budget = default_budget(A.width)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    Is = [I_tower(A, r) for r in range(1, budget + 1)]
-    Qs = [Q_tower(A, r) for r in range(1, budget + 1)]
-    i_stab = q_stab = None
-    for r in range(1, len(Is)):
-        if Is[r] == Is[r - 1]:
-            i_stab = r
-            break
-    for r in range(1, len(Qs)):
-        if Qs[r] == Qs[r - 1]:
-            q_stab = r
-            break
-    if i_stab is None or q_stab is None:
-        raise BudgetExceeded(budget)
+    return _image_towers(A, budget)
+
+
+@_per_diagram
+def _image_towers(A: ZDiagram, budget: int) -> dict:
+    Is = _chain_until_repeat(A, I_tower, budget)
+    Qs = _chain_until_repeat(A, Q_tower, budget)
     G, cocone = colimit(A)
     q_omega = {p: cocone[p].image() for p in A.padded_range()}
     return {
-        "I": Is[:i_stab],
-        "Q": Qs[:q_stab],
-        "I_omega": Is[i_stab - 1],
+        "I": Is,
+        "Q": Qs,
+        "I_omega": Is[-1],
         "Q_omega": q_omega,
-        "stabilization": {"I_at": i_stab, "Q_at": q_stab, "budget": budget},
+        "stabilization": {"I_at": len(Is), "Q_at": len(Qs), "budget": budget},
     }
 
 
@@ -394,6 +412,7 @@ def I_omega(A: ZDiagram, budget: Optional[int] = None) -> dict:
     return image_towers(A, budget)["I_omega"]
 
 
+@_per_diagram
 def stable_image(A: ZDiagram) -> dict:
     """The stable image: Ibar_p = image(rho_p: lim A -> A_p), per padded index."""
     _, cone, _ = limit_and_lim1(A)
@@ -432,6 +451,7 @@ def ml_conditions(A: ZDiagram, budget: Optional[int] = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@_per_diagram
 def filtrations(A: ZDiagram) -> dict:
     """Image filtration of the colimit and kernel filtration of the limit.
 
@@ -446,6 +466,9 @@ def filtrations(A: ZDiagram) -> dict:
       colim F^ >-> lim A -R-> colim A ->> colim coker(rho), with
       image(R) = colim(Ibar);
     * ``kernel_filtration_exhaustive`` iff R == 0.
+
+    The result is memoized on ``A`` and shared between callers: do not
+    mutate it or the dicts inside it.
     """
     C, cocone = colimit(A)
     L, cone, _ = limit_and_lim1(A)
@@ -724,12 +747,10 @@ def zcompare(f: ZDiagramMorphism, rule: str) -> dict:
         eps_u = _eps_maps(f, fA, fB, "upper")
         need("eps^p all mono", all(m.is_mono() for m in eps_u.values()))
         # any one of the auxiliary clauses suffices
-        imR_ok = False
         try:
             imR_ok = cmap.restrict(fA["R"].image(), fB["R"].image()).is_mono()
-        except Exception:
+        except ContainmentViolation:
             imR_ok = False
-        top = A.p1 + 1
         clause = (
             imR_ok
             or any(

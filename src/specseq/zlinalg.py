@@ -78,12 +78,6 @@ def mat_vec(A: Matrix, v: Sequence[int]) -> Vector:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
 
 
-def transpose(A: Matrix) -> Matrix:
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
-
-
 def columns_of(A: Matrix) -> list:
     """Columns of ``A`` as a list of tuples (empty matrix has no columns)."""
     if not A:
@@ -387,9 +381,6 @@ class FPAbGroup:
 
     def add(self, u: Sequence[int], v: Sequence[int]) -> Vector:
         return self.reduce(tuple(a + b for a, b in zip(u, v)))
-
-    def neg(self, v: Sequence[int]) -> Vector:
-        return self.reduce(tuple(-a for a in v))
 
     def relation_columns(self) -> list:
         """Columns spanning the relation lattice: ``d_i * e_i`` per torsion gen."""
@@ -736,7 +727,6 @@ class Hom:
         """
         SG, Sincl = S.as_group()
         TG, Tincl = T.as_group()
-        Tm = matrix_from_columns(list(T.basis), self.codomain.ngens)
         # Solve through the basis of T; T.as_group's generators are themselves
         # basis combinations, so go via basis coordinates.
         cols = []
@@ -812,15 +802,6 @@ class SubquotientData:
             self.lift(tuple(1 if i == j else 0 for i in range(self.group.ngens)))
             for j in range(self.group.ngens)
         ]
-
-    def projection_from(self, incl_domain: Subgroup) -> Hom:
-        """The projection as a ``Hom`` from ``Z.as_group()``."""
-        SG, Sincl = incl_domain.as_group()
-        cols = [
-            self.project(Sincl(tuple(1 if i == j else 0 for i in range(SG.ngens))))
-            for j in range(SG.ngens)
-        ]
-        return Hom(SG, self.group, matrix_from_columns(cols, self.group.ngens))
 
 
 def subquotient(Z: Subgroup, B: Subgroup) -> SubquotientData:

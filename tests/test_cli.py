@@ -51,6 +51,10 @@ class TestCoupleCommands:
     def test_validate(self, capsys, couple2_file):
         code, rep = run(capsys, "validate", couple2_file)
         assert code == 0 and rep["ok"] and rep["sigma"] == -1
+        # 6 D-positions and 6 E-positions, as counted by ExactCouple.validate
+        assert rep["positions_checked"] == 12
+        report = demo_couple("couple2").validate()
+        assert (report["d_positions"], report["e_positions"]) == (6, 6)
 
     def test_pages_rendering(self, capsys, couple2_file):
         code, rep = run(capsys, "pages", couple2_file, "--to", "2")

@@ -135,6 +135,62 @@ class TestExtensions:
         assert rep["lim1_zero"]
 
 
+class TestSpectralSequenceReuse:
+    @staticmethod
+    def count_pages(monkeypatch):
+        """Record the page index of every ``internal_page`` call."""
+        built = []
+        page = ExactCouple.internal_page
+
+        def counted(self, r):
+            built.append(r)
+            return page(self, r)
+
+        monkeypatch.setattr(ExactCouple, "internal_page", counted)
+        return built
+
+    def test_e_infinity_reuses_the_checked_build(self, monkeypatch):
+        built = self.count_pages(monkeypatch)
+        rng = seeded(97)
+        for _ in range(6):
+            C = couple_from_filtered_complex(*random_filtered_complex(rng))
+            ss = C.internal_spectral_sequence()
+            assert built
+            built.clear()
+            C.e_infinity(check=True)
+            assert built == []
+            assert C.internal_spectral_sequence() is ss
+            assert built == []
+
+    def test_e_infinity_keeps_its_build(self, monkeypatch):
+        built = self.count_pages(monkeypatch)
+        rng = seeded(98)
+        for _ in range(4):
+            C = couple_from_filtered_complex(*random_filtered_complex(rng))
+            C.e_infinity(check=True)
+            built.clear()
+            C.internal_spectral_sequence()
+            assert built == []
+
+    def test_unchecked_and_partial_builds_are_not_kept(self, monkeypatch):
+        built = self.count_pages(monkeypatch)
+        rng = seeded(99)
+        for _ in range(6):
+            C = couple_from_filtered_complex(*random_filtered_complex(rng))
+            loose = C.internal_spectral_sequence(check=False)
+            partial = C.internal_spectral_sequence(up_to=2)
+            built.clear()
+            checked = C.internal_spectral_sequence(check=True)
+            # a fresh build, with its page-by-page cross-check
+            assert built
+            assert checked is not loose and checked is not partial
+            assert C.internal_spectral_sequence(up_to=2) is not checked
+            built.clear()
+            C.e_infinity(check=True)
+            assert built == []
+            assert C.internal_spectral_sequence(check=True) is checked
+
+
 class TestRandomCouples:
     def test_internal_pages_match_turned_pages(self):
         # the anchored engine pages double-check the internal cycle and

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import SMALL_GROUPS, random_diagram, random_hom, seeded
 from specseq.zlinalg import (
+    ContainmentViolation,
     FPAbGroup,
     Hom,
     Subgroup,
@@ -24,6 +25,7 @@ from specseq.zdiagrams import (
     Q_tower,
     colimit,
     colimit_map,
+    default_budget,
     filtrations,
     i_factor_diagram,
     image_towers,
@@ -367,6 +369,77 @@ class TestImageFactorization:
             assert limit_map(from_i).is_iso()
 
 
+def fold(A, p, q):
+    """The composite A_p -> A_q as a plain left fold of the structure maps."""
+    f = Hom.identity(A.group_at(p))
+    for r in range(p, q):
+        f = A.map_at(r).compose(f)
+    return f
+
+
+def full_budget_towers(A):
+    """``image_towers(A)`` the long way: every tower up to the budget, no memo."""
+    budget = default_budget(A.width)
+    idx = A.padded_range()
+    Is = [{p: fold(A, p - r, p).image() for p in idx} for r in range(1, budget + 1)]
+    Qs = [{p: fold(A, p, p + r).image() for p in idx} for r in range(1, budget + 1)]
+    i_stab = next(r for r in range(1, budget) if Is[r] == Is[r - 1])
+    q_stab = next(r for r in range(1, budget) if Qs[r] == Qs[r - 1])
+    return {
+        "I": Is[:i_stab],
+        "Q": Qs[:q_stab],
+        "I_omega": Is[i_stab - 1],
+        "Q_omega": {p: fold(A, p, A.p1 + 1).image() for p in idx},
+        "stabilization": {"I_at": i_stab, "Q_at": q_stab, "budget": budget},
+    }
+
+
+class TestMemo:
+    def test_composite_equals_left_fold(self):
+        for t in range(20):
+            A = random_diagram(seeded(8000 + t))
+            idx = list(A.padded_range())
+            # longest composites last, so later calls extend cached prefixes
+            pairs = sorted(((p, q) for p in idx for q in idx if p <= q),
+                           key=lambda pq: (pq[1] - pq[0], pq))
+            for p, q in pairs:
+                assert A.composite(p, q) == fold(A, p, q), (t, p, q)
+            for p, q in reversed(pairs):
+                assert A.composite(p, q) == fold(A, p, q), (t, p, q)
+
+    def test_image_towers_match_full_budget_reference(self):
+        for t in range(20):
+            A = random_diagram(seeded(8100 + t))
+            want = full_budget_towers(A)
+            got = image_towers(A)
+            for key in ("I", "Q", "I_omega", "Q_omega", "stabilization"):
+                assert got[key] == want[key], (t, key)
+            assert image_towers(A) is got
+
+    def test_equal_diagrams_share_no_memo(self):
+        for t in range(5):
+            A = random_diagram(seeded(8200 + t))
+            B = random_diagram(seeded(8200 + t))
+            assert A == B and A is not B
+            filtrations(A)
+            assert A._memo and not B._memo
+            assert filtrations(B) is not filtrations(A)
+            assert A._memo is not B._memo
+
+    def test_memo_changes_neither_equality_nor_hash(self):
+        for t in range(5):
+            A = random_diagram(seeded(8300 + t))
+            B = random_diagram(seeded(8300 + t))
+            before = hash(A)
+            filtrations(A)
+            image_towers(A)
+            A.composite(A.p0 - 1, A.p1 + 1)
+            assert A._memo
+            assert hash(A) == before == hash(B)
+            assert A == B and B == A
+            assert "_memo" not in repr(A)
+
+
 class TestZCompare:
     def test_identity_passes_every_rule(self):
         A = ZDiagram.from_maps(0, [times(2)], left_tail=Tail.ZERO)
@@ -392,6 +465,43 @@ class TestZCompare:
         f = ZDiagramMorphism.on_window(A, A, {0: times(3)})
         v = zcompare(f, "mono-colim")
         assert v["ok"] and v["conclusion"] == "colim map mono"
+
+    @staticmethod
+    def zero_morphism_failing_first_restrict(monkeypatch, error):
+        """The zero map Z -> Z, with the first ``Hom.restrict`` call raising.
+
+        No auxiliary clause of mono-lim holds for it, and the first restrict
+        in that rule is the one onto Im R.
+        """
+        A = ZDiagram.constant(Z)
+        f = ZDiagramMorphism.on_window(A, A, {0: times(0)})
+        restrict = Hom.restrict
+        calls = []
+
+        def first_call_fails(self, S, T):
+            calls.append((S, T))
+            if len(calls) == 1:
+                raise error
+            return restrict(self, S, T)
+
+        monkeypatch.setattr(Hom, "restrict", first_call_fails)
+        return f, calls
+
+    def test_mono_lim_clause_false_when_restrict_fails(self, monkeypatch):
+        f, calls = self.zero_morphism_failing_first_restrict(
+            monkeypatch, ContainmentViolation("forced"))
+        with pytest.raises(HypothesisFailed) as exc:
+            zcompare(f, "mono-lim")
+        rule, clause, hypotheses = exc.value.args[0]
+        assert clause.startswith("auxiliary clause")
+        assert hypotheses[-1] == (clause, False)
+        assert len(calls) > 1
+
+    def test_mono_lim_lets_other_errors_through(self, monkeypatch):
+        f, _ = self.zero_morphism_failing_first_restrict(
+            monkeypatch, RuntimeError("not a containment failure"))
+        with pytest.raises(RuntimeError):
+            zcompare(f, "mono-lim")
 
     def test_unknown_rule(self):
         A = ZDiagram.constant(Z)
