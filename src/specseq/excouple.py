@@ -33,6 +33,7 @@ from .zlinalg import (
     induced_map,
     matrix_from_columns,
     subquotient,
+    unit_vector,
 )
 from .zdiagrams import (
     HypothesisFailed,
@@ -395,7 +396,7 @@ class ExactCouple:
             raise PreimageFailure(("preimage ambiguity not a boundary", e, r))
         cols = []
         for col in range(sq_src.group.ngens):
-            z = sq_src.lift(tuple(1 if t == col else 0 for t in range(sq_src.group.ngens)))
+            z = sq_src.lift(unit_vector(sq_src.group.ngens, col))
             t = self.k_at(e)(z)
             s = comp.solve_element(t)
             if s is None:
@@ -821,7 +822,7 @@ class ExactCouple:
         """k, induced from a cycles-mod-(kernel of k) quotient onto k's image."""
         cols = []
         for col in range(sq_cok.group.ngens):
-            z = sq_cok.lift(tuple(1 if t == col else 0 for t in range(sq_cok.group.ngens)))
+            z = sq_cok.lift(unit_vector(sq_cok.group.ngens, col))
             val = self.k_at(e)(z)
             coords = target_incl.solve_element(val)
             assert coords is not None, "k value escapes its declared image"
@@ -922,7 +923,7 @@ class ExactCouple:
             sqe = self._first_page_sq(e)
             cols = []
             for col in range(piece[x][0].ngens):
-                g = piece[x][1](tuple(1 if t == col else 0 for t in range(piece[x][0].ngens)))
+                g = piece[x][1](unit_vector(piece[x][0].ngens, col))
                 t = self.i_at(x).solve_element(g)
                 assert t is not None
                 cols.append(sqe.project(self.j_at(x)(t)))
@@ -939,7 +940,7 @@ class ExactCouple:
                 continue
             cols = []
             for col in range(sqe.group.ngens):
-                z = sqe.lift(tuple(1 if t == col else 0 for t in range(sqe.group.ngens)))
+                z = sqe.lift(unit_vector(sqe.group.ngens, col))
                 val = self.k_at(e)(z)
                 coords = piece[src][1].solve_element(val)
                 assert coords is not None, "k value misses the image subobject"
@@ -1037,7 +1038,7 @@ class ExactCouple:
             # rho lands in the stable image; a k-preimage represents the class
             cols = []
             for col in range(piece[r][0].ngens):
-                u = piece[r][1](tuple(1 if t == col else 0 for t in range(piece[r][0].ngens)))
+                u = piece[r][1](unit_vector(piece[r][0].ngens, col))
                 val = dns.composite(dns.p0 - 1, r - 1)(u)
                 zrep = self.k_at(e).solve_element(val)
                 assert zrep is not None, "stable image value misses k"
@@ -1612,7 +1613,7 @@ def couple_from_filtered_complex(groups: Dict[int, FPAbGroup],
             prev = sq_D(p - 1, n - 1)
             cols = []
             for col in range(dE.group.ngens):
-                x = dE.lift(tuple(1 if t == col else 0 for t in range(dE.group.ngens)))
+                x = dE.lift(unit_vector(dE.group.ngens, col))
                 cols.append(prev.project(d_at(n)(x)))
             k[pos] = Hom(dE.group, prev.group,
                          matrix_from_columns(cols, prev.group.ngens))

@@ -30,6 +30,7 @@ from .zlinalg import (
     hom_on_generators,
     quotient_group,
     subquotient,
+    unit_vector,
 )
 from .spectral import SpectralSequence, homological_rule, spectral_sequence_from_page
 from .excouple import SetupViolation
@@ -270,15 +271,13 @@ def five_term(ss: SpectralSequence, H1: FPAbGroup, F01: Subgroup,
         raise SetupViolation("identification maps must be isomorphisms")
 
     cols = [
-        sq20.lift(onto(tuple(1 if i == j else 0 for i in range(H2.ngens))))
+        sq20.lift(onto(unit_vector(H2.ngens, j)))
         for j in range(H2.ngens)
     ]
     to_page = hom_on_generators(H2, E2_20, cols)
     boundary = ss.page(2).diffs.get((2, 0), Hom.zero_map(E2_20, E2_01))
     cols = [
-        F01_incl(iso_low(sq01.project(
-            tuple(1 if i == j else 0 for i in range(E2_01.ngens))
-        )))
+        F01_incl(iso_low(sq01.project(unit_vector(E2_01.ngens, j))))
         for j in range(E2_01.ngens)
     ]
     from_page = hom_on_generators(E2_01, H1, cols)

@@ -31,6 +31,7 @@ from .zlinalg import (
     direct_sum,
     matrix_from_columns,
     subquotient,
+    unit_vector,
 )
 
 
@@ -638,7 +639,7 @@ def q_factor_diagram(A: ZDiagram):
         incl = pieces[p][1]
         cols = []
         for j in range(G.ngens):
-            e = tuple(1 if i == j else 0 for i in range(G.ngens))
+            e = unit_vector(G.ngens, j)
             cols.append(incl.solve_element(A.map_at(p)(e)))
         comps[p] = Hom(G, pieces[p][0], matrix_from_columns(cols, pieces[p][0].ngens))
     return QA, ZDiagramMorphism.on_window(A, QA, comps)

@@ -9,7 +9,10 @@ This module provides:
   factor form (free part first, then torsion in divisibility order).
 * ``Subgroup`` -- a subgroup of an ``FPAbGroup`` stored as the canonical
   Hermite basis of its preimage lattice, so equality of subgroups is a
-  tuple comparison.
+  tuple comparison.  Membership and coordinates in that basis come by
+  forward substitution down its pivot rows; a Smith normal form runs only
+  where a transform is needed (presentations, kernels, intersections,
+  preimages and element solving through a map).
 * ``Hom`` -- a homomorphism given by an integer matrix on canonical
   generators, with well-definedness checked at construction.
 * Derived constructions: kernels, images, cokernels, preimages, subquotients
@@ -55,6 +58,11 @@ class NotWellDefined(Exception):
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def unit_vector(n: int, j: int) -> Vector:
+    """The ``j``-th standard basis vector of ``Z^n``."""
+    return tuple(1 if i == j else 0 for i in range(n))
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
@@ -115,23 +123,28 @@ def smith_normal_form(M: Matrix):
         ``U`` and ``V`` unimodular, and ``D`` diagonal with nonnegative
         entries satisfying ``D[0][0] | D[1][1] | ...``.
     """
-    U, D, V, _, _ = _snf_with_inverses(M)
-    return U, D, V
+    return _smith(M, inverses=False)[:3]
 
 
 def _snf_with_inverses(M: Matrix):
     """Smith normal form that also tracks the inverse transforms.
 
     Returns ``(U, D, V, Uinv, Vinv)`` with ``D = U M V`` and
-    ``Uinv U = I``, ``V Vinv = I``.
+    ``Uinv U = I``, ``V Vinv = I``; ``U``, ``D`` and ``V`` equal those of
+    ``smith_normal_form(M)``.
     """
+    return _smith(M, inverses=True)
+
+
+def _smith(M: Matrix, inverses: bool):
+    """Shared SNF loop; ``Uinv`` and ``Vinv`` are ``None`` unless ``inverses``."""
     rows = len(M)
     cols = len(M[0]) if M else 0
     D = [list(row) for row in M]
     U = identity_matrix(rows)
-    Uinv = identity_matrix(rows)
     V = identity_matrix(cols)
-    Vinv = identity_matrix(cols)
+    Uinv = identity_matrix(rows) if inverses else None
+    Vinv = identity_matrix(cols) if inverses else None
 
     def row_combine(i1, i2, s, t, u, v):
         # rows (i1, i2) of D and U <- 2x2 transform; inverse column op on Uinv.
@@ -141,6 +154,8 @@ def _snf_with_inverses(M: Matrix):
                 a, b = r1[j], r2[j]
                 r1[j] = s * a + t * b
                 r2[j] = u * a + v * b
+        if Uinv is None:
+            return
         # [[s,t],[u,v]] has det +-1; inverse is det * [[v,-t],[-u,s]].
         det = s * v - t * u
         for r in Uinv:
@@ -154,12 +169,21 @@ def _snf_with_inverses(M: Matrix):
                 a, b = r[j1], r[j2]
                 r[j1] = s * a + t * b
                 r[j2] = u * a + v * b
+        if Vinv is None:
+            return
         det = s * v - t * u
         r1, r2 = Vinv[j1], Vinv[j2]
         for j in range(len(r1)):
             a, b = r1[j], r2[j]
             r1[j] = det * (v * a - u * b)
             r2[j] = det * (-t * a + s * b)
+
+    def negate_row(k):
+        for A in (D, U):
+            A[k] = [-x for x in A[k]]
+        if Uinv is not None:
+            for r in Uinv:
+                r[k] = -r[k]
 
     n = min(rows, cols)
     for k in range(n):
@@ -206,12 +230,7 @@ def _snf_with_inverses(M: Matrix):
             if not dirty and all(D[i][k] == 0 for i in range(k + 1, rows)):
                 break
         if D[k][k] < 0:
-            for j in range(cols):
-                D[k][j] = -D[k][j]
-            for j in range(len(U[k])):
-                U[k][j] = -U[k][j]
-            for r in Uinv:
-                r[k] = -r[k]
+            negate_row(k)
 
     # Enforce the divisibility chain d_k | d_{k+1}.
     changed = True
@@ -226,12 +245,7 @@ def _snf_with_inverses(M: Matrix):
                 row_combine(k, k + 1, s, t, -(D[k + 1][k] // g), D[k][k] // g)
                 col_combine(k, k + 1, 1, 0, -(D[k][k + 1] // D[k][k]), 1)
                 if D[k + 1][k + 1] < 0:
-                    for j in range(cols):
-                        D[k + 1][j] = -D[k + 1][j]
-                    for j in range(len(U[k + 1])):
-                        U[k + 1][j] = -U[k + 1][j]
-                    for r in Uinv:
-                        r[k + 1] = -r[k + 1]
+                    negate_row(k + 1)
                 changed = True
     return U, D, V, Uinv, Vinv
 
@@ -507,8 +521,50 @@ class Subgroup:
     def _matrix(self) -> Matrix:
         return matrix_from_columns(list(self.basis), self.ambient.ngens)
 
+    def coordinates(self, v: Sequence[int]) -> Optional[Vector]:
+        """Integer coordinates of ``v`` in ``self.basis``, or ``None`` if ``v``
+        is not in the subgroup.
+
+        The basis is in column Hermite form, so forward substitution down its
+        pivot rows finds them in O(ngens * len(basis)) steps.  The basis is
+        linearly independent, so the coordinates are unique.
+
+        >>> G = FPAbGroup(rank=1, torsion=(4,))
+        >>> S = Subgroup.from_generators(G, [(2, 1)])
+        >>> S.basis
+        ((2, 1), (0, 4))
+        >>> S.coordinates((6, 7))
+        (3, 1)
+        >>> S.coordinates((2, 3)) is None
+        True
+        """
+        n = self.ambient.ngens
+        r = list(v)
+        if len(r) != n:
+            raise ValueError("element has wrong length for ambient group")
+        x = []
+        row = 0
+        for col in self.basis:
+            # No remaining column reaches a row above this column's pivot,
+            # so the residual must already vanish there.
+            while col[row] == 0:
+                if r[row]:
+                    return None
+                row += 1
+            q, rem = divmod(r[row], col[row])
+            if rem:
+                return None
+            if q:
+                for i in range(row, n):
+                    r[i] -= q * col[i]
+            x.append(q)
+            row += 1
+        if any(r[row:]):
+            return None
+        return tuple(x)
+
     def contains(self, v: Sequence[int]) -> bool:
-        return solve_matrix(self._matrix(), tuple(v)) is not None
+        return self.coordinates(v) is not None
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if other.ambient != self.ambient:
@@ -547,7 +603,7 @@ class Subgroup:
         basis_m = self._matrix()
         rel_coords = []
         for rc in self.ambient.relation_columns():
-            x = solve_matrix(basis_m, rc)
+            x = self.coordinates(rc)
             assert x is not None  # relation lattice is inside every subgroup
             rel_coords.append(x)
         S, _, sect = group_from_presentation(len(self.basis), rel_coords)
@@ -731,20 +787,13 @@ class Hom:
         # basis combinations, so go via basis coordinates.
         cols = []
         for j in range(SG.ngens):
-            s_amb = Sincl(tuple(1 if i == j else 0 for i in range(SG.ngens)))
+            s_amb = Sincl(unit_vector(SG.ngens, j))
             y = self(s_amb)
-            if not T.contains(y):
+            x = Tincl.solve_element(y)
+            if x is None:
                 raise ContainmentViolation((s_amb, y))
-            cols.append(_express_in_subgroup(T, TG, Tincl, y))
+            cols.append(x)
         return Hom(SG, TG, matrix_from_columns(cols, TG.ngens))
-
-
-def _express_in_subgroup(S: Subgroup, SG: FPAbGroup, incl: Hom, y) -> Vector:
-    """Coordinates of ambient element ``y`` in terms of ``S.as_group()``."""
-    x = incl.solve_element(y)
-    if x is None:
-        raise ContainmentViolation(y)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -765,27 +814,25 @@ class SubquotientData:
     def __init__(self, Z: Subgroup, B: Subgroup):
         if Z.ambient != B.ambient:
             raise AmbientMismatch("subquotient pieces in different ambient groups")
-        if not Z.contains_subgroup(B):
-            bad = next(c for c in B.basis if not Z.contains(c))
-            raise ContainmentViolation(bad)
-        self.Z = Z
-        self.B = B
-        n = Z.ambient.ngens
-        zb = matrix_from_columns(list(Z.basis), n)
+        # One pass gives both the containment B <= Z and the relations of
+        # Z / B in Z-basis coordinates; the witness is the first bad column.
         rel = []
         for c in B.basis:
-            x = solve_matrix(zb, c)
-            assert x is not None
+            x = Z.coordinates(c)
+            if x is None:
+                raise ContainmentViolation(c)
             rel.append(x)
+        self.Z = Z
+        self.B = B
         G, proj, sect = group_from_presentation(len(Z.basis), rel)
         self.group = G
-        self._zbasis = zb
+        self._zbasis = Z._matrix()
         self._proj = proj
         self._sect = sect
 
     def project(self, v: Sequence[int]) -> Vector:
         """Class of an element of ``Z`` in the quotient."""
-        x = solve_matrix(self._zbasis, tuple(v))
+        x = self.Z.coordinates(v)
         if x is None:
             raise ContainmentViolation(tuple(v))
         return self.group.reduce(mat_vec(self._proj, x))
@@ -799,7 +846,7 @@ class SubquotientData:
     def section_columns(self) -> list:
         """Ambient representatives of the canonical quotient generators."""
         return [
-            self.lift(tuple(1 if i == j else 0 for i in range(self.group.ngens)))
+            self.lift(unit_vector(self.group.ngens, j))
             for j in range(self.group.ngens)
         ]
 
@@ -818,7 +865,7 @@ def quotient_group(G: FPAbGroup, B: Subgroup):
         raise AmbientMismatch("subgroup is not inside the group")
     sq = SubquotientData(Subgroup.full(G), B)
     cols = [
-        sq.project(tuple(1 if i == j else 0 for i in range(G.ngens)))
+        sq.project(unit_vector(G.ngens, j))
         for j in range(G.ngens)
     ]
     return sq.group, Hom(G, sq.group, matrix_from_columns(cols, sq.group.ngens))
@@ -855,7 +902,7 @@ def induced_map(f: Hom, source: SubquotientData, target: SubquotientData) -> Hom
         if not target.B.contains(f(c)):
             raise NotWellDefined((c, f(c)))
     cols = [
-        target.project(f(source.lift(tuple(1 if i == j else 0 for i in range(source.group.ngens)))))
+        target.project(f(source.lift(unit_vector(source.group.ngens, j))))
         for j in range(source.group.ngens)
     ]
     return Hom(source.group, target.group, matrix_from_columns(cols, target.group.ngens))

@@ -30,6 +30,7 @@ from specseq.zlinalg import (
     kernel_basis,
     mat_mul,
     mat_vec,
+    matrix_from_columns,
     quotient_group,
     smith_normal_form,
     solve_matrix,
@@ -104,6 +105,11 @@ class TestSmithNormalForm:
         U, _, V, Uinv, Vinv = _snf_with_inverses(M)
         assert mat_mul(Uinv, U) == identity_matrix(len(M))
         assert mat_mul(V, Vinv) == identity_matrix(len(M[0]))
+
+    @given(small_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_same_transforms_with_or_without_inverses(self, M):
+        assert smith_normal_form(M) == _snf_with_inverses(M)[:3]
 
     def test_known_diagonal(self):
         # gcd of all entries 2, second determinant divisor 8 => diag (2, 4).
@@ -199,6 +205,31 @@ class TestFPAbGroup:
             for rc in rel:
                 assert G.reduce(mat_vec(proj, rc)) == G.zero()
 
+    def test_invariant_factors_match_sympy(self):
+        """Invariant factors agree with sympy's Smith form up to n = 12."""
+        pytest.importorskip("sympy")
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(23)
+        for n in range(13):
+            for _ in range(4):
+                cols = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
+                # Scaled and dependent columns give torsion and a rank deficit.
+                for c in cols[1:]:
+                    roll = rng.random()
+                    if roll < 0.3:
+                        c[:] = [rng.randint(2, 6) * x for x in c]
+                    elif roll < 0.5:
+                        c[:] = [rng.randint(-2, 2) * x for x in cols[0]]
+                G, _, _ = group_from_presentation(n, [tuple(c) for c in cols])
+                factors = []
+                if n and cols:
+                    D = sympy_snf(Matrix(n, len(cols), lambda i, j: cols[j][i]), domain=ZZ)
+                    factors = [abs(int(D[i, i])) for i in range(min(n, len(cols))) if D[i, i]]
+                assert G.rank == n - len(factors)
+                assert list(G.torsion) == sorted(d for d in factors if d > 1)
+
     def test_order_and_describe(self):
         G = FPAbGroup(1, (2, 6))
         assert G.order() is None
@@ -220,7 +251,46 @@ def brute_generated(G, gens):
     return S
 
 
+@st.composite
+def subgroups_with_vectors(draw):
+    """A subgroup of a random ambient group with torsion, with test vectors.
+
+    Some generators are combinations of the others, so the generating set can
+    be rank deficient.  The first vectors are members by construction, the
+    rest are arbitrary.
+    """
+    rank = draw(st.integers(0, 3))
+    torsion, d = [], 1
+    for m in draw(st.lists(st.integers(2, 4), max_size=3)):
+        d *= m
+        torsion.append(d)
+    G = FPAbGroup(rank, tuple(torsion))
+    n = G.ngens
+    vector = st.lists(st.integers(-12, 12), min_size=n, max_size=n).map(tuple)
+
+    def combination(cols):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+        return tuple(sum(c * col[i] for c, col in zip(cs, cols)) for i in range(n))
+
+    gens = draw(st.lists(vector, max_size=4))
+    gens += [combination(gens) for _ in range(draw(st.integers(0, 2)))]
+    spanning = gens + G.relation_columns()
+    members = [combination(spanning) for _ in range(3)]
+    return Subgroup.from_generators(G, gens), members, draw(st.lists(vector, max_size=4))
+
+
 class TestSubgroups:
+    @given(subgroups_with_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_coordinates_agree_with_solve(self, case):
+        S, members, others = case
+        B = matrix_from_columns(list(S.basis), S.ambient.ngens)
+        for v in members + others:
+            x = solve_matrix(B, v)
+            assert S.coordinates(v) == x
+            assert S.contains(v) == (x is not None)
+        assert all(S.contains(v) for v in members)
+
     def test_membership_matches_enumeration(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -355,6 +425,15 @@ class TestSubquotient:
         B = Subgroup.from_generators(G, [(2,)])
         with pytest.raises(ContainmentViolation):
             subquotient(Z, B)
+
+    def test_containment_witness_is_first_column_outside(self):
+        G = FPAbGroup(0, (8, 8))
+        Z = Subgroup.from_generators(G, [(1, 0), (0, 4)])
+        B = Subgroup.from_generators(G, [(2, 0), (0, 2)])
+        assert Z.contains(B.basis[0]) and not Z.contains(B.basis[1])
+        with pytest.raises(ContainmentViolation) as exc:
+            subquotient(Z, B)
+        assert exc.value.args == (B.basis[1],)
 
     def test_quotient_group(self):
         G = FPAbGroup(1)
