@@ -18,6 +18,7 @@ classified by how the limit page relates to the two abutments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -32,6 +33,7 @@ from .zlinalg import (
     hom_on_generators,
     induced_map,
     matrix_from_columns,
+    shared_results,
     subquotient,
     unit_vector,
 )
@@ -136,6 +138,17 @@ class Bidegrees:
         return _sub(self.z, _scale(r - 1, self.a))
 
 
+def _in_own_table(method):
+    """Run a couple's analysis method inside the couple's result table."""
+
+    @functools.wraps(method)
+    def run(self, *args, **kwargs):
+        with shared_results(self._results):
+            return method(self, *args, **kwargs)
+
+    return run
+
+
 @dataclass(frozen=True)
 class PositionIndex:
     """A position resolved against the tower structure: x = x(n) + r*a."""
@@ -154,6 +167,13 @@ class ExactCouple:
     declared bidegrees.  ``diagonal_tails`` assigns each D-tower (indexed by
     its diagonal n) a (left, right) pair of tail kinds; towers default to
     (ZERO, CONSTANT) and empty towers are identically zero.
+
+    Every couple owns a result table (``zlinalg.shared_results``), and its
+    analysis methods run inside it: the kernels, images, preimages,
+    intersections and subquotients they ask for are computed once per
+    couple and shared by all of them, as is the ``AbutmentData`` of each
+    diagonal.  A nested call on another couple switches to that couple's
+    table.  Shared results must not be mutated.
     """
 
     def __init__(self, bidegrees: Bidegrees, D: Dict[Position, FPAbGroup],
@@ -166,6 +186,7 @@ class ExactCouple:
         self.diagonal_tails = dict(diagonal_tails or {})
         self._diagrams: Dict[int, ZDiagram] = {}
         self._checked_ss: Optional[SpectralSequence] = None
+        self._results: dict = {}
         self.i = {tuple(x): f for x, f in i.items() if not f.is_zero()}
         self.j = {tuple(x): f for x, f in j.items() if not f.is_zero()}
         self.k = {tuple(x): f for x, f in k.items() if not f.is_zero()}
@@ -278,22 +299,15 @@ class ExactCouple:
         for e in self.E:
             seen.append(_sub(e, bd.b))
             seen.append(_add(e, bd.c))
-        out, done = [], set()
-        for x in seen:
-            if x not in done:
-                done.add(x)
-                out.append(x)
-        return out
+        return list(dict.fromkeys(seen))
 
     def _e_check_positions(self):
         bd = self.bidegrees
-        out, done = [], set()
-        for e in list(self.E) + [_add(x, bd.b) for x in self._d_check_positions()]:
-            if e not in done:
-                done.add(e)
-                out.append(e)
-        return out
+        return list(dict.fromkeys(
+            [*self.E, *(_add(x, bd.b) for x in self._d_check_positions())]
+        ))
 
+    @_in_own_table
     def validate(self) -> dict:
         """Exactness at every corner of the (tail-padded) support.
 
@@ -412,6 +426,7 @@ class ExactCouple:
         except NotWellDefined as exc:
             raise PreimageFailure(("differential not additive", e, r)) from exc
 
+    @_in_own_table
     def internal_page(self, r: int) -> dict:
         """Page r from the cycle/boundary construction, with its differentials.
 
@@ -473,6 +488,7 @@ class ExactCouple:
     def bidegree_rule(self) -> Callable[[int], Position]:
         return self.bidegrees.differential_bidegree
 
+    @_in_own_table
     def internal_spectral_sequence(self, up_to: Optional[int] = None,
                                    check: bool = True) -> SpectralSequence:
         """The spectral sequence of the couple, via the generic paging engine.
@@ -515,6 +531,7 @@ class ExactCouple:
             self._checked_ss = ss
         return ss
 
+    @_in_own_table
     def e_infinity(self, check: bool = True) -> dict:
         """E^infinity per E-position: cycle/boundary subgroups and subquotient.
 
@@ -541,6 +558,7 @@ class ExactCouple:
                         "limit page disagrees", e)
         return out
 
+    @_in_own_table
     def stable_E(self, e: Position, budget: Optional[int] = None):
         """The stable E-object at e with a stabilization certificate.
 
@@ -577,6 +595,7 @@ class ExactCouple:
 
     # -- abutments -----------------------------------------------------------
 
+    @_in_own_table
     def abutments(self, n: int) -> "AbutmentData":
         """Colimit and limit abutments of diagonal n with their filtrations.
 
@@ -586,7 +605,18 @@ class ExactCouple:
         filtration quotients of the colimit side are identified with
         kernel-of-k modulo limit boundaries, and that identification is
         asserted here.
+
+        Computed once per couple and diagonal and kept in the couple's
+        result table; later calls (``extension_report``, ``classify``)
+        return the same object, which callers must not mutate.
         """
+        key = ("abutments", n)
+        ab = self._results.get(key)
+        if ab is None:
+            ab = self._results[key] = self._abutments(n)
+        return ab
+
+    def _abutments(self, n: int) -> "AbutmentData":
         bd = self.bidegrees
         dn = self.diagonal(n)
         dns = self.diagonal(n + bd.sigma)
@@ -624,6 +654,7 @@ class ExactCouple:
 
     # -- extensions and classification ---------------------------------------
 
+    @_in_own_table
     def er_extension_check(self, x: Position, r: int) -> dict:
         """The page-(r+1) term at x+b as an extension of i-iteration data.
 
@@ -710,6 +741,7 @@ class ExactCouple:
             "epi": epi,
         }
 
+    @_in_own_table
     def extension_report(self, x: Position) -> dict:
         """Build and verify the extension data tied to D-position x.
 
@@ -830,6 +862,7 @@ class ExactCouple:
         return Hom(sq_cok.group, target_group,
                    matrix_from_columns(cols, target_group.ngens))
 
+    @_in_own_table
     def classify(self, x: Position) -> dict:
         """How the limit page at x+b relates to the two abutments.
 
@@ -890,6 +923,7 @@ class ExactCouple:
         d_in = self.j_at(_add(e_in, bd.c)).compose(self.k_at(e_in))
         return subquotient(d_out.kernel(), d_in.image())
 
+    @_in_own_table
     def derive(self, variant: str) -> "ExactCouple":
         """The image-quotient (``"Q"``) or image-subobject (``"I"``) derived couple.
 
@@ -952,6 +986,7 @@ class ExactCouple:
         out.validate()
         return out
 
+    @_in_own_table
     def derivation_abutment_check(self) -> dict:
         """Derived couples keep the abutments, with the stated index shifts.
 
@@ -1005,6 +1040,7 @@ class ExactCouple:
         assert report["ok"], report
         return report
 
+    @_in_own_table
     def lim1_couple(self, n: int):
         """The couple assembled from the kernel filtration of diagonal n.
 
@@ -1146,10 +1182,10 @@ class CoupleMorphism:
         self.fD = {tuple(x): f for x, f in fD.items()}
         self.fE = {tuple(x): f for x, f in fE.items()}
         bd = source.bidegrees
-        d_pos = _merge_positions(source._d_check_positions(),
-                                 target._d_check_positions())
-        e_pos = _merge_positions(source._e_check_positions(),
-                                 target._e_check_positions())
+        d_pos = list(dict.fromkeys(
+            [*source._d_check_positions(), *target._d_check_positions()]))
+        e_pos = list(dict.fromkeys(
+            [*source._e_check_positions(), *target._e_check_positions()]))
         for x, f in self.fD.items():
             if f.domain != source.D_at(x) or f.codomain != target.D_at(x):
                 raise NotAMorphism(("component endpoints (D)", x))
@@ -1239,15 +1275,6 @@ class CoupleMorphism:
             if x in tgt:
                 out[x] = induced_map(comp, src[x], tgt[x])
         return out
-
-
-def _merge_positions(first, second):
-    out, done = [], set()
-    for x in list(first) + list(second):
-        if x not in done:
-            done.add(x)
-            out.append(x)
-    return out
 
 
 COMPARE_RULES = (
@@ -1536,10 +1563,23 @@ def couple_from_filtered_complex(groups: Dict[int, FPAbGroup],
     groups of the stages, E-objects the homology of adjacent quotients, and
     i, j, k come from the long exact homology sequences.
 
+    The couple is built under a fresh result table, which the returned
+    couple then owns, so its analysis reuses the kernels, images and
+    subquotients of the construction.
+
     Raises:
         NotAComplex: if the differential does not square to zero.
         NotFiltered: if the stages are not nested or not preserved.
     """
+    table: dict = {}
+    with shared_results(table):
+        out = _filtered_complex_couple(groups, diffs, filtration)
+    out._results = table
+    out.validate()
+    return out
+
+
+def _filtered_complex_couple(groups, diffs, filtration) -> ExactCouple:
     groups = {n: G for n, G in groups.items() if not G.is_trivial()}
 
     def C_at(n):
@@ -1623,9 +1663,7 @@ def couple_from_filtered_complex(groups: Dict[int, FPAbGroup],
     for n in range(degrees[0] - 1, degrees[-1] + 2):
         right = Tail.CONSTANT if not sq_D(pmax + 1, n).group.is_trivial() else Tail.ZERO
         tails[n] = (Tail.ZERO, right)
-    out = ExactCouple(bd, D, E, i, j, k, tails)
-    out.validate()
-    return out
+    return ExactCouple(bd, D, E, i, j, k, tails)
 
 
 def couple_direct_sum(C1: ExactCouple, C2: ExactCouple) -> ExactCouple:
@@ -1657,8 +1695,8 @@ def couple_direct_sum(C1: ExactCouple, C2: ExactCouple) -> ExactCouple:
         _, _, (pr1, pr2) = src_kit
         return inc1.compose(f1.compose(pr1)).add(inc2.compose(f2.compose(pr2)))
 
-    d_pos = _merge_positions(C1._d_check_positions(), C2._d_check_positions())
-    e_pos = _merge_positions(C1._e_check_positions(), C2._e_check_positions())
+    d_pos = list(dict.fromkeys([*C1._d_check_positions(), *C2._d_check_positions()]))
+    e_pos = list(dict.fromkeys([*C1._e_check_positions(), *C2._e_check_positions()]))
     D = {x: d_kit(x)[0] for x in d_pos}
     E = {x: e_kit(x)[0] for x in e_pos}
     i = {

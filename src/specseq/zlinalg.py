@@ -17,6 +17,10 @@ This module provides:
   generators, with well-definedness checked at construction.
 * Derived constructions: kernels, images, cokernels, preimages, subquotients
   with sections, induced maps, and the lattice algebra of subgroups.
+* ``shared_results`` -- a context-scoped result table.  While one is open,
+  images, preimages (and so kernels), images of subgroups, intersections,
+  ``as_group`` and subquotients are looked up by the value of their inputs
+  and computed only once; with none open they are computed on every call.
 
 All arithmetic uses Python's arbitrary precision integers; no floating point
 is involved anywhere.
@@ -31,6 +35,8 @@ is involved anywhere.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional, Sequence
@@ -49,6 +55,58 @@ class ContainmentViolation(Exception):
 
 class NotWellDefined(Exception):
     """Raised when a map fails to descend to a quotient; carries a witness."""
+
+
+# ---------------------------------------------------------------------------
+# shared results
+# ---------------------------------------------------------------------------
+
+
+_results: ContextVar = ContextVar("specseq_shared_results", default=None)
+
+
+@contextmanager
+def shared_results(table: dict):
+    """Share derived results through ``table`` for the duration of the block.
+
+    Inside the block, ``Hom.image``, ``Hom.preimage`` (and so ``kernel`` and
+    ``is_mono``), ``Hom.image_of_subgroup``, ``Subgroup.intersection``,
+    ``Subgroup.as_group`` and ``subquotient`` look up their result in
+    ``table`` by the value of their inputs, and compute and store it only
+    when it is absent.  They are pure functions of those values, so the
+    answers are the same as without a table; equal inputs now get the same
+    result object, which callers must not mutate.  Blocks nest: the
+    innermost table is the one in use, and the previous one is restored on
+    exit, also when the block raises.
+
+    >>> G = FPAbGroup(rank=1, torsion=(4,))
+    >>> f = Hom(G, G, [[2, 0], [0, 1]])
+    >>> table = {}
+    >>> with shared_results(table):
+    ...     f.kernel() is f.kernel()
+    True
+    >>> f.kernel() is f.kernel()
+    False
+    >>> f.kernel() == f.kernel()
+    True
+    """
+    token = _results.set(table)
+    try:
+        yield
+    finally:
+        _results.reset(token)
+
+
+def _shared(key, compute):
+    """``compute()``, looked up under ``key`` in the open result table."""
+    table = _results.get()
+    if table is None:
+        return compute()
+    try:
+        return table[key]
+    except KeyError:
+        value = table[key] = compute()
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +643,9 @@ class Subgroup:
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatch("subgroups live in different ambient groups")
+        return _shared(("intersection", self, other), lambda: self._intersection(other))
+
+    def _intersection(self, other: "Subgroup") -> "Subgroup":
         n = self.ambient.ngens
         A = self._matrix()
         B = other._matrix()
@@ -599,6 +660,9 @@ class Subgroup:
         Returns:
             ``(S, incl)`` with ``S`` canonical and ``incl: S -> ambient``.
         """
+        return _shared(("as_group", self), self._as_group)
+
+    def _as_group(self):
         n = self.ambient.ngens
         basis_m = self._matrix()
         rel_coords = []
@@ -725,15 +789,31 @@ class Hom:
     # -- kernel / image / preimage ------------------------------------------
 
     def image(self) -> Subgroup:
-        return Subgroup.from_generators(self.codomain, columns_of([list(r) for r in self.matrix]))
+        """The image, as a subgroup of the codomain.
+
+        Shared by value in an open ``shared_results`` table; do not mutate.
+        """
+        return _shared(
+            ("image", self.domain, self.codomain, self.matrix),
+            lambda: Subgroup.from_generators(self.codomain, columns_of(self.matrix)),
+        )
 
     def kernel(self) -> Subgroup:
         return self.preimage(Subgroup.zero(self.codomain))
 
     def preimage(self, S: Subgroup) -> Subgroup:
-        """Full preimage of a subgroup of the codomain."""
+        """Full preimage of a subgroup of the codomain.
+
+        Shared by value in an open ``shared_results`` table; do not mutate.
+        """
         if S.ambient != self.codomain:
             raise AmbientMismatch("subgroup is not inside the codomain")
+        return _shared(
+            ("preimage", self.domain, self.codomain, self.matrix, S),
+            lambda: self._preimage(S),
+        )
+
+    def _preimage(self, S: Subgroup) -> Subgroup:
         n_dom = self.domain.ngens
         if self.codomain.ngens == 0:
             return Subgroup.full(self.domain)
@@ -762,8 +842,9 @@ class Hom:
     def image_of_subgroup(self, S: Subgroup) -> Subgroup:
         if S.ambient != self.domain:
             raise AmbientMismatch("subgroup is not inside the domain")
-        return Subgroup.from_generators(
-            self.codomain, [self(c) for c in S.basis]
+        return _shared(
+            ("image_of_subgroup", self.domain, self.codomain, self.matrix, S),
+            lambda: Subgroup.from_generators(self.codomain, [self(c) for c in S.basis]),
         )
 
     def is_mono(self) -> bool:
@@ -852,7 +933,11 @@ class SubquotientData:
 
 
 def subquotient(Z: Subgroup, B: Subgroup) -> SubquotientData:
-    return SubquotientData(Z, B)
+    """The subquotient ``Z / B``.
+
+    Shared by value in an open ``shared_results`` table; do not mutate.
+    """
+    return _shared(("subquotient", Z, B), lambda: SubquotientData(Z, B))
 
 
 def quotient_group(G: FPAbGroup, B: Subgroup):
@@ -863,7 +948,7 @@ def quotient_group(G: FPAbGroup, B: Subgroup):
     """
     if B.ambient != G:
         raise AmbientMismatch("subgroup is not inside the group")
-    sq = SubquotientData(Subgroup.full(G), B)
+    sq = subquotient(Subgroup.full(G), B)
     cols = [
         sq.project(unit_vector(G.ngens, j))
         for j in range(G.ngens)

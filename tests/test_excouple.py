@@ -1,8 +1,11 @@
 """Exact couples: demo values, derived couples, abutments, comparisons."""
 
+from collections import Counter
+
 import pytest
 
-from specseq.zlinalg import FPAbGroup, Hom, Subgroup, direct_sum
+from specseq import excouple, zlinalg
+from specseq.zlinalg import FPAbGroup, Hom, Subgroup, SubquotientData, direct_sum
 from specseq.zdiagrams import HypothesisFailed, Tail
 from specseq.spectral import SSMorphism, homological_rule, spectral_sequence_from_page, turn_page
 from specseq.excouple import (
@@ -189,6 +192,122 @@ class TestSpectralSequenceReuse:
             C.e_infinity(check=True)
             assert built == []
             assert C.internal_spectral_sequence(check=True) is checked
+
+
+def full_analysis(C):
+    """Comparable values of a couple's whole analysis: pages, E-infinity,
+    abutments of every diagonal and the label of every position."""
+    ss = C.internal_spectral_sequence()
+    pages = [
+        ({x: p.objects.at(x) for x in p.objects.positions()}, dict(p.diffs))
+        for p in ss.pages
+    ]
+    einf = {e: v["sq"].group for e, v in C.e_infinity().items()}
+    b = C.bidegrees.b
+    xs = sorted((e[0] - b[0], e[1] - b[1]) for e in C.E)
+    abut = {}
+    for n in sorted({C.position_index(x).n for x in [*C.D, *xs]}):
+        ab = C.abutments(n)
+        abut[n] = (
+            ab.colim,
+            ab.lim,
+            {x: sq.group for x, sq in ab.eps.items()},
+            {x: sq.group for x, sq in ab.eps_upper.items()},
+        )
+    labels = {x: C.classify(x)["label"] for x in xs}
+    return pages, einf, abut, labels
+
+
+def shared_results_inputs():
+    """Builders of the three demo couples and of seeded filtered complexes."""
+    builders = [lambda name=name: demo_couple(name)
+                for name in ("couple1", "couple2", "couple3")]
+    rng = seeded(113)
+    for _ in range(8):
+        data = random_filtered_complex(rng)
+        builders.append(lambda data=data: couple_from_filtered_complex(*data))
+    return builders
+
+
+class TestSharedResults:
+    """Each couple's analysis shares kernels, images and subquotients."""
+
+    def test_values_equal_unshared_run(self, monkeypatch):
+        builders = shared_results_inputs()
+        shared = [full_analysis(build()) for build in builders]
+        monkeypatch.setattr(zlinalg, "_shared", lambda key, compute: compute())
+        unshared = [full_analysis(build()) for build in builders]
+        assert shared == unshared
+
+    def test_no_table_left_open(self):
+        assert zlinalg._results.get() is None
+        for build in shared_results_inputs()[:5]:
+            C = build()
+            assert zlinalg._results.get() is None
+            C.validate()
+            assert zlinalg._results.get() is None
+            full_analysis(C)
+            assert zlinalg._results.get() is None
+            x = min(C.D, default=(0, 0))
+            C.stable_E((x[0] + C.bidegrees.b[0], x[1] + C.bidegrees.b[1]))
+            C.er_extension_check(x, 1)
+            C.extension_report(x)
+            C.internal_page(2)
+            assert zlinalg._results.get() is None
+        C = demo_couple("couple2")
+        bad_j = {x: Hom.zero_map(f.domain, f.codomain) for x, f in C.j.items()}
+        broken = ExactCouple(C.bidegrees, C.D, C.E, C.i, bad_j, C.k,
+                             C.diagonal_tails)
+        with pytest.raises(NotExact):
+            broken.validate()
+        assert zlinalg._results.get() is None
+
+    def test_equal_couples_get_distinct_tables(self):
+        for build in shared_results_inputs()[1:5]:
+            C1, C2 = build(), build()
+            assert C1._results is not C2._results
+            before = dict(C2._results)
+            full_analysis(C1)
+            assert C2._results == before
+            assert len(C1._results) > len(before)
+
+    def test_each_subquotient_built_once(self, monkeypatch):
+        built = Counter()
+        init = SubquotientData.__init__
+
+        def counted(self, Z, B):
+            built[(Z, B)] += 1
+            init(self, Z, B)
+
+        monkeypatch.setattr(SubquotientData, "__init__", counted)
+        for build in shared_results_inputs():
+            built.clear()
+            full_analysis(build())
+            assert built and max(built.values()) == 1
+
+    def test_abutments_computed_once_per_diagonal(self, monkeypatch):
+        runs = []
+        filtrations = excouple.filtrations
+
+        def counted(dia):
+            runs.append(dia)
+            return filtrations(dia)
+
+        monkeypatch.setattr(excouple, "filtrations", counted)
+        for build in shared_results_inputs():
+            C = build()
+            x = min(C.D, default=(0, 0))
+            n = C.position_index(x).n
+            fresh = build()
+            fresh.extension_report(x)
+            assert runs  # the report needs the abutments of x's diagonal
+            ab = C.abutments(n)
+            assert C.abutments(n) is ab
+            runs.clear()
+            C.extension_report(x)
+            C.classify(x)
+            assert runs == []
+            assert C.abutments(n) is ab
 
 
 class TestRandomCouples:
