@@ -25,7 +25,6 @@ from .spectral import (
     SSMorphism,
     UnboundedSupport,
     cohomological_rule,
-    homological_rule,
     spectral_sequence_from_page,
 )
 from .excouple import (
@@ -37,6 +36,9 @@ from .excouple import (
     NotUnimodular,
     PreimageFailure,
     SetupViolation,
+    _group_from_json,
+    _homs_from_json,
+    _parse_pos,
     compare_abutments,
     couple_from_json,
     couple_to_json,
@@ -91,11 +93,6 @@ def _load_couple(path):
 
 def _pos_key(x):
     return "%d,%d" % tuple(x)
-
-
-def _parse_pos(s):
-    p, q = s.split(",")
-    return (int(p), int(q))
 
 
 def render_grid(objects: dict) -> list:
@@ -208,24 +205,15 @@ def cmd_reindex(args):
 def _morphism_from_json(data):
     src = couple_from_json(data["source"])
     tgt = couple_from_json(data["target"])
-
-    def homs(entries, src_at, tgt_at, shift):
-        out = {}
-        for e in entries:
-            x = tuple(e["at"])
-            out[x] = Hom(src_at(x), tgt_at(x), [list(r) for r in e["matrix"]])
-        return out
-
-    fD = homs(data.get("fD", []), src.D_at, tgt.D_at, None)
-    fE = homs(data.get("fE", []), src.E_at, tgt.E_at, None)
+    fD = _homs_from_json(data.get("fD", []), src.D_at, tgt.D_at)
+    fE = _homs_from_json(data.get("fE", []), src.E_at, tgt.E_at)
     return CoupleMorphism(src, tgt, fD, fE)
 
 
 def cmd_compare(args):
     with open(args.file) as fh:
         f = _morphism_from_json(json.load(fh))
-    out = compare_abutments(f, args.rule, args.n)
-    return out
+    return compare_abutments(f, args.rule, args.n)
 
 
 def _two_row_pair(k, N, perturb=False):
@@ -268,10 +256,6 @@ def cmd_zeeman(args):
         res = zeeman_check(f, abut, abut, {0: Hom.identity(Z)}, setup="II",
                            edge_oracle=lambda f, n: True)
     return res
-
-
-def _group_from_json(d):
-    return FPAbGroup(d.get("rank", 0), tuple(d.get("torsion", ())))
 
 
 def cmd_solve_two_row(args):

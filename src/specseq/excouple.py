@@ -38,19 +38,22 @@ from .zlinalg import (
     unit_vector,
 )
 from .zdiagrams import (
-    HypothesisFailed,
+    BudgetExceeded,
+    I_omega,
     NotExact,
     Tail,
     ZDiagram,
     ZDiagramMorphism,
+    apply_rule,
     colimit,
     filtrations,
-    image_towers,
     kernel_diagram,
+    kernels_satisfy_dcc,
     limit_and_lim1,
     limit_map,
     colimit_map,
     ml_conditions,
+    stabilization_budget,
     stable_image,
 )
 from .spectral import (
@@ -341,26 +344,18 @@ class ExactCouple:
         """Image of the tau-fold composite into tower position r of diagonal n."""
         return self.diagonal(n).composite(r - tau, r).image()
 
-    def _I_omega_at(self, n: int, r: int) -> Subgroup:
-        """The stable image subgroup at tower position r of diagonal n.
+    def _stable_at(self, n: int, r: int, in_window) -> Subgroup:
+        """A stable image subgroup at tower position r of diagonal n.
 
-        Inside the padded window this is decided by chain stabilization
-        (``image_towers``); outside, the composite from the bottom pad is
-        already stable.
+        ``in_window`` is ``I_omega`` (I^omega) or ``stable_image`` (Ibar, the
+        image of rho_r: lim -> D), read inside the padded window.  Outside
+        it the two agree: the whole group left of the pad, where the tower
+        is constant or zero, and the image of the composite from the bottom
+        pad right of it, which is already stable.
         """
         dia = self.diagonal(n)
         if dia.p0 - 1 <= r <= dia.p1 + 1:
-            return image_towers(dia)["I_omega"][r]
-        if r < dia.p0 - 1:
-            # left of the pad the tower is constant or zero either way
-            return Subgroup.full(dia.group_at(r))
-        return dia.composite(dia.p0 - 1, r).image()
-
-    def _Ibar_at(self, n: int, r: int) -> Subgroup:
-        """Image of rho_r: lim -> D at tower position r (the stable image)."""
-        dia = self.diagonal(n)
-        if dia.p0 - 1 <= r <= dia.p1 + 1:
-            return stable_image(dia)[r]
+            return in_window(dia)[r]
         if r < dia.p0 - 1:
             return Subgroup.full(dia.group_at(r))
         return dia.composite(dia.p0 - 1, r).image()
@@ -381,7 +376,7 @@ class ExactCouple:
     def omega_cycles_at(self, e: Position) -> Subgroup:
         bd = self.bidegrees
         pt = self.position_index(_add(_sub(e, bd.b), bd.z))
-        return self.k_at(e).preimage(self._I_omega_at(pt.n, pt.r))
+        return self.k_at(e).preimage(self._stable_at(pt.n, pt.r, I_omega))
 
     def omega_boundaries_at(self, e: Position) -> Subgroup:
         """B^infinity = j(kernel of D_{e-b} -> colim of its tower)."""
@@ -522,11 +517,7 @@ class ExactCouple:
                 cum = ss.cumulative[-1]
                 for e in self.E:
                     want = (ip["Z"][e], ip["B"][e])
-                    got = cum.get(
-                        e,
-                        (Subgroup.full(self.E_at(e)), Subgroup.zero(self.E_at(e))),
-                    )
-                    assert got == want, ("page anchoring disagrees", e, r)
+                    assert cum[e] == want, ("page anchoring disagrees", e, r)
         if full and check:
             self._checked_ss = ss
         return ss
@@ -559,7 +550,7 @@ class ExactCouple:
         return out
 
     @_in_own_table
-    def stable_E(self, e: Position, budget: Optional[int] = None):
+    def stable_E(self, e: Position):
         """The stable E-object at e with a stabilization certificate.
 
         Iterates the cycle subgroups Z^tau until stationary, computes the
@@ -570,8 +561,7 @@ class ExactCouple:
         e = tuple(e)
         bd = self.bidegrees
         pt = self.position_index(_add(_sub(e, bd.b), bd.z))
-        if budget is None:
-            budget = 2 * self.diagonal(pt.n).width + 4
+        budget = stabilization_budget(self.diagonal(pt.n).width)
         prev = self.cycles_at(e, 0)
         stage = 0
         for tau in range(1, budget + 1):
@@ -581,10 +571,8 @@ class ExactCouple:
                 break
             prev = cur
         else:
-            from .zdiagrams import BudgetExceeded
-
             raise BudgetExceeded(budget)
-        Zbar = self.k_at(e).preimage(self._Ibar_at(pt.n, pt.r))
+        Zbar = self.k_at(e).preimage(self._stable_at(pt.n, pt.r, stable_image))
         assert Zbar == prev, ("stable cycles disagree with the iteration", e)
         Bw = self.omega_boundaries_at(e)
         sq = subquotient(Zbar, Bw)
@@ -763,8 +751,8 @@ class ExactCouple:
         amb_t = self.D_at(t_pos)
 
         keri = self.i_at(t_pos).kernel()
-        ibar = self._Ibar_at(pt.n, pt.r)
-        iw = self._I_omega_at(pt.n, pt.r)
+        ibar = self._stable_at(pt.n, pt.r, stable_image)
+        iw = self._stable_at(pt.n, pt.r, I_omega)
         crit_lhs = ibar.intersection(keri)
         crit_rhs = iw.intersection(keri)
         stable = crit_lhs == crit_rhs
@@ -1277,164 +1265,147 @@ class CoupleMorphism:
         return out
 
 
-COMPARE_RULES = (
-    "mono-colim-1",
-    "mono-colim-2",
-    "epi-colim",
-    "iso-colim",
-    "mono-lim-1",
-    "mono-lim-2",
-    "iso-universal",
-    "iso-lim-1",
-    "iso-lim-2",
-    "epi-lim",
-)
+class _CoupleMorphismFacts:
+    """What the ``COMPARE_RULES`` read about ``f`` on diagonal n; the induced
+    maps beyond the abutment maps are computed when a clause first reads
+    them."""
+
+    def __init__(self, f: CoupleMorphism, n: int):
+        self.f, self.n = f, n
+        self.S, self.T = f.source, f.target
+        self.dm_low = f.d_morphism(n)
+        self.dm_up = f.d_morphism(n + self.S.bidegrees.sigma)
+        self.Lf = colimit_map(self.dm_low)
+        self.Luf = limit_map(self.dm_up)
+
+    @functools.cached_property
+    def f_infinity(self) -> list:
+        return list(self.f.f_infinity(self.n).values())
+
+    @functools.cached_property
+    def eps(self) -> list:
+        return list(self.f.eps_maps(self.n, upper=False).values())
+
+    @functools.cached_property
+    def lim_F_map(self) -> Hom:
+        # the F-towers increase, so their limit is the bottom padded stage
+        A, B = self.dm_low.source, self.dm_low.target
+        bot = A.p0 - 1
+        return self.Lf.restrict(colimit(A)[1][bot].image(), colimit(B)[1][bot].image())
+
+    @functools.cached_property
+    def im_R_map(self) -> Hom:
+        A, B = self.dm_up.source, self.dm_up.target
+        RA = colimit(A)[1][A.p0 - 1].compose(limit_and_lim1(A)[1][A.p0 - 1])
+        RB = colimit(B)[1][B.p0 - 1].compose(limit_and_lim1(B)[1][B.p0 - 1])
+        return colimit_map(self.dm_up).restrict(RA.image(), RB.image())
+
+    def all_stable(self, side: ExactCouple) -> bool:
+        return all(
+            side.extension_report(side.position_on(self.n, r))["stable"]
+            for r in side.diagonal(self.n).padded_range()
+        )
+
+    def eps_trivial(self, side: ExactCouple) -> bool:
+        return all(sq.group.is_trivial() for sq in side.abutments(self.n).eps.values())
+
+    def filtration_constant(self, side: ExactCouple) -> bool:
+        return len({tuple(v.basis) for v in side.abutments(self.n).F.values()}) <= 1
+
+
+def _iso_lim_auxiliary(F: _CoupleMorphismFacts) -> bool:
+    A, B = F.dm_up.source, F.dm_up.target
+    return (
+        (F.S.abutments(F.n).R.is_zero() and F.T.abutments(F.n).R.is_zero())
+        or (colimit(A)[1][A.p0 - 1].image().is_zero()
+            and colimit(B)[1][B.p0 - 1].image().is_zero())
+        or (colimit(A)[0].is_trivial() and colimit(B)[0].is_trivial())
+        or (A.right_tail is Tail.ZERO and B.right_tail is Tail.ZERO)
+    )
+
+
+_PAGES_MONO = ("limit page maps all mono", lambda F: all(g.is_mono() for g in F.f_infinity))
+_PAGES_ISO = ("limit page maps all iso", lambda F: all(g.is_iso() for g in F.f_infinity))
+_EPS_ISO = ("filtration quotient maps all iso", lambda F: all(g.is_iso() for g in F.eps))
+_IM_R_ISO = ("map on the image of lim -> colim iso", lambda F: F.im_R_map.is_iso())
+_LIM_F_ISO = ("map on lim of the image filtration iso", lambda F: F.lim_F_map.is_iso())
+_MATCH_LIMIT = ("both sides match the limit abutment",
+                lambda F: F.all_stable(F.S) and F.all_stable(F.T)
+                and F.eps_trivial(F.S) and F.eps_trivial(F.T))
+_COLIM_MONO = "colimit abutment map mono"
+_LIM_ISO = "limit abutment map iso"
+
+COMPARE_RULES = {
+    "mono-colim-1": (
+        (_PAGES_MONO,
+         ("map on lim of the image filtration mono", lambda F: F.lim_F_map.is_mono())),
+        _COLIM_MONO, lambda F: F.Lf.is_mono()),
+    "mono-colim-2": (
+        (_PAGES_MONO,
+         ("lim of the source image filtration zero",
+          lambda F: colimit(F.dm_low.source)[1][F.dm_low.source.p0 - 1].image().is_zero())),
+        _COLIM_MONO, lambda F: F.Lf.is_mono()),
+    "epi-colim": (
+        (_EPS_ISO,
+         ("map on lim of the image filtration epi", lambda F: F.lim_F_map.is_epi())),
+        "colimit abutment map epi", lambda F: F.Lf.is_epi()),
+    "iso-colim": (
+        (_EPS_ISO, _LIM_F_ISO),
+        "colimit abutment map iso", lambda F: F.Lf.is_iso()),
+    "mono-lim-1": (
+        (("image filtrations constant on both sides",
+          # both sides are read, whatever the first one gives
+          lambda F: all([F.filtration_constant(F.S), F.filtration_constant(F.T)])),
+         _PAGES_MONO,
+         ("map on the image of lim -> colim mono", lambda F: F.im_R_map.is_mono())),
+        "limit abutment map mono", lambda F: F.Luf.is_mono()),
+    "mono-lim-2": (
+        (_PAGES_MONO,
+         ("colimit abutments trivial on both sides",
+          lambda F: colimit(F.dm_low.source)[0].is_trivial()
+          and colimit(F.dm_low.target)[0].is_trivial()),
+         ("upper colimit abutment of the source trivial",
+          lambda F: colimit(F.dm_up.source)[0].is_trivial())),
+        "limit abutment map mono", lambda F: F.Luf.is_mono()),
+    "iso-universal": (
+        (("limit pages stable on both sides",
+          lambda F: F.all_stable(F.S) and F.all_stable(F.T)),
+         _PAGES_ISO,
+         ("filtration quotient maps epi", lambda F: all(g.is_epi() for g in F.eps)),
+         _LIM_F_ISO,
+         _IM_R_ISO),
+        "both abutment maps iso", lambda F: F.Lf.is_iso() and F.Luf.is_iso()),
+    "iso-lim-1": (
+        (_MATCH_LIMIT, _PAGES_ISO, _IM_R_ISO),
+        _LIM_ISO, lambda F: F.Luf.is_iso()),
+    "iso-lim-2": (
+        (_MATCH_LIMIT, _PAGES_ISO,
+         ("auxiliary clause (R zero / lim F zero / upper colims trivial / eventually"
+          " vanishing)", _iso_lim_auxiliary)),
+        _LIM_ISO, lambda F: F.Luf.is_iso()),
+    "epi-lim": (
+        (("limit pages of the source stable", lambda F: F.all_stable(F.S)),
+         ("limit page maps all epi", lambda F: all(g.is_epi() for g in F.f_infinity)),
+         ("upper colimit abutments trivial on both sides",
+          lambda F: colimit(F.dm_up.source)[0].is_trivial()
+          and colimit(F.dm_up.target)[0].is_trivial()),
+         ("kernels of the upper tower maps satisfy a descending chain condition",
+          lambda F: kernels_satisfy_dcc(F.dm_up.source))),
+        "limit abutment map epi", lambda F: F.Luf.is_epi()),
+}
 
 
 def compare_abutments(f: CoupleMorphism, rule: str, n: int) -> dict:
     """Deduce a property of an abutment map from limit-page data on diagonal n.
 
-    Each rule checks its hypotheses exactly; when they hold, the induced map
-    on the colimit abutment (of diagonal n) or the limit abutment (of
-    diagonal n + sigma) is computed and the rule's conclusion asserted.  A
-    failing hypothesis raises ``HypothesisFailed`` with the failing clause.
+    Each rule checks its hypotheses exactly; when they hold, it checks its
+    conclusion on the induced map of the colimit abutment (of diagonal n) or
+    the limit abutment (of diagonal n + sigma).  A failing hypothesis raises
+    ``HypothesisFailed``, as in ``zdiagrams.apply_rule``.  The rules are the
+    keys of ``COMPARE_RULES``.
     """
-    if rule not in COMPARE_RULES:
-        raise ValueError("unknown rule %r" % (rule,))
-    S, T = f.source, f.target
-    bd = S.bidegrees
-    m = n + bd.sigma
-    dm_low = f.d_morphism(n)
-    dm_up = f.d_morphism(m)
-    Lf = colimit_map(dm_low)
-    Luf = limit_map(dm_up)
-    verdict = {"rule": rule, "diagonal": n, "hypotheses": []}
-
-    def need(name, ok):
-        verdict["hypotheses"].append((name, ok))
-        if not ok:
-            raise HypothesisFailed((rule, name))
-
-    def finf_all(pred):
-        return all(pred(g) for g in f.f_infinity(n).values())
-
-    def lim_F_map(dm):
-        # the image filtration towers are increasing; their inverse limit is
-        # realized at the bottom pad of the common window
-        A, B = dm.source, dm.target
-        bot = A.p0 - 1
-        FA = colimit(A)[1][bot].image()
-        FB = colimit(B)[1][bot].image()
-        return colimit_map(dm).restrict(FA, FB)
-
-    def im_R_map(dm):
-        A, B = dm.source, dm.target
-        RA = colimit(A)[1][A.p0 - 1].compose(limit_and_lim1(A)[1][A.p0 - 1])
-        RB = colimit(B)[1][B.p0 - 1].compose(limit_and_lim1(B)[1][B.p0 - 1])
-        return colimit_map(dm).restrict(RA.image(), RB.image())
-
-    def all_stable(side):
-        dia = side.diagonal(n)
-        return all(
-            side.extension_report(side.position_on(n, r))["stable"]
-            for r in dia.padded_range()
-        )
-
-    def eps_trivial(side, upper):
-        ab = side.abutments(n)
-        table = ab.eps_upper if upper else ab.eps
-        return all(sq.group.is_trivial() for sq in table.values())
-
-    if rule == "mono-colim-1":
-        need("limit page maps all mono", finf_all(lambda g: g.is_mono()))
-        need("map on lim of the image filtration mono", lim_F_map(dm_low).is_mono())
-        verdict["conclusion"] = "colimit abutment map mono"
-        assert Lf.is_mono()
-    elif rule == "mono-colim-2":
-        need("limit page maps all mono", finf_all(lambda g: g.is_mono()))
-        A = dm_low.source
-        vanish = colimit(A)[1][A.p0 - 1].image().is_zero()
-        need("lim of the source image filtration zero", vanish)
-        verdict["conclusion"] = "colimit abutment map mono"
-        assert Lf.is_mono()
-    elif rule in ("epi-colim", "iso-colim"):
-        eps = f.eps_maps(n, upper=False)
-        need("filtration quotient maps all iso",
-             all(g.is_iso() for g in eps.values()))
-        lfm = lim_F_map(dm_low)
-        if rule == "epi-colim":
-            need("map on lim of the image filtration epi", lfm.is_epi())
-            verdict["conclusion"] = "colimit abutment map epi"
-            assert Lf.is_epi()
-        else:
-            need("map on lim of the image filtration iso", lfm.is_iso())
-            verdict["conclusion"] = "colimit abutment map iso"
-            assert Lf.is_iso()
-    elif rule == "mono-lim-1":
-        ab_s, ab_t = S.abutments(n), T.abutments(n)
-        const_s = len({tuple(v.basis) for v in ab_s.F.values()}) <= 1
-        const_t = len({tuple(v.basis) for v in ab_t.F.values()}) <= 1
-        need("image filtrations constant on both sides", const_s and const_t)
-        need("limit page maps all mono", finf_all(lambda g: g.is_mono()))
-        need("map on the image of lim -> colim mono", im_R_map(dm_up).is_mono())
-        verdict["conclusion"] = "limit abutment map mono"
-        assert Luf.is_mono()
-    elif rule == "mono-lim-2":
-        need("limit page maps all mono", finf_all(lambda g: g.is_mono()))
-        need("colimit abutments trivial on both sides",
-             colimit(dm_low.source)[0].is_trivial()
-             and colimit(dm_low.target)[0].is_trivial())
-        need("upper colimit abutment of the source trivial",
-             colimit(dm_up.source)[0].is_trivial())
-        verdict["conclusion"] = "limit abutment map mono"
-        assert Luf.is_mono()
-    elif rule == "iso-universal":
-        need("limit pages stable on both sides", all_stable(S) and all_stable(T))
-        need("limit page maps all iso", finf_all(lambda g: g.is_iso()))
-        eps = f.eps_maps(n, upper=False)
-        need("filtration quotient maps epi",
-             all(g.is_epi() for g in eps.values()))
-        need("map on lim of the image filtration iso", lim_F_map(dm_low).is_iso())
-        need("map on the image of lim -> colim iso", im_R_map(dm_up).is_iso())
-        verdict["conclusion"] = "both abutment maps iso"
-        assert Lf.is_iso() and Luf.is_iso()
-    elif rule in ("iso-lim-1", "iso-lim-2"):
-        need("both sides match the limit abutment",
-             all_stable(S) and all_stable(T)
-             and eps_trivial(S, upper=False) and eps_trivial(T, upper=False))
-        need("limit page maps all iso", finf_all(lambda g: g.is_iso()))
-        if rule == "iso-lim-1":
-            need("map on the image of lim -> colim iso", im_R_map(dm_up).is_iso())
-        else:
-            A, B = dm_up.source, dm_up.target
-            clause = (
-                (S.abutments(n).R.is_zero() and T.abutments(n).R.is_zero())
-                or (colimit(A)[1][A.p0 - 1].image().is_zero()
-                    and colimit(B)[1][B.p0 - 1].image().is_zero())
-                or (colimit(A)[0].is_trivial() and colimit(B)[0].is_trivial())
-                or (A.right_tail is Tail.ZERO and B.right_tail is Tail.ZERO)
-            )
-            need("auxiliary clause (R zero / lim F zero / upper colims"
-                 " trivial / eventually vanishing)", clause)
-        verdict["conclusion"] = "limit abutment map iso"
-        assert Luf.is_iso()
-    else:  # epi-lim
-        need("limit pages of the source stable", all_stable(S))
-        need("limit page maps all epi", finf_all(lambda g: g.is_epi()))
-        need("upper colimit abutments trivial on both sides",
-             colimit(dm_up.source)[0].is_trivial()
-             and colimit(dm_up.target)[0].is_trivial())
-        A = dm_up.source
-        dcc = all(
-            A.map_at(p).kernel().as_group()[0].order() is not None
-            for p in range(A.p0 - 1, A.p1 + 1)
-        )
-        need("kernels of the upper tower maps satisfy a descending chain"
-             " condition", dcc)
-        verdict["conclusion"] = "limit abutment map epi"
-        assert Luf.is_epi()
-    verdict["ok"] = True
-    return verdict
+    return apply_rule(COMPARE_RULES, rule, {"rule": rule, "diagonal": n, "hypotheses": []},
+                      lambda: _CoupleMorphismFacts(f, n))
 
 
 # ---------------------------------------------------------------------------
@@ -1783,7 +1754,24 @@ def _group_to_json(G: FPAbGroup):
 
 
 def _group_from_json(d) -> FPAbGroup:
-    return FPAbGroup(d["rank"], tuple(d["torsion"]))
+    """A group ``{"rank": r, "torsion": [...]}``; either key may be left out."""
+    return FPAbGroup(d.get("rank", 0), tuple(d.get("torsion", ())))
+
+
+def _parse_pos(s) -> Position:
+    """A position written ``"p,q"``."""
+    p, q = s.split(",")
+    return (int(p), int(q))
+
+
+def _homs_from_json(entries, src_at, tgt_at, delta: Position = (0, 0)) -> Dict[Position, Hom]:
+    """Maps ``{"at": [p, q], "matrix": [...]}`` from ``src_at(x)`` to ``tgt_at(x + delta)``."""
+    out = {}
+    for entry in entries:
+        x = tuple(entry["at"])
+        out[x] = Hom(src_at(x), tgt_at(_add(x, delta)),
+                     [list(row) for row in entry["matrix"]])
+    return out
 
 
 def couple_to_json(C: ExactCouple) -> dict:
@@ -1812,28 +1800,14 @@ def couple_to_json(C: ExactCouple) -> dict:
 def couple_from_json(data: dict) -> ExactCouple:
     bd = Bidegrees(tuple(data["bidegrees"]["a"]), tuple(data["bidegrees"]["b"]),
                    tuple(data["bidegrees"]["c"]))
-
-    def pos(s):
-        p, q = s.split(",")
-        return (int(p), int(q))
-
-    D = {pos(s): _group_from_json(g) for s, g in data.get("D", {}).items()}
-    E = {pos(s): _group_from_json(g) for s, g in data.get("E", {}).items()}
+    D = {_parse_pos(s): _group_from_json(g) for s, g in data.get("D", {}).items()}
+    E = {_parse_pos(s): _group_from_json(g) for s, g in data.get("E", {}).items()}
     tails = {
         int(n): (Tail(t[0]), Tail(t[1]))
         for n, t in data.get("diagonal_tails", {}).items()
     }
     stub = ExactCouple(bd, D, E, {}, {}, {}, tails)
-
-    def homs(entries, src, tgt, delta):
-        out = {}
-        for entry in entries:
-            x = tuple(entry["at"])
-            out[x] = Hom(src(x), tgt(_add(x, delta)),
-                         [list(row) for row in entry["matrix"]])
-        return out
-
-    i = homs(data.get("i", []), stub.D_at, stub.D_at, bd.a)
-    j = homs(data.get("j", []), stub.D_at, stub.E_at, bd.b)
-    k = homs(data.get("k", []), stub.E_at, stub.D_at, bd.c)
+    i = _homs_from_json(data.get("i", []), stub.D_at, stub.D_at, bd.a)
+    j = _homs_from_json(data.get("j", []), stub.D_at, stub.E_at, bd.b)
+    k = _homs_from_json(data.get("k", []), stub.E_at, stub.D_at, bd.c)
     return ExactCouple(bd, D, E, i, j, k, tails)

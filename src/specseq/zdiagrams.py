@@ -10,25 +10,31 @@ the Mittag-Leffler condition by fiat).
 Towers that genuinely need lim^1 (the doubling tower with uncountable lim^1,
 colimits like Z[1/2]) are deliberately not representable here: soundness of
 the exact computations takes priority over generality.
+
+The comparison rules are data: ``ZCOMPARE_RULES`` here and
+``excouple.COMPARE_RULES`` map each rule name to its hypothesis clauses, its
+conclusion and the exact check of that conclusion.  ``apply_rule`` is the one
+engine that runs either table: it records each clause in the verdict, stops
+at the first false one with ``HypothesisFailed``, and checks the conclusion
+with an explicit ``raise AssertionError``, so the check also runs under
+``python -O``.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from .zlinalg import (
     ContainmentViolation,
     FPAbGroup,
     Hom,
-    NotWellDefined,
     Subgroup,
-    SubquotientData,
     cokernel,
     direct_sum,
+    induced_map,
     matrix_from_columns,
     subquotient,
     unit_vector,
@@ -52,13 +58,12 @@ class Tail(enum.Enum):
     CONSTANT = "constant"
 
 
-DEFAULT_BUDGET_ENV = "SPECSEQ_BUDGET"
+def stabilization_budget(width: int) -> int:
+    """How many stages a stabilization search on a window of this width runs.
 
-
-def default_budget(width: int) -> int:
-    env = os.environ.get(DEFAULT_BUDGET_ENV)
-    if env is not None:
-        return int(env)
+    Under the supported tails every chain settles inside the padded window,
+    so running past this bound means a bug, reported as ``BudgetExceeded``.
+    """
     return 2 * width + 4
 
 
@@ -372,30 +377,22 @@ def _chain_until_repeat(A: ZDiagram, tower, budget: int) -> list:
     raise BudgetExceeded(budget)
 
 
-def image_towers(A: ZDiagram, budget: Optional[int] = None) -> dict:
+@_per_diagram
+def image_towers(A: ZDiagram) -> dict:
     """All finite image towers plus their stable (omega) versions.
 
     Returns a dict with ``I`` and ``Q`` (lists of towers for r = 1..r_stab),
     ``I_omega`` (stabilized intersection, per index), ``Q_omega`` (image in
     the colimit, per index), and a stabilization report.  Each chain is
     built one tower at a time and stops at its first repeat.  The result is
-    memoized on ``A`` per resolved budget and shared between callers: do not
-    mutate it.
+    memoized on ``A`` and shared between callers: do not mutate it.
 
     Raises:
-        BudgetExceeded: if the I- or Q-chains fail to stabilize within the
-            budget (impossible for the supported tails; the guard is kept for
-            future tail kinds).
+        BudgetExceeded: if the I- or Q-chains fail to stabilize within
+            ``stabilization_budget(A.width)`` (impossible for the supported
+            tails, so this can only signal a bug).
     """
-    if budget is None:
-        budget = default_budget(A.width)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    return _image_towers(A, budget)
-
-
-@_per_diagram
-def _image_towers(A: ZDiagram, budget: int) -> dict:
+    budget = stabilization_budget(A.width)
     Is = _chain_until_repeat(A, I_tower, budget)
     Qs = _chain_until_repeat(A, Q_tower, budget)
     G, cocone = colimit(A)
@@ -409,8 +406,8 @@ def _image_towers(A: ZDiagram, budget: int) -> dict:
     }
 
 
-def I_omega(A: ZDiagram, budget: Optional[int] = None) -> dict:
-    return image_towers(A, budget)["I_omega"]
+def I_omega(A: ZDiagram) -> dict:
+    return image_towers(A)["I_omega"]
 
 
 @_per_diagram
@@ -420,18 +417,16 @@ def stable_image(A: ZDiagram) -> dict:
     return {p: cone[p].image() for p in A.padded_range()}
 
 
-def ml_conditions(A: ZDiagram, budget: Optional[int] = None) -> dict:
+def ml_conditions(A: ZDiagram) -> dict:
     """Mittag-Leffler style conditions, decided by stabilization.
 
     ``mittag_leffler`` -- the descending chains I^r_p stabilize positionwise;
     ``co_mittag_leffler`` -- the Q^r chains stabilize; ``omega_ml`` -- one
     more application of I to the stable subdiagram I^omega changes nothing.
+    Both chains always stabilize under the supported tails; ``image_towers``
+    raises ``BudgetExceeded`` otherwise.
     """
-    try:
-        towers = image_towers(A, budget)
-    except BudgetExceeded:
-        return {"mittag_leffler": False, "co_mittag_leffler": False, "omega_ml": False}
-    iw = towers["I_omega"]
+    iw = image_towers(A)["I_omega"]
     # Apply I once more to the I^omega subdiagram: the image of I^omega_{p-1}
     # under a_{p-1} inside A_p, compared against I^omega_p.
     omega_ml = True
@@ -574,7 +569,7 @@ def kernel_diagram(A: ZDiagram, p: int):
     return K, inclusion, report
 
 
-def k_mono_condition(A: ZDiagram, p: int, budget: Optional[int] = None) -> dict:
+def k_mono_condition(A: ZDiagram, p: int) -> dict:
     """The mono-condition at p: Ker a_p /\\ I^omega_p == Ker a_p /\\ Ibar_p.
 
     Equivalently (per the comparison lemmas) the induced map
@@ -586,7 +581,7 @@ def k_mono_condition(A: ZDiagram, p: int, budget: Optional[int] = None) -> dict:
     if p not in A.padded_range() or p == A.p1 + 1:
         raise ValueError("p must lie in the padded window with a successor")
     ker = A.map_at(p).kernel()
-    iw = I_omega(A, budget)[p]
+    iw = I_omega(A)[p]
     ibar = stable_image(A)[p]
     lhs = ker.intersection(iw)
     rhs = ker.intersection(ibar)
@@ -595,7 +590,7 @@ def k_mono_condition(A: ZDiagram, p: int, budget: Optional[int] = None) -> dict:
     if not holds:
         witness = next(c for c in lhs.basis if not rhs.contains(c))
     a_mono = A.map_at(p).is_mono()
-    omega_ml = ml_conditions(A, budget)["omega_ml"]
+    omega_ml = ml_conditions(A)["omega_ml"]
     if (a_mono or omega_ml) and not holds:
         raise AssertionError("sufficient condition held but the criterion failed")
     return {
@@ -669,136 +664,150 @@ def i_factor_diagram(A: ZDiagram):
 # ---------------------------------------------------------------------------
 
 
-ZCOMPARE_RULES = (
-    "mono-colim",
-    "epi-colim",
-    "iso-colim",
-    "mono-lim",
-    "iso-lim-1",
-    "iso-lim-2",
-    "epi-lim",
-)
+def apply_rule(rules: dict, rule: str, verdict: dict, make_facts) -> dict:
+    """Run ``rules[rule] = (clauses, conclusion, check)`` and fill in ``verdict``.
+
+    ``clauses`` are ``(name, holds)`` pairs.  ``holds`` and ``check`` read
+    the object ``make_facts()`` returns, built once the rule is known to
+    exist.  Each clause goes into ``verdict["hypotheses"]`` as ``(name, ok)``,
+    and the first false one raises ``HypothesisFailed((rule, name,
+    hypotheses))``.  A false conclusion raises ``AssertionError``: then the
+    rule or the library is wrong.  An unknown rule raises ``ValueError``.
+    """
+    if rule not in rules:
+        raise ValueError("unknown rule %r" % (rule,))
+    clauses, conclusion, check = rules[rule]
+    facts = make_facts()
+    hypotheses = verdict["hypotheses"]
+    for name, holds in clauses:
+        ok = holds(facts)
+        hypotheses.append((name, ok))
+        if not ok:
+            raise HypothesisFailed((rule, name, hypotheses))
+    verdict["conclusion"] = conclusion
+    if not check(facts):
+        raise AssertionError(("conclusion fails", rule, conclusion))
+    verdict["ok"] = True
+    return verdict
 
 
-def _eps_maps(f: ZDiagramMorphism, fA: dict, fB: dict, which: str):
-    """Induced maps on the epsilon quotients, per index."""
-    out = {}
-    key = "eps" if which == "lower" else "eps_upper"
-    pos = "colim" if which == "lower" else "lim"
-    for p in fA[key]:
-        comp = colimit_map(f) if pos == "colim" else limit_map(f)
-        from .zlinalg import induced_map
+def kernels_satisfy_dcc(A: ZDiagram) -> bool:
+    """DCC on the kernels of A's structure maps, by the sufficient condition
+    that every kernel is finite."""
+    return all(
+        A.map_at(p).kernel().as_group()[0].order() is not None
+        for p in range(A.p0 - 1, A.p1 + 1)
+    )
 
-        out[p] = induced_map(comp, fA[key][p], fB[key][p])
-    return out
+
+class _MorphismFacts:
+    """What the ``ZCOMPARE_RULES`` read about ``f: A -> B``; the induced maps
+    beyond colim and lim are computed when a clause first reads them."""
+
+    def __init__(self, f: ZDiagramMorphism):
+        self.A, self.B = f.source, f.target
+        self.fA, self.fB = filtrations(self.A), filtrations(self.B)
+        self.cmap, self.lmap = colimit_map(f), limit_map(f)
+
+    def _on_quotients(self, key: str, comp: Hom) -> list:
+        return [induced_map(comp, sq, self.fB[key][p]) for p, sq in self.fA[key].items()]
+
+    @functools.cached_property
+    def eps(self) -> list:
+        return self._on_quotients("eps", self.cmap)
+
+    @functools.cached_property
+    def eps_upper(self) -> list:
+        return self._on_quotients("eps_upper", self.lmap)
+
+    @functools.cached_property
+    def lim_F_map(self) -> Hom:
+        # the F-towers increase, so their limit is the bottom padded stage
+        bot = self.A.p0 - 1
+        return self.cmap.restrict(self.fA["F"][bot], self.fB["F"][bot])
+
+    @functools.cached_property
+    def im_R_map(self) -> Hom:
+        return self.cmap.restrict(self.fA["R"].image(), self.fB["R"].image())
+
+
+def _mono_lim_auxiliary(F: _MorphismFacts) -> bool:
+    # any one of the auxiliary clauses suffices
+    try:
+        im_R_mono = F.im_R_map.is_mono()
+    except ContainmentViolation:
+        im_R_mono = False
+    return (
+        im_R_mono
+        or any(F.cmap.restrict(F.fA["F"][p], F.fB["F"][p]).is_mono() for p in F.fA["F"])
+        or F.fA["F"][F.A.p0 - 1].is_zero()  # lim of the image filtration is 0
+        or F.fA["colim"].is_trivial()
+        or F.A.right_tail is Tail.ZERO  # eventually vanishing
+    )
+
+
+def _iso_lim_auxiliary(F: _MorphismFacts) -> bool:
+    A, B = F.A, F.B
+    return (
+        (F.fA["R"].is_zero() and F.fB["R"].is_zero())
+        or (F.fA["F"][A.p0 - 1].is_zero() and F.fB["F"][B.p0 - 1].is_zero())
+        or (F.fA["colim"].is_trivial() and F.fB["colim"].is_trivial())
+        or (A.right_tail is Tail.ZERO and B.right_tail is Tail.ZERO)
+    )
+
+
+def _colim_F_upper_map_epi(F: _MorphismFacts) -> bool:
+    # the lim1 obstruction vanishes under the supported tails, so the limit
+    # map is epi on the colimit of the kernel filtration
+    top = F.A.p1 + 1
+    return F.lmap.restrict(F.fA["F_upper"][top], F.fB["F_upper"][top]).is_epi()
+
+
+_EPS_ISO = ("eps_p all iso", lambda F: all(m.is_iso() for m in F.eps))
+_LIM_F_EPI = ("lim F map epi", lambda F: F.lim_F_map.is_epi())
+# lim1 of the F-towers vanishes under the supported tails
+_LIM1_F_ZERO = ("lim1 F tower zero", lambda F: True)
+_EPS_UPPER_ISO = ("eps^p all iso", lambda F: all(m.is_iso() for m in F.eps_upper))
+
+ZCOMPARE_RULES = {
+    "mono-colim": (
+        (("eps_p all mono", lambda F: all(m.is_mono() for m in F.eps)),
+         ("lim F map mono", lambda F: F.lim_F_map.is_mono())),
+        "colim map mono", lambda F: F.cmap.is_mono()),
+    "epi-colim": (
+        (_EPS_ISO, _LIM_F_EPI, _LIM1_F_ZERO),
+        "colim map epi", lambda F: F.cmap.is_epi()),
+    "iso-colim": (
+        (_EPS_ISO, _LIM_F_EPI, _LIM1_F_ZERO,
+         ("lim F map iso", lambda F: F.lim_F_map.is_iso())),
+        "colim map iso", lambda F: F.cmap.is_iso()),
+    "mono-lim": (
+        (("eps^p all mono", lambda F: all(m.is_mono() for m in F.eps_upper)),
+         ("auxiliary clause (Im R mono / F_p mono / lim F = 0 / colim = 0 / eventually"
+          " vanishing)", _mono_lim_auxiliary)),
+        "lim map mono", lambda F: F.lmap.is_mono()),
+    "iso-lim-1": (
+        (_EPS_UPPER_ISO, ("Im R map iso", lambda F: F.im_R_map.is_iso())),
+        "lim map iso", lambda F: F.lmap.is_iso()),
+    "iso-lim-2": (
+        (_EPS_UPPER_ISO,
+         ("auxiliary clause (R = 0 / lim F = 0 / colims trivial / eventually vanishing)",
+          _iso_lim_auxiliary)),
+        "lim map iso", lambda F: F.lmap.is_iso()),
+    "epi-lim": (
+        (("eps^p all epi", lambda F: all(m.is_epi() for m in F.eps_upper)),
+         ("kernels of structure maps satisfy DCC", lambda F: kernels_satisfy_dcc(F.A))),
+        "map on colim F^ epi (lim map epi here)", _colim_F_upper_map_epi),
+}
 
 
 def zcompare(f: ZDiagramMorphism, rule: str) -> dict:
     """Apply one of the appendix comparison rules to a diagram morphism.
 
-    Checks the rule's hypotheses exactly; if they hold, computes the induced
-    map on the colimit or limit and asserts the rule's conclusion, returning
-    a verdict dict.  If a hypothesis fails, raises ``HypothesisFailed`` with
-    the first failing clause (a diagnostic, not a bug).
+    Checks the rule's hypotheses exactly; if they hold, checks the rule's
+    conclusion on the induced colimit or limit map and returns the verdict.
+    A failing hypothesis raises ``HypothesisFailed`` (a diagnostic, not a
+    bug).  The rules are the keys of ``ZCOMPARE_RULES``.
     """
-    if rule not in ZCOMPARE_RULES:
-        raise ValueError("unknown rule %r" % (rule,))
-    A, B = f.source, f.target
-    fA, fB = filtrations(A), filtrations(B)
-    verdict = {"rule": rule, "hypotheses": []}
-
-    def need(name, ok):
-        verdict["hypotheses"].append((name, ok))
-        if not ok:
-            raise HypothesisFailed((rule, name, verdict["hypotheses"]))
-
-    from .zlinalg import induced_map
-
-    cmap = colimit_map(f)
-    lmap = limit_map(f)
-
-    if rule in ("mono-colim", "epi-colim", "iso-colim"):
-        eps = _eps_maps(f, fA, fB, "lower")
-        # induced map on lim F_bullet: F_p stabilizes at the top pad; the
-        # relevant "lim of the filtration towers" map is the restriction of
-        # the colimit map to the intersections of the F_p, realized here by
-        # the bottom filtration stages... the towers are increasing, so the
-        # inverse limit over decreasing p is the bottom padded stage.
-        bot = A.p0 - 1
-        limF_map = cmap.restrict(fA["F"][bot], fB["F"][bot])
-        if rule == "mono-colim":
-            need("eps_p all mono", all(m.is_mono() for m in eps.values()))
-            need("lim F map mono", limF_map.is_mono())
-            verdict["conclusion"] = "colim map mono"
-            assert cmap.is_mono()
-        else:
-            need("eps_p all iso", all(m.is_iso() for m in eps.values()))
-            need("lim F map epi", limF_map.is_epi())
-            # lim1 of the F-towers vanishes under the supported tails, so
-            # the lim1-injectivity clause holds automatically; record it.
-            verdict["hypotheses"].append(("lim1 F tower zero", True))
-            if rule == "iso-colim":
-                need("lim F map iso", limF_map.is_iso())
-                verdict["conclusion"] = "colim map iso"
-                assert cmap.is_iso()
-            else:
-                verdict["conclusion"] = "colim map epi"
-                assert cmap.is_epi()
-    elif rule == "mono-lim":
-        eps_u = _eps_maps(f, fA, fB, "upper")
-        need("eps^p all mono", all(m.is_mono() for m in eps_u.values()))
-        # any one of the auxiliary clauses suffices
-        try:
-            imR_ok = cmap.restrict(fA["R"].image(), fB["R"].image()).is_mono()
-        except ContainmentViolation:
-            imR_ok = False
-        clause = (
-            imR_ok
-            or any(
-                cmap.restrict(fA["F"][p], fB["F"][p]).is_mono()
-                for p in fA["F"]
-            )
-            or fA["F"][A.p0 - 1].is_zero()  # lim of the image filtration is 0
-            or fA["colim"].is_trivial()
-            or (A.right_tail is Tail.ZERO)  # eventually vanishing
-        )
-        need("auxiliary clause (Im R mono / F_p mono / lim F = 0 / colim = 0 / eventually vanishing)", clause)
-        verdict["conclusion"] = "lim map mono"
-        assert lmap.is_mono()
-    elif rule in ("iso-lim-1", "iso-lim-2"):
-        eps_u = _eps_maps(f, fA, fB, "upper")
-        need("eps^p all iso", all(m.is_iso() for m in eps_u.values()))
-        if rule == "iso-lim-1":
-            imR_map = cmap.restrict(fA["R"].image(), fB["R"].image())
-            need("Im R map iso", imR_map.is_iso())
-            verdict["conclusion"] = "lim map iso"
-            assert lmap.is_iso()
-        else:
-            clause = (
-                (fA["R"].is_zero() and fB["R"].is_zero())
-                or (fA["F"][A.p0 - 1].is_zero() and fB["F"][B.p0 - 1].is_zero())
-                or (fA["colim"].is_trivial() and fB["colim"].is_trivial())
-                or (A.right_tail is Tail.ZERO and B.right_tail is Tail.ZERO)
-            )
-            need("auxiliary clause (R = 0 / lim F = 0 / colims trivial / eventually vanishing)", clause)
-            verdict["conclusion"] = "lim map iso"
-            assert lmap.is_iso()
-    else:  # epi-lim
-        eps_u = _eps_maps(f, fA, fB, "upper")
-        need("eps^p all epi", all(m.is_epi() for m in eps_u.values()))
-        # DCC on the kernels of A's structure maps: automatic when every
-        # kernel is finite; that is the checkable sufficient condition here.
-        dcc = all(
-            A.map_at(p).kernel().as_group()[0].order() is not None
-            for p in range(A.p0 - 1, A.p1 + 1)
-        )
-        need("kernels of structure maps satisfy DCC", dcc)
-        verdict["conclusion"] = "map on colim F^ epi (lim map epi here)"
-        # Under the supported tails the relevant lim1 obstruction vanishes,
-        # so the epimorphism conclusion holds at the level of the limit map
-        # restricted to the kernel filtration colimit.
-        top = A.p1 + 1
-        colimFu_map = lmap.restrict(fA["F_upper"][top], fB["F_upper"][top])
-        assert colimFu_map.is_epi()
-    verdict["ok"] = True
-    return verdict
+    return apply_rule(ZCOMPARE_RULES, rule, {"rule": rule, "hypotheses": []},
+                      lambda: _MorphismFacts(f))

@@ -5,8 +5,10 @@ Everything is seeded explicitly so failures reproduce.
 
 import random
 
+import pytest
+
 from specseq.zlinalg import FPAbGroup, Hom, NotWellDefined
-from specseq.zdiagrams import Tail, ZDiagram
+from specseq.zdiagrams import HypothesisFailed, Tail, ZDiagram
 
 SMALL_GROUPS = [
     FPAbGroup(),
@@ -110,3 +112,29 @@ def random_filtered_complex(rng, max_degree=3, stages=None):
         filtration[p] = level
         below = level
     return groups, diffs, filtration
+
+
+def expected_outcome(clauses, verdict, fails_at):
+    """The whole verdict dict, or the whole ``HypothesisFailed`` argument.
+
+    ``clauses`` is ``(names, conclusion)`` of one comparison rule, and
+    ``verdict`` holds the keys that precede ``hypotheses``.  ``fails_at``
+    is the clause the rule fails at, or ``None`` when it passes.
+    """
+    names, conclusion = clauses
+    if fails_at is None:
+        return dict(verdict, hypotheses=[(c, True) for c in names],
+                    conclusion=conclusion, ok=True)
+    k = names.index(fails_at)
+    return (verdict["rule"], fails_at, [(c, True) for c in names[:k]] + [(fails_at, False)])
+
+
+def assert_outcome(run, want):
+    """``run()`` returns the verdict ``want``, or raises it as ``HypothesisFailed``."""
+    if isinstance(want, dict):
+        got = run()
+        assert got == want and list(got) == list(want)
+    else:
+        with pytest.raises(HypothesisFailed) as exc:
+            run()
+        assert exc.value.args == (want,)

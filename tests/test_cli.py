@@ -5,7 +5,7 @@ import json
 import pytest
 
 from specseq.cli import main
-from specseq.excouple import couple_from_json, couple_to_json, demo_couple
+from specseq.excouple import COMPARE_RULES, couple_from_json, couple_to_json, demo_couple
 
 
 def run(capsys, *argv):
@@ -18,6 +18,24 @@ def run(capsys, *argv):
 def couple2_file(tmp_path):
     path = tmp_path / "couple2.json"
     path.write_text(json.dumps(couple_to_json(demo_couple("couple2"))))
+    return str(path)
+
+
+def identity_morphism_file(tmp_path, name):
+    """A morphism file holding the identity of a demo couple."""
+    data = couple_to_json(demo_couple(name))
+
+    def identities(groups):
+        return [
+            {"at": [int(t) for t in x.split(",")],
+             "matrix": [[int(r == c) for c in range(g["rank"] + len(g["torsion"]))]
+                        for r in range(g["rank"] + len(g["torsion"]))]}
+            for x, g in groups.items()
+        ]
+
+    path = tmp_path / ("%s-identity.json" % name)
+    path.write_text(json.dumps({"source": data, "target": data,
+                                "fD": identities(data["D"]), "fE": identities(data["E"])}))
     return str(path)
 
 
@@ -94,6 +112,29 @@ class TestCoupleCommands:
         code = main(["einf", couple2_file, "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["e_infinity"] == {"0,0": "Z/6"}
+
+
+class TestCompare:
+    def test_identity_of_couple3_passes_every_rule(self, capsys, tmp_path):
+        path = identity_morphism_file(tmp_path, "couple3")
+        for rule in COMPARE_RULES:
+            code, rep = run(capsys, "compare", path, "--rule", rule, "--n", "0")
+            assert code == 0, rule
+            assert rep["ok"] and rep["rule"] == rule and rep["diagonal"] == 0
+
+    def test_failed_hypothesis_exits_3(self, capsys, tmp_path):
+        path = identity_morphism_file(tmp_path, "couple2")
+        code, rep = run(capsys, "compare", path, "--rule", "iso-lim-1")
+        assert code == 3 and rep["kind"] == "HypothesisFailed"
+        # the witness names the rule, the failing clause and the clauses checked
+        assert rep["witness"] == repr(((
+            "iso-lim-1", "both sides match the limit abutment",
+            [("both sides match the limit abutment", False)]),))
+
+    def test_unknown_rule_is_a_parse_error(self, capsys, tmp_path):
+        path = identity_morphism_file(tmp_path, "couple3")
+        code, rep = run(capsys, "compare", path, "--rule", "no-such-rule")
+        assert code == 1 and rep["kind"] == "ValueError"
 
 
 class TestSolverCommands:

@@ -29,7 +29,7 @@ from specseq.excouple import (
 )
 from specseq.zdiagrams import NotExact
 
-from conftest import random_filtered_complex, seeded
+from conftest import assert_outcome, expected_outcome, random_filtered_complex, seeded
 
 Z = FPAbGroup(1)
 Z2 = FPAbGroup(0, (2,))
@@ -462,7 +462,57 @@ def identity_morphism(C):
     )
 
 
+# every compare_abutments rule, in order: its clauses, in the order they are
+# checked, and its conclusion
+PAGES_MONO = "limit page maps all mono"
+PAGES_ISO = "limit page maps all iso"
+LIM_F_ISO = "map on lim of the image filtration iso"
+IM_R_ISO = "map on the image of lim -> colim iso"
+MATCH_LIMIT = "both sides match the limit abutment"
+COMPARE_CLAUSES = {
+    "mono-colim-1": ([PAGES_MONO, "map on lim of the image filtration mono"],
+                     "colimit abutment map mono"),
+    "mono-colim-2": ([PAGES_MONO, "lim of the source image filtration zero"],
+                     "colimit abutment map mono"),
+    "epi-colim": (["filtration quotient maps all iso", "map on lim of the image filtration epi"],
+                  "colimit abutment map epi"),
+    "iso-colim": (["filtration quotient maps all iso", LIM_F_ISO], "colimit abutment map iso"),
+    "mono-lim-1": (["image filtrations constant on both sides", PAGES_MONO,
+                    "map on the image of lim -> colim mono"], "limit abutment map mono"),
+    "mono-lim-2": ([PAGES_MONO, "colimit abutments trivial on both sides",
+                    "upper colimit abutment of the source trivial"], "limit abutment map mono"),
+    "iso-universal": (["limit pages stable on both sides", PAGES_ISO,
+                       "filtration quotient maps epi", LIM_F_ISO, IM_R_ISO],
+                      "both abutment maps iso"),
+    "iso-lim-1": ([MATCH_LIMIT, PAGES_ISO, IM_R_ISO], "limit abutment map iso"),
+    "iso-lim-2": ([MATCH_LIMIT, PAGES_ISO, "auxiliary clause (R zero / lim F zero / upper"
+                   " colims trivial / eventually vanishing)"], "limit abutment map iso"),
+    "epi-lim": (["limit pages of the source stable", "limit page maps all epi",
+                 "upper colimit abutments trivial on both sides",
+                 "kernels of the upper tower maps satisfy a descending chain condition"],
+                "limit abutment map epi"),
+}
+
+# demo couple -> {rule: the clause it fails at} for its identity on diagonal
+# 0; the rules not listed pass
+COMPARE_FAILURES = {
+    "couple2": {"mono-lim-1": "image filtrations constant on both sides",
+                "mono-lim-2": "colimit abutments trivial on both sides",
+                "iso-lim-1": MATCH_LIMIT, "iso-lim-2": MATCH_LIMIT},
+    "couple3": {},
+}
+
+
 class TestComparison:
+    @pytest.mark.parametrize("name", ["couple2", "couple3"])
+    def test_whole_verdicts_on_identity(self, name):
+        f = identity_morphism(demo_couple(name))
+        assert list(COMPARE_RULES) == list(COMPARE_CLAUSES)
+        for rule in COMPARE_RULES:
+            want = expected_outcome(COMPARE_CLAUSES[rule], {"rule": rule, "diagonal": 0},
+                                    COMPARE_FAILURES[name].get(rule))
+            assert_outcome(lambda: compare_abutments(f, rule, 0), want)
+
     def test_identity_satisfies_applicable_rules(self):
         C = demo_couple("couple3")
         for rule in COMPARE_RULES:

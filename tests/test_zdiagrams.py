@@ -2,7 +2,14 @@
 
 import pytest
 
-from conftest import SMALL_GROUPS, random_diagram, random_hom, seeded
+from conftest import (
+    SMALL_GROUPS,
+    assert_outcome,
+    expected_outcome,
+    random_diagram,
+    random_hom,
+    seeded,
+)
 from specseq.zlinalg import (
     ContainmentViolation,
     FPAbGroup,
@@ -23,9 +30,9 @@ from specseq.zdiagrams import (
     I_omega,
     I_tower,
     Q_tower,
+    apply_rule,
     colimit,
     colimit_map,
-    default_budget,
     filtrations,
     i_factor_diagram,
     image_towers,
@@ -36,6 +43,7 @@ from specseq.zdiagrams import (
     ml_conditions,
     q_factor_diagram,
     six_term_check,
+    stabilization_budget,
     stable_image,
     zcompare,
 )
@@ -379,7 +387,7 @@ def fold(A, p, q):
 
 def full_budget_towers(A):
     """``image_towers(A)`` the long way: every tower up to the budget, no memo."""
-    budget = default_budget(A.width)
+    budget = stabilization_budget(A.width)
     idx = A.padded_range()
     Is = [{p: fold(A, p - r, p).image() for p in idx} for r in range(1, budget + 1)]
     Qs = [{p: fold(A, p, p + r).image() for p in idx} for r in range(1, budget + 1)]
@@ -440,7 +448,67 @@ class TestMemo:
             assert "_memo" not in repr(A)
 
 
+MONO_LIM_AUX = ("auxiliary clause (Im R mono / F_p mono / lim F = 0 / colim = 0"
+                " / eventually vanishing)")
+ISO_LIM_AUX = "auxiliary clause (R = 0 / lim F = 0 / colims trivial / eventually vanishing)"
+
+# every zcompare rule, in order: its clauses, in the order they are checked,
+# and its conclusion
+ZCOMPARE_CLAUSES = {
+    "mono-colim": (["eps_p all mono", "lim F map mono"], "colim map mono"),
+    "epi-colim": (["eps_p all iso", "lim F map epi", "lim1 F tower zero"], "colim map epi"),
+    "iso-colim": (["eps_p all iso", "lim F map epi", "lim1 F tower zero", "lim F map iso"],
+                  "colim map iso"),
+    "mono-lim": (["eps^p all mono", MONO_LIM_AUX], "lim map mono"),
+    "iso-lim-1": (["eps^p all iso", "Im R map iso"], "lim map iso"),
+    "iso-lim-2": (["eps^p all iso", ISO_LIM_AUX], "lim map iso"),
+    "epi-lim": (["eps^p all epi", "kernels of structure maps satisfy DCC"],
+                "map on colim F^ epi (lim map epi here)"),
+}
+
+# n -> {rule: the clause it fails at} for x n on the constant diagram Z; the
+# rules not listed pass
+ZCOMPARE_FAILURES_ON_Z = {
+    1: {"iso-lim-2": ISO_LIM_AUX},
+    2: {"epi-colim": "lim F map epi", "iso-colim": "lim F map epi",
+        "iso-lim-1": "Im R map iso", "iso-lim-2": ISO_LIM_AUX},
+    3: {"epi-colim": "lim F map epi", "iso-colim": "lim F map epi",
+        "iso-lim-1": "Im R map iso", "iso-lim-2": ISO_LIM_AUX},
+    0: {"mono-colim": "lim F map mono", "epi-colim": "lim F map epi",
+        "iso-colim": "lim F map epi", "mono-lim": MONO_LIM_AUX,
+        "iso-lim-1": "Im R map iso", "iso-lim-2": ISO_LIM_AUX},
+}
+
+
 class TestZCompare:
+    @pytest.mark.parametrize("n", [1, 2, 3, 0])
+    def test_whole_verdicts_on_constant_Z(self, n):
+        A = ZDiagram.constant(Z)
+        if n == 1:
+            f = ZDiagramMorphism.identity(A)
+        else:
+            f = ZDiagramMorphism.on_window(A, A, {0: times(n)})
+        assert list(ZCOMPARE_RULES) == list(ZCOMPARE_CLAUSES)
+        for rule in ZCOMPARE_RULES:
+            want = expected_outcome(ZCOMPARE_CLAUSES[rule], {"rule": rule},
+                                    ZCOMPARE_FAILURES_ON_Z[n].get(rule))
+            assert_outcome(lambda: zcompare(f, rule), want)
+
+    def test_false_conclusion_raises_assertion_error(self):
+        rules = {"r": ((("holds", lambda facts: True),), "never", lambda facts: False)}
+        verdict = {"rule": "r", "hypotheses": []}
+        with pytest.raises(AssertionError):
+            apply_rule(rules, "r", verdict, lambda: None)
+        assert verdict == {"rule": "r", "hypotheses": [("holds", True)],
+                           "conclusion": "never"}
+
+    def test_unknown_rule_builds_no_facts(self):
+        def make_facts():
+            raise RuntimeError("facts built for an unknown rule")
+
+        with pytest.raises(ValueError):
+            apply_rule({}, "r", {"rule": "r", "hypotheses": []}, make_facts)
+
     def test_identity_passes_every_rule(self):
         A = ZDiagram.from_maps(0, [times(2)], left_tail=Tail.ZERO)
         idm = ZDiagramMorphism.identity(A)
