@@ -3,7 +3,8 @@
 Input is the couple JSON interchange format; output is a JSON report on
 stdout (or ``--out``), with page tables additionally rendered as aligned
 grids in invariant-factor notation.  Exit codes: 0 success, 1 parse
-error, 2 validation failure, 3 theorem-check failure.
+error (a malformed command line included), 2 validation failure, 3
+theorem-check failure.
 """
 
 import argparse
@@ -17,6 +18,8 @@ from .zlinalg import (
     Hom,
     NotWellDefined,
     Subgroup,
+    TheoremViolation,
+    quotient_group,
 )
 from .zdiagrams import HypothesisFailed, NotExact, BudgetExceeded
 from .spectral import (
@@ -54,7 +57,16 @@ from .solvers import (
     two_row_solve,
 )
 
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors become a parse report, not exit 2."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 PARSE_ERRORS = (
+    argparse.ArgumentError,
     json.JSONDecodeError,
     FileNotFoundError,
     KeyError,
@@ -76,7 +88,7 @@ VALIDATION_ERRORS = (
     UnboundedSupport,
 )
 THEOREM_ERRORS = (
-    AssertionError,
+    TheoremViolation,
     HypothesisFailed,
     SetupViolation,
     Inconsistent,
@@ -282,7 +294,6 @@ def cmd_five_term(args):
     F01 = Subgroup.from_generators(Z, [(args.k,)])
     _, _, data = ss.e_infinity()
     sq01 = data[(0, 1)]
-    from .zlinalg import quotient_group
     iso_low = Hom(sq01.group, F01.as_group()[0], [[1]])
     iso_high = Hom(quotient_group(Z, F01)[0],
                    ss.page(2).objects.at((1, 0)), [[1]])
@@ -330,7 +341,7 @@ def cmd_demo(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specseq",
         description="Exact computations with bigraded spectral sequences"
         " and regular exact couples.",
@@ -338,8 +349,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+                                parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     p = sub.add_parser("validate", help="check exactness of a couple file")
     p.add_argument("file")
@@ -408,9 +418,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         report = args.fn(args)
     except VALIDATION_ERRORS as ex:
         report = {"error": "validation", "kind": type(ex).__name__,
@@ -427,7 +437,7 @@ def main(argv=None) -> int:
     else:
         code = 0
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if args.out:
+    if args is not None and args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:

@@ -10,10 +10,12 @@ filtrations, stable images.
 The module computes the associated spectral sequence twice -- once through
 the internal cycle/boundary subgroup construction, once by feeding the
 differentials into the generic page-turning engine of ``spectral`` -- and
-asserts the two agree as canonical subquotients of E.  Extension data
+checks the two agree as canonical subquotients of E.  Extension data
 (stable-E and limit-page short exact sequences, the comparison monomorphism
 between them) is built explicitly and verified, and each position is
-classified by how the limit page relates to the two abutments.
+classified by how the limit page relates to the two abutments.  Every such
+check goes through ``zlinalg.require``: a failure raises
+``TheoremViolation`` and means the library is wrong.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .zlinalg import (
     hom_on_generators,
     induced_map,
     matrix_from_columns,
+    require,
     shared_results,
     subquotient,
     unit_vector,
@@ -61,6 +64,7 @@ from .spectral import (
     NotAMorphism,
     Page,
     SpectralSequence,
+    whole,
 )
 
 Position = Tuple[int, int]
@@ -188,7 +192,7 @@ class ExactCouple:
         self.E = {tuple(x): G for x, G in E.items() if not G.is_trivial()}
         self.diagonal_tails = dict(diagonal_tails or {})
         self._diagrams: Dict[int, ZDiagram] = {}
-        self._checked_ss: Optional[SpectralSequence] = None
+        self._full_ss: Optional[SpectralSequence] = None
         self._results: dict = {}
         self.i = {tuple(x): f for x, f in i.items() if not f.is_zero()}
         self.j = {tuple(x): f for x, f in j.items() if not f.is_zero()}
@@ -217,8 +221,7 @@ class ExactCouple:
         # dx is an integer multiple of a: det [a | dx] = 0 and a is primitive
         a = bd.a
         r = dx[0] // a[0] if a[0] else dx[1] // a[1]
-        if _scale(r, a) != dx:
-            raise AssertionError("position %r is not on the a-line of its diagonal" % (x,))
+        require(_scale(r, a) == dx, "position is not on the a-line of its diagonal", x)
         return PositionIndex(x, n, anchor, r)
 
     def position_on(self, n: int, r: int) -> Position:
@@ -427,7 +430,7 @@ class ExactCouple:
 
         Returns a dict with the per-position cycle and boundary subgroups of
         ambient E (at level r-1, the ones presenting E^r), the subquotient
-        data, the page groups, and the differentials; asserts the
+        data, the page groups, and the differentials; checks the
         identities relating Z^r, B^r to the kernel and image of d^r.
         """
         if r < 1:
@@ -444,11 +447,7 @@ class ExactCouple:
             if sq[e].group.is_trivial():
                 continue
             e2 = _add(e, v)
-            if e2 in sq:
-                tgt = sq[e2]
-            else:
-                triv = self.E_at(e2)
-                tgt = subquotient(Subgroup.full(triv), Subgroup.zero(triv))
+            tgt = sq[e2] if e2 in sq else whole(self.E_at(e2))
             de = self._internal_d(e, r, sq[e], tgt)
             if not de.is_zero():
                 d[e] = de
@@ -459,7 +458,7 @@ class ExactCouple:
             pulled_Z = Subgroup.from_generators(
                 amb, [sq[e].lift(cb) for cb in ker.basis] + list(B[e].basis)
             )
-            assert pulled_Z == self.cycles_at(e, r), ("cycle identity", e, r)
+            require(pulled_Z == self.cycles_at(e, r), "cycle identity", e, r)
             e_prev = _sub(e, v)
             img = (
                 d[e_prev].image() if e_prev in d else Subgroup.zero(sq[e].group)
@@ -467,7 +466,7 @@ class ExactCouple:
             pulled_B = Subgroup.from_generators(
                 amb, [sq[e].lift(cb) for cb in img.basis] + list(B[e].basis)
             )
-            assert pulled_B == self.boundaries_at(e, r), ("boundary identity", e, r)
+            require(pulled_B == self.boundaries_at(e, r), "boundary identity", e, r)
         groups = {e: sq[e].group for e in self.E if not sq[e].group.is_trivial()}
         return {"r": r, "bidegree": v, "Z": Z, "B": B, "sq": sq,
                 "E": groups, "d": d}
@@ -484,23 +483,23 @@ class ExactCouple:
         return self.bidegrees.differential_bidegree
 
     @_in_own_table
-    def internal_spectral_sequence(self, up_to: Optional[int] = None,
-                                   check: bool = True) -> SpectralSequence:
+    def internal_spectral_sequence(self, up_to: Optional[int] = None) -> SpectralSequence:
         """The spectral sequence of the couple, via the generic paging engine.
 
         Differentials of every page are computed internally and installed
-        with ``advance``; when ``check`` is set, the engine's accumulated
-        cycle/boundary subgroups are asserted equal to the internal ones on
-        every page (two independent computation paths).
+        with ``advance``, and on every page the engine's accumulated
+        cycle/boundary subgroups are checked equal to the internal ones (two
+        independent computation paths); a disagreement raises
+        ``TheoremViolation``.
 
-        The first full build (``up_to`` unset) with ``check`` set is kept on
-        the couple; every later full build and ``e_infinity`` return that
-        one object, so callers share it and must not mutate it.  Builds with
-        ``check`` off or an explicit ``up_to`` are never kept.
+        The first full build (``up_to`` unset) is kept on the couple; every
+        later full build and ``e_infinity`` return that one object, so
+        callers share it and must not mutate it.  Builds with an explicit
+        ``up_to`` are never kept.
         """
         full = up_to is None
-        if full and self._checked_ss is not None:
-            return self._checked_ss
+        if full and self._full_ss is not None:
+            return self._full_ss
         bounds = self.page_bounds()
         first = self.internal_page(1)
         ss = SpectralSequence(
@@ -513,39 +512,36 @@ class ExactCouple:
         for r in range(2, up_to + 1):
             ip = self.internal_page(r)
             ss.advance(ip["d"])
-            if check:
-                cum = ss.cumulative[-1]
-                for e in self.E:
-                    want = (ip["Z"][e], ip["B"][e])
-                    assert cum[e] == want, ("page anchoring disagrees", e, r)
-        if full and check:
-            self._checked_ss = ss
+            anchored = ss.subquotients[-1]
+            for e in self.E:
+                require((anchored[e].Z, anchored[e].B) == (ip["Z"][e], ip["B"][e]),
+                        "page anchoring disagrees", e, r)
+        if full:
+            self._full_ss = ss
         return ss
 
     @_in_own_table
-    def e_infinity(self, check: bool = True) -> dict:
+    def e_infinity(self) -> dict:
         """E^infinity per E-position: cycle/boundary subgroups and subquotient.
 
         Computed from the stable image tower (omega-cycles over omega-
-        boundaries); when ``check`` is set this is asserted equal to the
-        limit page of the generic engine, built by
-        ``internal_spectral_sequence()`` (the couple's kept build, when
-        there is one).
+        boundaries), and checked equal to the limit page of the generic
+        engine, built by ``internal_spectral_sequence()`` (the couple's kept
+        build, when there is one); a disagreement raises
+        ``TheoremViolation``.
         """
         out = {}
         for e in self.E:
             Zw = self.omega_cycles_at(e)
             Bw = self.omega_boundaries_at(e)
             out[e] = {"Z": Zw, "B": Bw, "sq": subquotient(Zw, Bw)}
-        if check:
-            ss = self.internal_spectral_sequence()
-            _, _, data = ss.e_infinity()
-            for e in self.E:
-                got = data.get(e)
-                if got is None:
-                    assert out[e]["sq"].group.is_trivial()
-                else:
-                    assert (got.Z, got.B) == (out[e]["Z"], out[e]["B"]), (
+        _, _, data = self.internal_spectral_sequence().e_infinity()
+        for e in self.E:
+            got = data.get(e)
+            if got is None:
+                require(out[e]["sq"].group.is_trivial(), "limit page disagrees", e)
+            else:
+                require((got.Z, got.B) == (out[e]["Z"], out[e]["B"]),
                         "limit page disagrees", e)
         return out
 
@@ -554,7 +550,7 @@ class ExactCouple:
         """The stable E-object at e with a stabilization certificate.
 
         Iterates the cycle subgroups Z^tau until stationary, computes the
-        stable cycles k^{-1}(image of rho) directly, and asserts they agree
+        stable cycles k^{-1}(image of rho) directly, and checks they agree
         (supported tails stabilize at a finite stage).  Returns
         ``(subquotient data of Ebar_e, certificate)``.
         """
@@ -573,11 +569,12 @@ class ExactCouple:
         else:
             raise BudgetExceeded(budget)
         Zbar = self.k_at(e).preimage(self._stable_at(pt.n, pt.r, stable_image))
-        assert Zbar == prev, ("stable cycles disagree with the iteration", e)
+        require(Zbar == prev, "stable cycles disagree with the iteration", e)
         Bw = self.omega_boundaries_at(e)
         sq = subquotient(Zbar, Bw)
         # Ebar embeds in E-infinity: same boundaries, smaller-or-equal cycles
-        assert self.omega_cycles_at(e).contains_subgroup(Zbar)
+        require(self.omega_cycles_at(e).contains_subgroup(Zbar),
+                "stable cycles escape the omega-cycles", e)
         certificate = {"stage": stage, "budget": budget, "position": e}
         return sq, certificate
 
@@ -592,7 +589,7 @@ class ExactCouple:
         tower of diagonal n + sigma (one application of b + c away).  The
         filtration quotients of the colimit side are identified with
         kernel-of-k modulo limit boundaries, and that identification is
-        asserted here.
+        checked here.
 
         Computed once per couple and diagonal and kept in the couple's
         result table; later calls (``extension_report``, ``classify``)
@@ -610,8 +607,8 @@ class ExactCouple:
         dns = self.diagonal(n + bd.sigma)
         filt_n = filtrations(dn)
         filt_s = filtrations(dns)
-        assert filt_n["exhaustive"], "image filtration must exhaust the colimit"
-        assert filt_s["complete"], "kernel filtration must be complete"
+        require(filt_n["exhaustive"], "image filtration must exhaust the colimit", n)
+        require(filt_s["complete"], "kernel filtration must be complete", n + bd.sigma)
 
         def by_pos(table, m):
             return {self.position_on(m, r): v for r, v in table.items()}
@@ -624,8 +621,8 @@ class ExactCouple:
             x = self.position_on(n, r)
             e = _add(x, bd.b)
             ident = subquotient(self.k_at(e).kernel(), self.omega_boundaries_at(e))
-            assert eps[x].group == ident.group, (
-                "filtration quotient does not match Ker k / B-infinity", x)
+            require(eps[x].group == ident.group,
+                    "filtration quotient does not match Ker k / B-infinity", x)
         return AbutmentData(
             n=n,
             sigma=bd.sigma,
@@ -678,7 +675,8 @@ class ExactCouple:
         Zr = self.cycles_at(e, r)
         Br = self.boundaries_at(e, r)
         kerk = self.k_at(e).kernel()
-        assert Zr.contains_subgroup(kerk) and kerk.contains_subgroup(Br)
+        require(Zr.contains_subgroup(kerk) and kerk.contains_subgroup(Br),
+                "Ker k does not lie between the page boundaries and cycles", x, r)
         sq_mid = subquotient(Zr, Br)
         sq_kb = subquotient(kerk, Br)
         sq_q = subquotient(Zr, kerk)
@@ -686,9 +684,10 @@ class ExactCouple:
         ident = Hom.identity(self.E_at(e))
         mono = induced_map(ident, sq_kb, sq_mid)
         epi = induced_map(ident, sq_mid, sq_q)
-        assert mono.is_mono() and epi.is_epi()
-        assert epi.compose(mono).is_zero()
-        assert epi.kernel() == mono.image()
+        require(mono.is_mono() and epi.is_epi(),
+                "page extension ends are not mono and epi", x, r)
+        require(epi.compose(mono).is_zero(), "page extension does not compose to zero", x, r)
+        require(epi.kernel() == mono.image(), "page extension is not exact", x, r)
 
         # left identification: lift to Ker k = Im j, pull through j, push
         # by the iterated i
@@ -696,10 +695,10 @@ class ExactCouple:
         cols = []
         for rep in sq_kb.section_columns():
             u = jx.solve_element(rep)
-            assert u is not None, "kernel of k must be the image of j"
+            require(u is not None, "kernel of k must be the image of j", x, r)
             cols.append(sq_im.project(ir(u)))
         alpha = hom_on_generators(sq_kb.group, sq_im.group, cols)
-        assert alpha.is_iso()
+        require(alpha.is_iso(), "left identification is not an isomorphism", x, r)
 
         # right identification: lift to Z^r, apply k, pull through the
         # iterated i (the result lands in Ker i^{r+1} since i after k is zero)
@@ -707,16 +706,17 @@ class ExactCouple:
         cols = []
         for rep in sq_q.section_columns():
             v = jr.solve_element(ke(rep))
-            assert v is not None, "cycles must hit the image of the iterated i"
+            require(v is not None, "cycles must hit the image of the iterated i", x, r)
             cols.append(sq_ker.project(v))
         beta = hom_on_generators(sq_q.group, sq_ker.group, cols)
-        assert beta.is_iso()
+        require(beta.is_iso(), "right identification is not an isomorphism", x, r)
 
         if all(
             g.order() is not None
             for g in (sq_im.group, sq_mid.group, sq_ker.group)
         ):
-            assert sq_mid.group.order() == sq_im.group.order() * sq_ker.group.order()
+            require(sq_mid.group.order() == sq_im.group.order() * sq_ker.group.order(),
+                    "page term order is not the product of its ends", x, r)
         return {
             "position": x,
             "r": r,
@@ -762,7 +762,7 @@ class ExactCouple:
         Zw = self.omega_cycles_at(e)
         Zbar = self.k_at(e).preimage(ibar)
         # the cycle-level stability reading must agree with the criterion
-        assert (Zbar == Zw) == stable, ("stability criterion mismatch", x)
+        require((Zbar == Zw) == stable, "stability criterion mismatch", x)
 
         ident = Hom.identity(amb_e)
         sq_eps = subquotient(kerk, Bw)
@@ -777,49 +777,52 @@ class ExactCouple:
         epi_inf = induced_map(ident, sq_inf, sq_cok_inf)
         incl = induced_map(ident, sq_bar, sq_inf)
         for mono, epi in ((mono_bar, epi_bar), (mono_inf, epi_inf)):
-            assert mono.is_mono() and epi.is_epi()
-            assert epi.compose(mono).is_zero()
-            assert mono.image() == epi.kernel()
-        assert incl.is_mono()
+            require(mono.is_mono() and epi.is_epi(), "extension ends are not mono and epi", x)
+            require(epi.compose(mono).is_zero(), "extension does not compose to zero", x)
+            require(mono.image() == epi.kernel(), "extension is not exact", x)
+        require(incl.is_mono(), "stable E does not embed in E-infinity", x)
 
         # right-hand terms, read inside D_{x+b+c} through k
         lhs_group, lhs_incl = crit_lhs.as_group()
         rhs_group, rhs_incl = crit_rhs.as_group()
         kmap_bar = self._k_onto(e, sq_cok_bar, crit_lhs, lhs_group, lhs_incl)
         kmap_inf = self._k_onto(e, sq_cok_inf, crit_rhs, rhs_group, rhs_incl)
-        assert kmap_bar.is_iso() and kmap_inf.is_iso()
+        require(kmap_bar.is_iso() and kmap_inf.is_iso(),
+                "k does not identify the right-hand terms", x)
         M = Hom.identity(amb_t).restrict(crit_lhs, crit_rhs)
-        assert M.is_mono()
-        assert M.is_iso() == stable
+        require(M.is_mono(), "comparison map is not mono", x)
+        require(M.is_iso() == stable, "comparison map iso disagrees with stability", x)
 
         # the square: through Ebar then M, or through E-infinity
         lhs = M.compose(kmap_bar.compose(epi_bar))
         rhs = kmap_inf.compose(epi_inf.compose(incl))
-        assert lhs == rhs, ("comparison square does not commute", x)
-        assert incl.compose(mono_bar) == mono_inf
+        require(lhs == rhs, "comparison square does not commute", x)
+        require(incl.compose(mono_bar) == mono_inf, "left square does not commute", x)
         # pullback property: Ebar is exactly the part of E-infinity whose
         # right-hand image comes from the stable side
         pulled = kmap_inf.compose(epi_inf).preimage(
             M.image()
         )
-        assert Subgroup.from_generators(
+        require(Subgroup.from_generators(
             sq_inf.group, [incl(cb) for cb in Subgroup.full(sq_bar.group).basis]
-        ) == pulled, ("pullback square fails", x)
+        ) == pulled, "pullback square fails", x)
 
         # five-term sequence: both lim1 terms vanish under supported tails
         dns = self.diagonal(pt.n)
         if dns.p0 - 1 <= pt.r <= dns.p1 + 1:
             K, _, _ = kernel_diagram(dns, pt.r)
             _, _, lim1_ker = limit_and_lim1(K)
-            assert lim1_ker.is_trivial()
+            require(lim1_ker.is_trivial(), "lim^1 of the kernel tower does not vanish", x)
 
         ab = self.abutments(px.n)
         eps_x = ab.eps.get(x)
         eps_up = ab.eps_upper.get(t_pos)
         if eps_x is not None:
-            assert eps_x.group == sq_eps.group
+            require(eps_x.group == sq_eps.group,
+                    "colimit filtration quotient disagrees with the extension", x)
         if eps_up is not None:
-            assert eps_up.group == sq_cok_bar.group
+            require(eps_up.group == sq_cok_bar.group,
+                    "limit filtration quotient disagrees with the extension", x)
 
         return {
             "position": x,
@@ -845,7 +848,7 @@ class ExactCouple:
             z = sq_cok.lift(unit_vector(sq_cok.group.ngens, col))
             val = self.k_at(e)(z)
             coords = target_incl.solve_element(val)
-            assert coords is not None, "k value escapes its declared image"
+            require(coords is not None, "k value escapes its declared image", e, col)
             cols.append(coords)
         return Hom(sq_cok.group, target_group,
                    matrix_from_columns(cols, target_group.ngens))
@@ -857,7 +860,7 @@ class ExactCouple:
         Exactly one label: ``MatchesColimit`` (stable with vanishing upper
         quotient), ``MatchesLimit`` (stable with vanishing lower quotient),
         ``StableProperExtension``, or ``Unstable``.  Sufficient conditions
-        that fired are reported, and each one that did is asserted to imply
+        that fired are reported, and each one that did is checked to imply
         the verdict it supports.
         """
         bd = self.bidegrees
@@ -884,7 +887,8 @@ class ExactCouple:
         }
         for key in ("omega_ml", "mittag_leffler", "i_mono_at_target"):
             if sufficient[key]:
-                assert rep["stable"], ("sufficient condition %s fired" % key, x)
+                require(rep["stable"],
+                        "sufficient condition fired on an unstable position", key, x)
         if not rep["stable"]:
             label = "Unstable"
         elif rep["eps_upper"].is_trivial():
@@ -894,11 +898,13 @@ class ExactCouple:
         else:
             label = "StableProperExtension"
         if sufficient["i_mono_at_target"] or sufficient["upper_tower_vanishes"]:
-            assert rep["eps_upper"].is_trivial()
+            require(rep["eps_upper"].is_trivial(),
+                    "upper quotient survives its sufficient condition", x)
         if sufficient["colim_trivial"] or sufficient["lower_tower_vanishes"]:
-            assert rep["eps"].is_trivial()
+            require(rep["eps"].is_trivial(),
+                    "lower quotient survives its sufficient condition", x)
         if sufficient["i_epi_below"]:
-            assert rep["eps"].is_trivial()
+            require(rep["eps"].is_trivial(), "lower quotient survives i epi below", x)
         return {"label": label, "report": rep, "sufficient": sufficient}
 
     # -- derived couples -----------------------------------------------------
@@ -947,7 +953,7 @@ class ExactCouple:
             for col in range(piece[x][0].ngens):
                 g = piece[x][1](unit_vector(piece[x][0].ngens, col))
                 t = self.i_at(x).solve_element(g)
-                assert t is not None
+                require(t is not None, "image of i has no i-preimage", x, col)
                 cols.append(sqe.project(self.j_at(x)(t)))
             newj[key] = Hom(piece[x][0], sqe.group,
                             matrix_from_columns(cols, sqe.group.ngens))
@@ -965,7 +971,7 @@ class ExactCouple:
                 z = sqe.lift(unit_vector(sqe.group.ngens, col))
                 val = self.k_at(e)(z)
                 coords = piece[src][1].solve_element(val)
-                assert coords is not None, "k value misses the image subobject"
+                require(coords is not None, "k value misses the image subobject", e, col)
                 cols.append(coords)
             newk[e] = Hom(sqe.group, piece[src][0],
                           matrix_from_columns(cols, piece[src][0].ngens))
@@ -1025,7 +1031,7 @@ class ExactCouple:
             })
             report["diagonals"][n] = checks
             report["ok"] = report["ok"] and all(checks.values())
-        assert report["ok"], report
+        require(report["ok"], "derived couples change the abutments", report)
         return report
 
     @_in_own_table
@@ -1065,7 +1071,7 @@ class ExactCouple:
                 u = piece[r][1](unit_vector(piece[r][0].ngens, col))
                 val = dns.composite(dns.p0 - 1, r - 1)(u)
                 zrep = self.k_at(e).solve_element(val)
-                assert zrep is not None, "stable image value misses k"
+                require(zrep is not None, "stable image value misses k", e, col)
                 cols.append(sqe.project(zrep))
             newj[x] = Hom(piece[r][0], sqe.group,
                           matrix_from_columns(cols, sqe.group.ngens))
@@ -1091,7 +1097,8 @@ class ExactCouple:
             report["matches_colimit"] = labels <= {"MatchesColimit"}
         else:
             report["matches_colimit"] = True
-        assert report["collapses_on_page_1"] and report["matches_colimit"]
+        require(report["collapses_on_page_1"] and report["matches_colimit"],
+                "lim^1 couple does not collapse onto its colimit", n, report)
         return out, report
 
     # -- reindexing ----------------------------------------------------------

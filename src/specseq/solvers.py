@@ -29,6 +29,7 @@ from .zlinalg import (
     direct_sum,
     hom_on_generators,
     quotient_group,
+    require,
     subquotient,
     unit_vector,
 )
@@ -283,10 +284,10 @@ def five_term(ss: SpectralSequence, H1: FPAbGroup, F01: Subgroup,
     from_page = hom_on_generators(E2_01, H1, cols)
     edge = iso_high.compose(proj1)
 
-    assert boundary.kernel() == to_page.image(), "exactness after the abutment"
-    assert from_page.kernel() == boundary.image(), "exactness after the boundary"
-    assert edge.kernel() == from_page.image(), "exactness at the abutment"
-    assert edge.is_epi(), "the edge map must be onto"
+    require(boundary.kernel() == to_page.image(), "exactness after the abutment")
+    require(from_page.kernel() == boundary.image(), "exactness after the boundary")
+    require(edge.kernel() == from_page.image(), "exactness at the abutment")
+    require(edge.is_epi(), "the edge map must be onto")
     return {
         "groups": (H2, E2_20, E2_01, H1, E2_10),
         "maps": (to_page, boundary, from_page, edge),

@@ -24,6 +24,7 @@ from .zlinalg import (
     Subgroup,
     SubquotientData,
     induced_map,
+    require,
     subquotient,
 )
 
@@ -43,6 +44,11 @@ class UnboundedSupport(Exception):
 
 
 _TRIVIAL = FPAbGroup()
+
+
+def whole(G: FPAbGroup) -> SubquotientData:
+    """``G`` as the subquotient ``G / 0`` of itself."""
+    return subquotient(Subgroup.full(G), Subgroup.zero(G))
 
 
 def homological_rule(r: int) -> Position:
@@ -163,7 +169,8 @@ class SpectralSequence:
     ``advance`` (pages whose differentials are never supplied get zero).  The
     engine accumulates, per position, the nested cycle and boundary subgroups
     of the starting page, so ``cycles_boundaries`` and ``e_infinity`` are
-    exact subquotients of E^{r0}.
+    exact subquotients of E^{r0}.  ``subquotients[r - r0][x]`` is the
+    subquotient ``Z/B`` of E^{r0}_x that presents E^r_x.
     """
 
     def __init__(self, r0: int, first_page: Page, bidegree_rule: Callable[[int], Position]):
@@ -172,21 +179,8 @@ class SpectralSequence:
         self.r0 = r0
         self.rule = bidegree_rule
         self.pages = [first_page]
-        # cumulative Z/B subgroups of E^{r0}_x and the subquotient presenting
-        # the current page inside the first one
         amb = first_page.objects
-        self.cumulative = [
-            {
-                x: (Subgroup.full(amb.at(x)), Subgroup.zero(amb.at(x)))
-                for x in amb.positions()
-            }
-        ]
-        self._sq = [
-            {
-                x: subquotient(Subgroup.full(amb.at(x)), Subgroup.zero(amb.at(x)))
-                for x in amb.positions()
-            }
-        ]
+        self.subquotients = [{x: whole(amb.at(x)) for x in amb.positions()}]
 
     # -- paging --------------------------------------------------------------
 
@@ -205,12 +199,9 @@ class SpectralSequence:
         objects, tau = turn_page(cur)
         r_next = self.top_r + 1
         ambient = self.pages[0].objects
-        cum_prev = self.cumulative[-1]
-        cum_next = {}
         sq_next = {}
         for x in ambient.positions():
-            Zbar, Bbar = cum_prev[x]
-            sq = self._sq[-1][x]
+            sq = self.subquotients[-1][x]
             if x in tau:
                 K = tau[x].Z  # Ker d_x inside E^r_x
                 I = tau[x].B  # Im d_{x-v} inside E^r_x
@@ -221,9 +212,8 @@ class SpectralSequence:
             amb_x = ambient.at(x)
             z_gens = [sq.lift(c) for c in K.basis]
             b_gens = [sq.lift(c) for c in I.basis]
-            Znew = Subgroup.from_generators(amb_x, z_gens + list(Bbar.basis))
-            Bnew = Subgroup.from_generators(amb_x, b_gens + list(Bbar.basis))
-            cum_next[x] = (Znew, Bnew)
+            Znew = Subgroup.from_generators(amb_x, z_gens + list(sq.B.basis))
+            Bnew = Subgroup.from_generators(amb_x, b_gens + list(sq.B.basis))
             sq_next[x] = subquotient(Znew, Bnew)
         # present the new page through the anchored subquotients so that all
         # stored pages share the E^{r0} coordinates
@@ -235,13 +225,18 @@ class SpectralSequence:
         objects = BigradedGroup(ambient.bounds, support)
         new_page = Page(objects, tuple(self.rule(r_next)), next_diffs or {})
         self.pages.append(new_page)
-        self.cumulative.append(cum_next)
-        self._sq.append(sq_next)
+        self.subquotients.append(sq_next)
         return new_page
 
     def ensure_page(self, r: int):
         while self.top_r < r:
             self.advance()
+
+    def anchored(self, r: int, x: Position) -> SubquotientData:
+        """The subquotient Z/B of E^{r0}_x that presents E^r_x."""
+        self.ensure_page(r)
+        sq = self.subquotients[r - self.r0].get(tuple(x))
+        return sq if sq is not None else whole(self.pages[0].objects.at(x))
 
     # -- cycles / boundaries / E-infinity ------------------------------------
 
@@ -249,27 +244,24 @@ class SpectralSequence:
         """Nested subgroups B^{r0-1} <= ... <= B^r <= Z^r <= ... <= Z^{r0-1}.
 
         Returns ``(Z_chain, B_chain)`` as lists indexed by page r0-1..r, with
-        Z^{r0-1} the full subgroup and B^{r0-1} zero; asserts that each
-        Z^s/B^s reproduces E^{s+1}_x.
+        Z^{r0-1} the full subgroup and B^{r0-1} zero; checks that each
+        Z^s/B^s reproduces E^{s+1}_x and that the chains are nested.
         """
         if r < self.r0:
             raise ValueError("r must be >= r0")
         self.ensure_page(r + 1)
         x = tuple(x)
-        amb = self.pages[0].objects.at(x)
-        Zs = [Subgroup.full(amb)]
-        Bs = [Subgroup.zero(amb)]
-        trivial = (Subgroup.full(amb), Subgroup.zero(amb))
-        for s in range(self.r0, r + 1):
-            Znew, Bnew = self.cumulative[s - self.r0 + 1].get(x, trivial)
-            Zs.append(Znew)
-            Bs.append(Bnew)
-            assert subquotient(Znew, Bnew).group == self.page(s + 1).objects.at(x)
-        for a, b in zip(Zs[1:], Zs[:-1]):
-            assert b.contains_subgroup(a)
-        for a, b in zip(Bs[:-1], Bs[1:]):
-            assert b.contains_subgroup(a)
-        assert Zs[-1].contains_subgroup(Bs[-1])
+        chain = [self.anchored(s, x) for s in range(self.r0, r + 2)]
+        Zs = [sq.Z for sq in chain]
+        Bs = [sq.B for sq in chain]
+        for s, sq in enumerate(chain[1:], self.r0 + 1):
+            require(subquotient(sq.Z, sq.B).group == self.page(s).objects.at(x),
+                    "anchored subquotient does not reproduce the page", x, s)
+        for s, (a, b) in enumerate(zip(Zs[1:], Zs[:-1]), self.r0):
+            require(b.contains_subgroup(a), "cycles are not nested", x, s)
+        for s, (a, b) in enumerate(zip(Bs[:-1], Bs[1:]), self.r0):
+            require(b.contains_subgroup(a), "boundaries are not nested", x, s)
+        require(Zs[-1].contains_subgroup(Bs[-1]), "boundaries are not cycles", x, r)
         return Zs, Bs
 
     def stabilization_horizon(self) -> int:
@@ -308,7 +300,7 @@ class SpectralSequence:
         stab = {}
         data = {}
         for x in ambient.positions():
-            chain = [self.cumulative[i][x] for i in range(len(self.cumulative))]
+            chain = [(t[x].Z, t[x].B) for t in self.subquotients]
             last = chain[-1]
             # first page index from which (Z, B) never changes again
             s = self.r0
@@ -317,7 +309,7 @@ class SpectralSequence:
                     s = self.r0 + i + 1
                     break
             stab[x] = s
-            sq = subquotient(last[0], last[1])
+            sq = self.subquotients[-1][x]
             data[x] = sq
             if not sq.group.is_trivial():
                 support[x] = sq.group
@@ -382,23 +374,12 @@ class SSMorphism:
                 self.source.pages[0].objects.at(x), self.target.pages[0].objects.at(x)
             ),
         )
-        sq_s = self._sq(self.source, r, x)
-        sq_t = self._sq(self.target, r, x)
+        sq_s = self.source.anchored(r, x)
+        sq_t = self.target.anchored(r, x)
         try:
             return induced_map(f0, sq_s, sq_t)
         except NotWellDefined as e:
             raise NotAMorphism(("not well defined on page %d" % r, x, e.args)) from e
-
-    @staticmethod
-    def _sq(ss: SpectralSequence, r: int, x: Position) -> SubquotientData:
-        ss.ensure_page(r)
-        amb = ss.pages[0].objects.at(x)
-        cum = ss.cumulative[r - ss.r0]
-        if x in cum:
-            Z, B = cum[x]
-        else:
-            Z, B = Subgroup.full(amb), Subgroup.zero(amb)
-        return subquotient(Z, B)
 
     def verify_page(self, r: int):
         """Check the commuting squares f d = d f on page r."""
@@ -428,12 +409,8 @@ class SSMorphism:
             f0 = self.components.get(
                 x, Hom.zero_map(amb_s.at(x), amb_t.at(x))
             )
-            sq_s = data_s.get(x) or subquotient(
-                Subgroup.full(amb_s.at(x)), Subgroup.zero(amb_s.at(x))
-            )
-            sq_t = data_t.get(x) or subquotient(
-                Subgroup.full(amb_t.at(x)), Subgroup.zero(amb_t.at(x))
-            )
+            sq_s = data_s.get(x) or whole(amb_s.at(x))
+            sq_t = data_t.get(x) or whole(amb_t.at(x))
             out[x] = induced_map(f0, sq_s, sq_t)
         return out
 
@@ -490,8 +467,10 @@ class SSMorphism:
             ps = set(self.source.page(s).objects.positions()) | set(
                 self.target.page(s).objects.positions()
             )
-            assert all(self.component(s, x).is_iso() for x in ps)
-        assert all(f.is_iso() for f in self.f_infinity().values())
+            require(all(self.component(s, x).is_iso() for x in ps),
+                    "isomorphism does not propagate to the page", s)
+        require(all(f.is_iso() for f in self.f_infinity().values()),
+                "isomorphism does not propagate to the limit page")
         return True
 
 

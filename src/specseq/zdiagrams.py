@@ -16,8 +16,8 @@ The comparison rules are data: ``ZCOMPARE_RULES`` here and
 conclusion and the exact check of that conclusion.  ``apply_rule`` is the one
 engine that runs either table: it records each clause in the verdict, stops
 at the first false one with ``HypothesisFailed``, and checks the conclusion
-with an explicit ``raise AssertionError``, so the check also runs under
-``python -O``.
+with ``zlinalg.require``, which raises ``TheoremViolation``.  Like every
+theorem check of the package, it also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .zlinalg import (
     direct_sum,
     induced_map,
     matrix_from_columns,
+    require,
     subquotient,
     unit_vector,
 )
@@ -269,13 +270,13 @@ def limit_and_lim1(A: ZDiagram):
     The limit is taken over the initial segment, which the left tail makes
     effectively constant below ``p0 - 1``.  lim^1 is nonetheless computed
     honestly as the cokernel of the standard difference map on the padded
-    window, and asserted trivial.
+    window, and checked trivial.
     """
     bot = A.p0 - 1
     L = A.group_at(bot)
     cone = {p: A.composite(bot, p) for p in A.padded_range()}
     lim1 = _lim1_by_difference_map(A)
-    assert lim1.is_trivial(), "lim^1 must vanish under the supported tails"
+    require(lim1.is_trivial(), "lim^1 must vanish under the supported tails", A.p0, A.p1)
     return L, cone, lim1
 
 
@@ -591,8 +592,8 @@ def k_mono_condition(A: ZDiagram, p: int) -> dict:
         witness = next(c for c in lhs.basis if not rhs.contains(c))
     a_mono = A.map_at(p).is_mono()
     omega_ml = ml_conditions(A)["omega_ml"]
-    if (a_mono or omega_ml) and not holds:
-        raise AssertionError("sufficient condition held but the criterion failed")
+    require(holds or not (a_mono or omega_ml),
+            "sufficient condition held but the criterion failed", p)
     return {
         "holds": holds,
         "witness": witness,
@@ -612,8 +613,8 @@ def q_factor_diagram(A: ZDiagram):
     """The image quotient diagram QA with QA_p = Im(a_p), and A -> QA.
 
     Both the epimorphism A -> QA and the inclusion IA -> A (see
-    ``i_factor_diagram``) induce isomorphisms on colim, lim and lim^1; tests
-    assert this on generated instances.
+    ``i_factor_diagram``) induce isomorphisms on colim, lim and lim^1; the
+    tests check this on generated instances.
     """
     lo, hi = A.p0 - 1, A.p1
     subs = {p: A.map_at(p).image() for p in range(lo, hi + 1)}
@@ -671,8 +672,9 @@ def apply_rule(rules: dict, rule: str, verdict: dict, make_facts) -> dict:
     the object ``make_facts()`` returns, built once the rule is known to
     exist.  Each clause goes into ``verdict["hypotheses"]`` as ``(name, ok)``,
     and the first false one raises ``HypothesisFailed((rule, name,
-    hypotheses))``.  A false conclusion raises ``AssertionError``: then the
-    rule or the library is wrong.  An unknown rule raises ``ValueError``.
+    hypotheses))``.  A false conclusion raises ``TheoremViolation("conclusion
+    fails", (rule, conclusion))``: then the rule or the library is wrong.  An
+    unknown rule raises ``ValueError``.
     """
     if rule not in rules:
         raise ValueError("unknown rule %r" % (rule,))
@@ -685,8 +687,7 @@ def apply_rule(rules: dict, rule: str, verdict: dict, make_facts) -> dict:
         if not ok:
             raise HypothesisFailed((rule, name, hypotheses))
     verdict["conclusion"] = conclusion
-    if not check(facts):
-        raise AssertionError(("conclusion fails", rule, conclusion))
+    require(check(facts), "conclusion fails", rule, conclusion)
     verdict["ok"] = True
     return verdict
 

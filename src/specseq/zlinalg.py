@@ -21,6 +21,8 @@ This module provides:
   images, preimages (and so kernels), images of subgroups, intersections,
   ``as_group`` and subquotients are looked up by the value of their inputs
   and computed only once; with none open they are computed on every call.
+* ``require`` -- the one way every module of the package fails a theorem
+  check: it raises ``TheoremViolation(check, witness)``.
 
 All arithmetic uses Python's arbitrary precision integers; no floating point
 is involved anywhere.
@@ -55,6 +57,33 @@ class ContainmentViolation(Exception):
 
 class NotWellDefined(Exception):
     """Raised when a map fails to descend to a quotient; carries a witness."""
+
+
+class TheoremViolation(AssertionError):
+    """A theorem re-proved on the input failed: the library is wrong.
+
+    ``args`` is ``(check, witness)``: ``check`` names the identity, and
+    ``witness`` is the tuple of positions, page numbers and indices at
+    which it failed.
+    """
+
+    @property
+    def check(self) -> str:
+        return self.args[0]
+
+    @property
+    def witness(self) -> tuple:
+        return self.args[1]
+
+
+def require(holds, check: str, *witness) -> None:
+    """Raise ``TheoremViolation(check, witness)`` unless ``holds``.
+
+    The one failure path of every theorem check in the package.  Unlike
+    ``assert`` it also runs under ``python -O``.
+    """
+    if not holds:
+        raise TheoremViolation(check, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +697,7 @@ class Subgroup:
         rel_coords = []
         for rc in self.ambient.relation_columns():
             x = self.coordinates(rc)
-            assert x is not None  # relation lattice is inside every subgroup
+            require(x is not None, "relation column lies outside the subgroup", rc)
             rel_coords.append(x)
         S, _, sect = group_from_presentation(len(self.basis), rel_coords)
         incl_cols = [

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from specseq.zlinalg import FPAbGroup, Hom, NotWellDefined
+from specseq.excouple import ExactCouple
+from specseq.zlinalg import FPAbGroup, Hom, NotWellDefined, Subgroup
 from specseq.zdiagrams import HypothesisFailed, Tail, ZDiagram
 
 SMALL_GROUPS = [
@@ -138,3 +139,19 @@ def assert_outcome(run, want):
         with pytest.raises(HypothesisFailed) as exc:
             run()
         assert exc.value.args == (want,)
+
+
+@pytest.fixture
+def broken_page_anchoring(monkeypatch):
+    """Make ``ExactCouple.internal_page`` report zero cycles at (0, 0) from
+    page 2 on, so the two computations of each page disagree there."""
+    page = ExactCouple.internal_page
+
+    def broken(self, r):
+        ip = page(self, r)
+        if r >= 2:
+            ip = dict(ip, Z=dict(ip["Z"]))
+            ip["Z"][(0, 0)] = Subgroup.zero(self.E_at((0, 0)))
+        return ip
+
+    monkeypatch.setattr(ExactCouple, "internal_page", broken)

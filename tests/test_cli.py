@@ -180,3 +180,22 @@ class TestExitCodes:
     def test_theorem_failure(self, capsys):
         code, rep = run(capsys, "zeeman", "--perturb")
         assert code == 3 and rep["kind"] == "SetupViolation"
+
+    def test_theorem_violation(self, capsys, couple2_file, broken_page_anchoring):
+        code, rep = run(capsys, "einf", couple2_file)
+        assert code == 3 and rep["error"] == "theorem-check"
+        assert rep["kind"] == "TheoremViolation"
+        assert rep["witness"] == repr(("page anchoring disagrees", ((0, 0), 2)))
+
+    def test_usage_error_is_a_parse_error(self, capsys, couple2_file):
+        code, rep = run(capsys, "abutments", couple2_file)
+        assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ArgumentError"
+        assert "--n" in rep["witness"]
+        code, rep = run(capsys, "no-such-command")
+        assert code == 1 and rep["error"] == "parse"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["abutments", "-h"])
+        assert info.value.code == 0
+        assert "--n" in capsys.readouterr().out

@@ -160,7 +160,7 @@ class TestSpectralSequenceReuse:
             ss = C.internal_spectral_sequence()
             assert built
             built.clear()
-            C.e_infinity(check=True)
+            C.e_infinity()
             assert built == []
             assert C.internal_spectral_sequence() is ss
             assert built == []
@@ -170,28 +170,39 @@ class TestSpectralSequenceReuse:
         rng = seeded(98)
         for _ in range(4):
             C = couple_from_filtered_complex(*random_filtered_complex(rng))
-            C.e_infinity(check=True)
+            C.e_infinity()
             built.clear()
             C.internal_spectral_sequence()
             assert built == []
 
-    def test_unchecked_and_partial_builds_are_not_kept(self, monkeypatch):
+    def test_partial_builds_are_not_kept(self, monkeypatch):
         built = self.count_pages(monkeypatch)
         rng = seeded(99)
         for _ in range(6):
             C = couple_from_filtered_complex(*random_filtered_complex(rng))
-            loose = C.internal_spectral_sequence(check=False)
             partial = C.internal_spectral_sequence(up_to=2)
             built.clear()
-            checked = C.internal_spectral_sequence(check=True)
+            full = C.internal_spectral_sequence()
             # a fresh build, with its page-by-page cross-check
             assert built
-            assert checked is not loose and checked is not partial
-            assert C.internal_spectral_sequence(up_to=2) is not checked
+            assert full is not partial
+            assert C.internal_spectral_sequence(up_to=2) is not full
             built.clear()
-            C.e_infinity(check=True)
+            C.e_infinity()
             assert built == []
-            assert C.internal_spectral_sequence(check=True) is checked
+            assert C.internal_spectral_sequence() is full
+
+
+class TestTheoremChecks:
+    def test_broken_page_anchoring_raises(self, broken_page_anchoring):
+        C = demo_couple("couple2")
+        with pytest.raises(zlinalg.TheoremViolation) as info:
+            C.internal_spectral_sequence()
+        assert info.value.check == "page anchoring disagrees"
+        assert info.value.witness == ((0, 0), 2)
+        # e_infinity always runs the same comparison
+        with pytest.raises(zlinalg.TheoremViolation):
+            demo_couple("couple2").e_infinity()
 
 
 def full_analysis(C):

@@ -19,6 +19,7 @@ from specseq.zlinalg import (
     Hom,
     NotWellDefined,
     Subgroup,
+    TheoremViolation,
     cokernel,
     columns_of,
     direct_sum,
@@ -32,6 +33,7 @@ from specseq.zlinalg import (
     mat_vec,
     matrix_from_columns,
     quotient_group,
+    require,
     smith_normal_form,
     solve_matrix,
     subquotient,
@@ -473,3 +475,15 @@ class TestDirectSum:
         G, incs, projs = direct_sum([])
         assert G == FPAbGroup()
         assert incs == [] and projs == []
+
+
+class TestRequire:
+    def test_violation_carries_check_and_witness(self):
+        require(True, "never raised", (0, 0))
+        with pytest.raises(TheoremViolation) as info:
+            require(False, "page anchoring disagrees", (0, 0), 2)
+        ex = info.value
+        assert ex.args == ("page anchoring disagrees", ((0, 0), 2))
+        assert (ex.check, ex.witness) == ex.args
+        # existing ``pytest.raises(AssertionError)`` callers still match
+        assert isinstance(ex, AssertionError)
