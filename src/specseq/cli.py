@@ -3,11 +3,21 @@
 Input is the couple JSON interchange format; output is a JSON report on
 stdout (or ``--out``), with page tables additionally rendered as aligned
 grids in invariant-factor notation.  Exit codes: 0 success, 1 parse
-error (a malformed command line included), 2 validation failure, 3
-theorem-check failure.
+error, 2 validation failure, 3 theorem-check failure, 4 internal error.
+
+``main`` runs a command in two phases.  The load phase parses the command
+line, opens ``--out`` and reads and builds the input (a couple, a morphism
+or a two-row instance); a malformed command line, an unreadable or
+undecodable input file and an unwritable ``--out`` are parse errors there.
+The compute phase runs the command on the loaded input; a ``ValueError``,
+``KeyError`` or ``TypeError`` raised there is a fault of the program, not
+of its input, and reports as an internal error.  Validation failures and
+theorem-check failures give 2 and 3 in either phase.  The argument parser
+is built once per process, on first use.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,6 +41,7 @@ from .spectral import (
     spectral_sequence_from_page,
 )
 from .excouple import (
+    COMPARE_RULES,
     BidegreeMismatch,
     CoupleMorphism,
     NotAComplex,
@@ -68,11 +79,12 @@ class _Parser(argparse.ArgumentParser):
 PARSE_ERRORS = (
     argparse.ArgumentError,
     json.JSONDecodeError,
-    FileNotFoundError,
+    OSError,
     KeyError,
     TypeError,
     ValueError,
 )
+INTERNAL_ERRORS = (KeyError, TypeError, ValueError)
 VALIDATION_ERRORS = (
     NotExact,
     NotRegular,
@@ -98,8 +110,25 @@ THEOREM_ERRORS = (
 )
 
 
-def _load_couple(path):
-    with open(path) as fh:
+def _position(text):
+    """``--x P,Q`` as a position."""
+    try:
+        return _parse_pos(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected P,Q, got %r" % (text,)) from None
+
+
+def _matrix(text):
+    """``--matrix A,B,C,D`` as the row-major matrix ((A, B), (C, D))."""
+    try:
+        a, b, c, d = (int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected A,B,C,D, got %r" % (text,)) from None
+    return ((a, b), (c, d))
+
+
+def _load_couple(args):
+    with open(args.file) as fh:
         return couple_from_json(json.load(fh))
 
 
@@ -136,21 +165,18 @@ def _page_report(ss, r):
     return {"r": r, "objects": table, "rendered": grid}
 
 
-def cmd_validate(args):
-    C = _load_couple(args.file)
+def cmd_validate(args, C):
     report = C.validate()
     return {"ok": True, "sigma": C.bidegrees.sigma,
             "positions_checked": report["d_positions"] + report["e_positions"]}
 
 
-def cmd_pages(args):
-    C = _load_couple(args.file)
+def cmd_pages(args, C):
     ss = C.internal_spectral_sequence(up_to=args.to)
     return {"pages": [_page_report(ss, r) for r in range(1, args.to + 1)]}
 
 
-def cmd_einf(args):
-    C = _load_couple(args.file)
+def cmd_einf(args, C):
     einf = C.e_infinity()
     ss = C.internal_spectral_sequence()
     return {
@@ -162,8 +188,7 @@ def cmd_einf(args):
     }
 
 
-def cmd_abutments(args):
-    C = _load_couple(args.file)
+def cmd_abutments(args, C):
     ab = C.abutments(args.n)
     return {
         "n": args.n,
@@ -179,9 +204,8 @@ def cmd_abutments(args):
     }
 
 
-def cmd_extension_report(args):
-    C = _load_couple(args.file)
-    rep = C.extension_report(_parse_pos(args.x))
+def cmd_extension_report(args, C):
+    rep = C.extension_report(args.x)
     return {
         "position": _pos_key(rep["position"]),
         "stable": rep["stable"],
@@ -195,20 +219,14 @@ def cmd_extension_report(args):
     }
 
 
-def cmd_classify(args):
-    C = _load_couple(args.file)
-    out = C.classify(_parse_pos(args.x))
-    return {"position": args.x, "label": out["label"],
+def cmd_classify(args, C):
+    out = C.classify(args.x)
+    return {"position": _pos_key(args.x), "label": out["label"],
             "sufficient_conditions": out["sufficient"]}
 
 
-def cmd_reindex(args):
-    C = _load_couple(args.file)
-    if args.matrix:
-        a, b, c, d = (int(t) for t in args.matrix.split(","))
-        T = ((a, b), (c, d))
-    else:
-        T = C.canonical_T()
+def cmd_reindex(args, C):
+    T = args.matrix or C.canonical_T()
     R = C.reindex(T)
     R.validate()
     return {"matrix": [list(T[0]), list(T[1])], "couple": couple_to_json(R)}
@@ -222,9 +240,14 @@ def _morphism_from_json(data):
     return CoupleMorphism(src, tgt, fD, fE)
 
 
-def cmd_compare(args):
+def _load_morphism(args):
+    if args.rule not in COMPARE_RULES:
+        raise ValueError("unknown rule %r" % (args.rule,))
     with open(args.file) as fh:
-        f = _morphism_from_json(json.load(fh))
+        return _morphism_from_json(json.load(fh))
+
+
+def cmd_compare(args, f):
     return compare_abutments(f, args.rule, args.n)
 
 
@@ -249,7 +272,7 @@ def _two_row_pair(k, N, perturb=False):
     return f, abut, maps
 
 
-def cmd_zeeman(args):
+def cmd_zeeman(args, _):
     if args.setup == "I":
         f, abut, maps = _two_row_pair(args.k, args.N, perturb=args.perturb)
         res = zeeman_check(f, abut, abut, maps, setup="I",
@@ -270,7 +293,7 @@ def cmd_zeeman(args):
     return res
 
 
-def cmd_solve_two_row(args):
+def _load_two_row(args):
     with open(args.file) as fh:
         data = json.load(fh)
     abutment = {}
@@ -280,14 +303,18 @@ def cmd_solve_two_row(args):
             A, [tuple(v) for v in entry.get("stage", [])]
         )
         abutment[int(n)] = (A, F)
-    res = two_row_solve(abutment, data["N"])
+    return abutment, data["N"]
+
+
+def cmd_solve_two_row(args, instance):
+    res = two_row_solve(*instance)
     return {
         "H": {p: G.describe() for p, G in sorted(res["H"].items())},
         "d2": {p: [list(r) for r in f.matrix] for p, f in sorted(res["d2"].items())},
     }
 
 
-def cmd_five_term(args):
+def cmd_five_term(args, _):
     res = cyclic_group_sequence(args.k, 4)
     ss = res["ss"]
     Z = FPAbGroup(1)
@@ -307,7 +334,7 @@ def cmd_five_term(args):
     }
 
 
-def cmd_demo(args):
+def cmd_demo(args, _):
     name = args.name
     if name in ("couple1", "couple2", "couple3"):
         C = demo_couple(name)
@@ -353,43 +380,43 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check exactness of a couple file")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
+    p.set_defaults(fn=cmd_validate, load=_load_couple)
 
     p = sub.add_parser("pages", help="page tables of the couple's spectral sequence")
     p.add_argument("file")
     p.add_argument("--to", type=int, default=3, help="last page to print")
-    p.set_defaults(fn=cmd_pages)
+    p.set_defaults(fn=cmd_pages, load=_load_couple)
 
     p = sub.add_parser("einf", help="limit page and collapse page")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_einf)
+    p.set_defaults(fn=cmd_einf, load=_load_couple)
 
     p = sub.add_parser("abutments", help="abutments of a diagonal with filtrations")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_abutments)
+    p.set_defaults(fn=cmd_abutments, load=_load_couple)
 
     p = sub.add_parser("extension-report", help="stable-E and limit-page extensions")
     p.add_argument("file")
-    p.add_argument("--x", required=True, metavar="P,Q")
-    p.set_defaults(fn=cmd_extension_report)
+    p.add_argument("--x", type=_position, required=True, metavar="P,Q")
+    p.set_defaults(fn=cmd_extension_report, load=_load_couple)
 
     p = sub.add_parser("classify", help="relate the limit page to the abutments")
     p.add_argument("file")
-    p.add_argument("--x", required=True, metavar="P,Q")
-    p.set_defaults(fn=cmd_classify)
+    p.add_argument("--x", type=_position, required=True, metavar="P,Q")
+    p.set_defaults(fn=cmd_classify, load=_load_couple)
 
     p = sub.add_parser("reindex", help="apply a unimodular change of positions")
     p.add_argument("file")
-    p.add_argument("--matrix", metavar="A,B,C,D",
+    p.add_argument("--matrix", type=_matrix, metavar="A,B,C,D",
                    help="row-major entries; default: the canonical homological change")
-    p.set_defaults(fn=cmd_reindex)
+    p.set_defaults(fn=cmd_reindex, load=_load_couple)
 
     p = sub.add_parser("compare", help="abutment comparison via a morphism file")
     p.add_argument("file")
     p.add_argument("--rule", required=True)
     p.add_argument("--n", type=int, default=0)
-    p.set_defaults(fn=cmd_compare)
+    p.set_defaults(fn=cmd_compare, load=_load_morphism)
 
     p = sub.add_parser("zeeman", help="reverse comparison on a two-row pair")
     p.add_argument("--setup", choices=("I", "II"), default="I")
@@ -397,15 +424,15 @@ def build_parser():
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--perturb", action="store_true",
                    help="break the abutment filtration to witness the failure mode")
-    p.set_defaults(fn=cmd_zeeman)
+    p.set_defaults(fn=cmd_zeeman, load=None)
 
     p = sub.add_parser("solve-two-row", help="solve a two-row abutment file")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_solve_two_row)
+    p.set_defaults(fn=cmd_solve_two_row, load=_load_two_row)
 
     p = sub.add_parser("five-term", help="low-degree exact sequence of the k-tower")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=cmd_five_term)
+    p.set_defaults(fn=cmd_five_term, load=None)
 
     p = sub.add_parser("demo", help="built-in instances")
     p.add_argument("name",
@@ -413,35 +440,53 @@ def build_parser():
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--N", type=int, default=7)
-    p.set_defaults(fn=cmd_demo)
+    p.set_defaults(fn=cmd_demo, load=None)
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """``build_parser()``, built on first use and reused by every ``main`` call.
+
+    Parsing leaves a parser unchanged and fills a fresh namespace per call,
+    so no state passes from one command to the next.
+    """
+    return build_parser()
+
+
+def _failure(ex, loading):
+    """Exit code and report for ``ex``, raised in the load phase if ``loading``."""
+    if isinstance(ex, VALIDATION_ERRORS):
+        return 2, {"error": "validation", "kind": type(ex).__name__,
+                   "witness": repr(ex.args)}
+    if isinstance(ex, THEOREM_ERRORS):
+        return 3, {"error": "theorem-check", "kind": type(ex).__name__,
+                   "witness": repr(ex.args)}
+    if loading:
+        return 1, {"error": "parse", "kind": type(ex).__name__, "witness": str(ex)}
+    return 4, {"error": "internal", "kind": type(ex).__name__, "witness": repr(ex.args)}
+
+
 def main(argv=None) -> int:
-    args = None
+    out = None
     try:
-        args = build_parser().parse_args(argv)
-        report = args.fn(args)
-    except VALIDATION_ERRORS as ex:
-        report = {"error": "validation", "kind": type(ex).__name__,
-                  "witness": repr(ex.args)}
-        code = 2
-    except THEOREM_ERRORS as ex:
-        report = {"error": "theorem-check", "kind": type(ex).__name__,
-                  "witness": repr(ex.args)}
-        code = 3
-    except PARSE_ERRORS as ex:
-        report = {"error": "parse", "kind": type(ex).__name__,
-                  "witness": str(ex)}
-        code = 1
-    else:
-        code = 0
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if args is not None and args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        try:
+            args = _shared_parser().parse_args(argv)
+            if args.out:
+                out = open(args.out, "w")
+            loaded = args.load(args) if args.load else None
+        except VALIDATION_ERRORS + THEOREM_ERRORS + PARSE_ERRORS as ex:
+            code, report = _failure(ex, loading=True)
+        else:
+            try:
+                code, report = 0, args.fn(args, loaded)
+            except VALIDATION_ERRORS + THEOREM_ERRORS + INTERNAL_ERRORS as ex:
+                code, report = _failure(ex, loading=False)
+        text = json.dumps(report, indent=2, sort_keys=True, default=str)
+        print(text, file=out or sys.stdout)
+    finally:
+        if out is not None:
+            out.close()
     return code
 
 

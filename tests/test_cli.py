@@ -4,8 +4,15 @@ import json
 
 import pytest
 
+from specseq import cli
 from specseq.cli import main
-from specseq.excouple import COMPARE_RULES, couple_from_json, couple_to_json, demo_couple
+from specseq.excouple import (
+    COMPARE_RULES,
+    ExactCouple,
+    couple_from_json,
+    couple_to_json,
+    demo_couple,
+)
 
 
 def run(capsys, *argv):
@@ -199,3 +206,89 @@ class TestExitCodes:
             main(["abutments", "-h"])
         assert info.value.code == 0
         assert "--n" in capsys.readouterr().out
+
+    def test_malformed_option_values_are_parse_errors(self, capsys, couple2_file):
+        for argv in (["classify", couple2_file, "--x", "1,2,3"],
+                     ["reindex", couple2_file, "--matrix", "1,0,0"]):
+            code, rep = run(capsys, *argv)
+            assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ArgumentError"
+
+    def test_non_regular_bidegrees_fail_validation(self, capsys, tmp_path, couple2_file):
+        data = json.loads(open(couple2_file).read())
+        data["bidegrees"]["a"] = [0, 0]
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(data))
+        code, rep = run(capsys, "einf", str(path))
+        assert code == 2 and rep["error"] == "validation" and rep["kind"] == "NotRegular"
+
+    def test_error_while_computing_is_internal(self, capsys, monkeypatch, couple2_file):
+        def broken(self):
+            raise ValueError("broken e_infinity")
+
+        monkeypatch.setattr(ExactCouple, "e_infinity", broken)
+        code, rep = run(capsys, "einf", couple2_file)
+        assert code == 4 and rep["error"] == "internal" and rep["kind"] == "ValueError"
+        assert rep["witness"] == repr(("broken e_infinity",))
+
+    def test_unwritable_out_is_a_parse_error_before_computing(
+            self, capsys, monkeypatch, tmp_path, couple2_file):
+        called = []
+        for name in ("validate", "e_infinity"):
+            monkeypatch.setattr(ExactCouple, name,
+                                lambda self, *a, name=name, **kw: called.append(name))
+        for argv, kind in (
+                (["demo", "couple2", "--out", str(tmp_path / "missing" / "r.json")],
+                 "FileNotFoundError"),
+                (["einf", couple2_file, "--out", str(tmp_path)], "IsADirectoryError")):
+            code, rep = run(capsys, *argv)
+            assert code == 1 and rep["error"] == "parse" and rep["kind"] == kind
+        assert called == []
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no state passes between calls."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, couple2_file):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._shared_parser.cache_clear()
+        assert run(capsys, "einf", couple2_file)[0] == 0
+        assert built
+        first = list(built)
+        for argv in (["validate", couple2_file], ["demo", "cyclic-k"], ["no-such-command"]):
+            run(capsys, *argv)
+        assert built == first
+
+    def test_defaults_come_back(self, capsys, couple2_file):
+        code, rep = run(capsys, "pages", couple2_file, "--to", "2")
+        assert code == 0 and [p["r"] for p in rep["pages"]] == [1, 2]
+        code, rep = run(capsys, "pages", couple2_file)
+        assert code == 0 and [p["r"] for p in rep["pages"]] == [1, 2, 3]
+
+    def test_required_option_stays_required(self, capsys, couple2_file):
+        code, rep = run(capsys, "abutments", couple2_file, "--n", "1")
+        assert code == 0 and rep["n"] == 1
+        code, rep = run(capsys, "abutments", couple2_file)
+        assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ArgumentError"
+
+    def test_out_applies_to_its_own_command(self, capsys, tmp_path, couple2_file):
+        out = tmp_path / "report.json"
+        assert main(["einf", couple2_file, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        code, rep = run(capsys, "validate", couple2_file)
+        assert code == 0 and rep["ok"]
+        assert json.loads(out.read_text())["e_infinity"] == {"0,0": "Z/6"}
+
+    def test_help_after_other_commands(self, capsys, couple2_file):
+        run(capsys, "einf", couple2_file)
+        run(capsys, "abutments", couple2_file)
+        with pytest.raises(SystemExit) as info:
+            main(["pages", "-h"])
+        assert info.value.code == 0
+        assert "--to" in capsys.readouterr().out
