@@ -31,14 +31,14 @@ from .zlinalg import (
     NotWellDefined,
     Subgroup,
     SubquotientData,
+    columns_of,
     direct_sum,
     hom_on_generators,
     induced_map,
-    matrix_from_columns,
     require,
     shared_results,
+    short_exact,
     subquotient,
-    unit_vector,
 )
 from .zdiagrams import (
     BudgetExceeded,
@@ -407,8 +407,7 @@ class ExactCouple:
         if not sq_tgt.B.contains_subgroup(jker):
             raise PreimageFailure(("preimage ambiguity not a boundary", e, r))
         cols = []
-        for col in range(sq_src.group.ngens):
-            z = sq_src.lift(unit_vector(sq_src.group.ngens, col))
+        for z in sq_src.section_columns():
             t = self.k_at(e)(z)
             s = comp.solve_element(t)
             if s is None:
@@ -419,8 +418,7 @@ class ExactCouple:
             except ContainmentViolation as exc:
                 raise PreimageFailure(("value escapes the target cycles", e, r)) from exc
         try:
-            return Hom(sq_src.group, sq_tgt.group,
-                       matrix_from_columns(cols, sq_tgt.group.ngens))
+            return hom_on_generators(sq_src.group, sq_tgt.group, cols)
         except NotWellDefined as exc:
             raise PreimageFailure(("differential not additive", e, r)) from exc
 
@@ -537,12 +535,8 @@ class ExactCouple:
             out[e] = {"Z": Zw, "B": Bw, "sq": subquotient(Zw, Bw)}
         _, _, data = self.internal_spectral_sequence().e_infinity()
         for e in self.E:
-            got = data.get(e)
-            if got is None:
-                require(out[e]["sq"].group.is_trivial(), "limit page disagrees", e)
-            else:
-                require((got.Z, got.B) == (out[e]["Z"], out[e]["B"]),
-                        "limit page disagrees", e)
+            require((data[e].Z, data[e].B) == (out[e]["Z"], out[e]["B"]),
+                    "limit page disagrees", e)
         return out
 
     @_in_own_table
@@ -672,22 +666,8 @@ class ExactCouple:
         jr1 = dia_w.composite(pw.r, pw.r + r + 1)
         sq_ker = subquotient(jr1.kernel(), jr.kernel())
 
-        Zr = self.cycles_at(e, r)
-        Br = self.boundaries_at(e, r)
-        kerk = self.k_at(e).kernel()
-        require(Zr.contains_subgroup(kerk) and kerk.contains_subgroup(Br),
-                "Ker k does not lie between the page boundaries and cycles", x, r)
-        sq_mid = subquotient(Zr, Br)
-        sq_kb = subquotient(kerk, Br)
-        sq_q = subquotient(Zr, kerk)
-
-        ident = Hom.identity(self.E_at(e))
-        mono = induced_map(ident, sq_kb, sq_mid)
-        epi = induced_map(ident, sq_mid, sq_q)
-        require(mono.is_mono() and epi.is_epi(),
-                "page extension ends are not mono and epi", x, r)
-        require(epi.compose(mono).is_zero(), "page extension does not compose to zero", x, r)
-        require(epi.kernel() == mono.image(), "page extension is not exact", x, r)
+        sq_kb, sq_mid, sq_q, mono, epi = short_exact(
+            self.boundaries_at(e, r), self.k_at(e).kernel(), self.cycles_at(e, r), x, r)
 
         # left identification: lift to Ker k = Im j, pull through j, push
         # by the iterated i
@@ -747,7 +727,6 @@ class ExactCouple:
         t_pos = _add(x, bd.z)
         px = self.position_index(x)
         pt = self.position_index(t_pos)
-        amb_e = self.E_at(e)
         amb_t = self.D_at(t_pos)
 
         keri = self.i_at(t_pos).kernel()
@@ -764,29 +743,14 @@ class ExactCouple:
         # the cycle-level stability reading must agree with the criterion
         require((Zbar == Zw) == stable, "stability criterion mismatch", x)
 
-        ident = Hom.identity(amb_e)
-        sq_eps = subquotient(kerk, Bw)
-        sq_bar = subquotient(Zbar, Bw)
-        sq_inf = subquotient(Zw, Bw)
-        sq_cok_bar = subquotient(Zbar, kerk)
-        sq_cok_inf = subquotient(Zw, kerk)
-
-        mono_bar = induced_map(ident, sq_eps, sq_bar)
-        epi_bar = induced_map(ident, sq_bar, sq_cok_bar)
-        mono_inf = induced_map(ident, sq_eps, sq_inf)
-        epi_inf = induced_map(ident, sq_inf, sq_cok_inf)
-        incl = induced_map(ident, sq_bar, sq_inf)
-        for mono, epi in ((mono_bar, epi_bar), (mono_inf, epi_inf)):
-            require(mono.is_mono() and epi.is_epi(), "extension ends are not mono and epi", x)
-            require(epi.compose(mono).is_zero(), "extension does not compose to zero", x)
-            require(mono.image() == epi.kernel(), "extension is not exact", x)
+        sq_eps, sq_bar, sq_cok_bar, mono_bar, epi_bar = short_exact(Bw, kerk, Zbar, x)
+        _, sq_inf, sq_cok_inf, mono_inf, epi_inf = short_exact(Bw, kerk, Zw, x)
+        incl = induced_map(Hom.identity(self.E_at(e)), sq_bar, sq_inf)
         require(incl.is_mono(), "stable E does not embed in E-infinity", x)
 
         # right-hand terms, read inside D_{x+b+c} through k
-        lhs_group, lhs_incl = crit_lhs.as_group()
-        rhs_group, rhs_incl = crit_rhs.as_group()
-        kmap_bar = self._k_onto(e, sq_cok_bar, crit_lhs, lhs_group, lhs_incl)
-        kmap_inf = self._k_onto(e, sq_cok_inf, crit_rhs, rhs_group, rhs_incl)
+        kmap_bar = self._k_onto(e, sq_cok_bar, crit_lhs)
+        kmap_inf = self._k_onto(e, sq_cok_inf, crit_rhs)
         require(kmap_bar.is_iso() and kmap_inf.is_iso(),
                 "k does not identify the right-hand terms", x)
         M = Hom.identity(amb_t).restrict(crit_lhs, crit_rhs)
@@ -803,9 +767,7 @@ class ExactCouple:
         pulled = kmap_inf.compose(epi_inf).preimage(
             M.image()
         )
-        require(Subgroup.from_generators(
-            sq_inf.group, [incl(cb) for cb in Subgroup.full(sq_bar.group).basis]
-        ) == pulled, "pullback square fails", x)
+        require(incl.image() == pulled, "pullback square fails", x)
 
         # five-term sequence: both lim1 terms vanish under supported tails
         dns = self.diagonal(pt.n)
@@ -841,17 +803,15 @@ class ExactCouple:
             "lim1_zero": True,
         }
 
-    def _k_onto(self, e, sq_cok, target_sub, target_group, target_incl):
-        """k, induced from a cycles-mod-(kernel of k) quotient onto k's image."""
+    def _k_onto(self, e, sq_cok, target: Subgroup) -> Hom:
+        """k, induced from a cycles-mod-(kernel of k) quotient onto ``target``."""
+        target_group, target_incl = target.as_group()
         cols = []
-        for col in range(sq_cok.group.ngens):
-            z = sq_cok.lift(unit_vector(sq_cok.group.ngens, col))
-            val = self.k_at(e)(z)
-            coords = target_incl.solve_element(val)
+        for col, z in enumerate(sq_cok.section_columns()):
+            coords = target_incl.solve_element(self.k_at(e)(z))
             require(coords is not None, "k value escapes its declared image", e, col)
             cols.append(coords)
-        return Hom(sq_cok.group, target_group,
-                   matrix_from_columns(cols, target_group.ngens))
+        return hom_on_generators(sq_cok.group, target_group, cols)
 
     @_in_own_table
     def classify(self, x: Position) -> dict:
@@ -950,13 +910,11 @@ class ExactCouple:
             e = _add(x, b)
             sqe = self._first_page_sq(e)
             cols = []
-            for col in range(piece[x][0].ngens):
-                g = piece[x][1](unit_vector(piece[x][0].ngens, col))
+            for col, g in enumerate(columns_of(piece[x][1].matrix)):
                 t = self.i_at(x).solve_element(g)
                 require(t is not None, "image of i has no i-preimage", x, col)
                 cols.append(sqe.project(self.j_at(x)(t)))
-            newj[key] = Hom(piece[x][0], sqe.group,
-                            matrix_from_columns(cols, sqe.group.ngens))
+            newj[key] = hom_on_generators(piece[x][0], sqe.group, cols)
         newE, newk = {}, {}
         for e in self._e_check_positions():
             sqe = self._first_page_sq(e)
@@ -967,14 +925,11 @@ class ExactCouple:
             if src not in img:
                 continue
             cols = []
-            for col in range(sqe.group.ngens):
-                z = sqe.lift(unit_vector(sqe.group.ngens, col))
-                val = self.k_at(e)(z)
-                coords = piece[src][1].solve_element(val)
+            for col, z in enumerate(sqe.section_columns()):
+                coords = piece[src][1].solve_element(self.k_at(e)(z))
                 require(coords is not None, "k value misses the image subobject", e, col)
                 cols.append(coords)
-            newk[e] = Hom(sqe.group, piece[src][0],
-                          matrix_from_columns(cols, piece[src][0].ngens))
+            newk[e] = hom_on_generators(sqe.group, piece[src][0], cols)
         out = ExactCouple(new_bd, newD, newE, newi, newj, newk,
                           dict(self.diagonal_tails))
         out.validate()
@@ -1067,14 +1022,11 @@ class ExactCouple:
                 continue
             # rho lands in the stable image; a k-preimage represents the class
             cols = []
-            for col in range(piece[r][0].ngens):
-                u = piece[r][1](unit_vector(piece[r][0].ngens, col))
-                val = dns.composite(dns.p0 - 1, r - 1)(u)
-                zrep = self.k_at(e).solve_element(val)
+            for col, u in enumerate(columns_of(piece[r][1].matrix)):
+                zrep = self.k_at(e).solve_element(dns.composite(dns.p0 - 1, r - 1)(u))
                 require(zrep is not None, "stable image value misses k", e, col)
                 cols.append(sqe.project(zrep))
-            newj[x] = Hom(piece[r][0], sqe.group,
-                          matrix_from_columns(cols, sqe.group.ngens))
+            newj[x] = hom_on_generators(piece[r][0], sqe.group, cols)
         newE = {}
         for x in list(newD):
             e = _add(x, bd.b)
@@ -1255,16 +1207,11 @@ class CoupleMorphism:
             out[e] = induced_map(self.fE_at(e), sq_s, sq_t)
         return out
 
-    def eps_maps(self, n: int, upper: bool) -> Dict[Position, Hom]:
-        """Induced maps on the filtration quotients of diagonal n."""
-        bd = self.source.bidegrees
-        m = n + bd.sigma if upper else n
-        ab_s = self.source.abutments(n)
-        ab_t = self.target.abutments(n)
-        dm = self.d_morphism(m)
-        comp = limit_map(dm) if upper else colimit_map(dm)
-        src = ab_s.eps_upper if upper else ab_s.eps
-        tgt = ab_t.eps_upper if upper else ab_t.eps
+    def eps_maps(self, n: int) -> Dict[Position, Hom]:
+        """Induced maps on the colimit filtration quotients of diagonal n."""
+        comp = colimit_map(self.d_morphism(n))
+        src = self.source.abutments(n).eps
+        tgt = self.target.abutments(n).eps
         out = {}
         for x in src:
             if x in tgt:
@@ -1291,7 +1238,7 @@ class _CoupleMorphismFacts:
 
     @functools.cached_property
     def eps(self) -> list:
-        return list(self.f.eps_maps(self.n, upper=False).values())
+        return list(self.f.eps_maps(self.n).values())
 
     @functools.cached_property
     def lim_F_map(self) -> Hom:
@@ -1629,12 +1576,8 @@ def _filtered_complex_couple(groups, diffs, filtration) -> ExactCouple:
                 i[pos] = induced_map(ident, dD, sq_D(p + 1, n))
             j[pos] = induced_map(ident, dD, dE)
             prev = sq_D(p - 1, n - 1)
-            cols = []
-            for col in range(dE.group.ngens):
-                x = dE.lift(unit_vector(dE.group.ngens, col))
-                cols.append(prev.project(d_at(n)(x)))
-            k[pos] = Hom(dE.group, prev.group,
-                         matrix_from_columns(cols, prev.group.ngens))
+            cols = [prev.project(d_at(n)(z)) for z in dE.section_columns()]
+            k[pos] = hom_on_generators(dE.group, prev.group, cols)
     # towers are constant from stage pmax+1 on; when the total homology of a
     # degree vanishes, the tower is eventually zero instead
     tails = {}

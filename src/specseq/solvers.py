@@ -20,7 +20,6 @@ data for its abutment in total degrees 1 and 2.
 """
 
 from math import gcd
-from typing import Optional
 
 from .zlinalg import (
     FPAbGroup,
@@ -30,10 +29,8 @@ from .zlinalg import (
     hom_on_generators,
     quotient_group,
     require,
-    subquotient,
-    unit_vector,
 )
-from .spectral import SpectralSequence, homological_rule, spectral_sequence_from_page
+from .spectral import SpectralSequence, homological_rule, spectral_sequence_from_page, whole
 from .excouple import SetupViolation
 
 __all__ = [
@@ -211,15 +208,6 @@ def projective_space_sequence(r: int) -> dict:
     return two_row_solve(abutment, 2 * r + 2)
 
 
-def _einf_subquotient(ss: SpectralSequence, data: dict, x):
-    got = data.get(x)
-    if got is not None:
-        return got
-    amb = ss.page(2).objects.at(x)
-    # everything dies: present the trivial limit term over the full page object
-    return subquotient(Subgroup.full(amb), Subgroup.full(amb))
-
-
 def five_term(ss: SpectralSequence, H1: FPAbGroup, F01: Subgroup,
               iso_low: Hom, iso_high: Hom, H2: FPAbGroup, onto: Hom) -> dict:
     """The low-degree five-term exact sequence of a two-row-type abutment.
@@ -257,8 +245,9 @@ def five_term(ss: SpectralSequence, H1: FPAbGroup, F01: Subgroup,
     E2_20 = ss.page(2).objects.at((2, 0))
     E2_01 = ss.page(2).objects.at((0, 1))
     E2_10 = ss.page(2).objects.at((1, 0))
-    sq20 = _einf_subquotient(ss, data, (2, 0))
-    sq01 = _einf_subquotient(ss, data, (0, 1))
+    # data misses only trivial page objects, where G / G = G / 0
+    sq20 = data.get((2, 0)) or whole(E2_20)
+    sq01 = data.get((0, 1)) or whole(E2_01)
 
     F01G, F01_incl = F01.as_group()
     QH1, proj1 = quotient_group(H1, F01)
@@ -271,17 +260,11 @@ def five_term(ss: SpectralSequence, H1: FPAbGroup, F01: Subgroup,
     if not (iso_low.is_iso() and iso_high.is_iso() and onto.is_epi()):
         raise SetupViolation("identification maps must be isomorphisms")
 
-    cols = [
-        sq20.lift(onto(unit_vector(H2.ngens, j)))
-        for j in range(H2.ngens)
-    ]
-    to_page = hom_on_generators(H2, E2_20, cols)
+    # in the first quadrant nothing reaches (2, 0) and nothing leaves (0, 1),
+    # so the limit terms there are a subgroup and a quotient of page 2
+    to_page = hom_on_generators(sq20.group, E2_20, sq20.section_columns()).compose(onto)
     boundary = ss.page(2).diffs.get((2, 0), Hom.zero_map(E2_20, E2_01))
-    cols = [
-        F01_incl(iso_low(sq01.project(unit_vector(E2_01.ngens, j))))
-        for j in range(E2_01.ngens)
-    ]
-    from_page = hom_on_generators(E2_01, H1, cols)
+    from_page = F01_incl.compose(iso_low.compose(quotient_group(E2_01, sq01.B)[1]))
     edge = iso_high.compose(proj1)
 
     require(boundary.kernel() == to_page.image(), "exactness after the abutment")

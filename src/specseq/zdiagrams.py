@@ -33,12 +33,12 @@ from .zlinalg import (
     Hom,
     Subgroup,
     cokernel,
+    columns_of,
     direct_sum,
+    hom_on_generators,
     induced_map,
-    matrix_from_columns,
     require,
     subquotient,
-    unit_vector,
 )
 
 
@@ -631,13 +631,9 @@ def q_factor_diagram(A: ZDiagram):
     )
     comps = {}
     for p in range(lo, hi + 1):
-        G = A.group_at(p)
-        incl = pieces[p][1]
-        cols = []
-        for j in range(G.ngens):
-            e = unit_vector(G.ngens, j)
-            cols.append(incl.solve_element(A.map_at(p)(e)))
-        comps[p] = Hom(G, pieces[p][0], matrix_from_columns(cols, pieces[p][0].ngens))
+        Q, incl = pieces[p]
+        images = [incl.solve_element(v) for v in columns_of(A.map_at(p).matrix)]
+        comps[p] = hom_on_generators(A.group_at(p), Q, images)
     return QA, ZDiagramMorphism.on_window(A, QA, comps)
 
 

@@ -17,6 +17,9 @@ This module provides:
   generators, with well-definedness checked at construction.
 * Derived constructions: kernels, images, cokernels, preimages, subquotients
   with sections, induced maps, and the lattice algebra of subgroups.
+* ``hom_on_generators``, the one constructor of derived maps, from the
+  images of the domain generators; ``short_exact``, the checked sequence
+  ``K/B >-> Z/B ->> Z/K`` of nested subgroups ``B <= K <= Z``.
 * ``shared_results`` -- a context-scoped result table.  While one is open,
   images, preimages (and so kernels), images of subgroups, intersections,
   ``as_group`` and subquotients are looked up by the value of their inputs
@@ -40,7 +43,6 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator, Optional, Sequence
 
 Vector = tuple  # tuple of ints
@@ -692,7 +694,6 @@ class Subgroup:
         return _shared(("as_group", self), self._as_group)
 
     def _as_group(self):
-        n = self.ambient.ngens
         basis_m = self._matrix()
         rel_coords = []
         for rc in self.ambient.relation_columns():
@@ -700,11 +701,7 @@ class Subgroup:
             require(x is not None, "relation column lies outside the subgroup", rc)
             rel_coords.append(x)
         S, _, sect = group_from_presentation(len(self.basis), rel_coords)
-        incl_cols = [
-            self.ambient.reduce(mat_vec(basis_m, tuple(sect[i][j] for i in range(len(self.basis)))))
-            for j in range(S.ngens)
-        ]
-        return S, Hom(S, self.ambient, matrix_from_columns(incl_cols, n))
+        return S, hom_on_generators(S, self.ambient, [mat_vec(basis_m, c) for c in columns_of(sect)])
 
     def group(self) -> FPAbGroup:
         return self.as_group()[0]
@@ -755,7 +752,7 @@ class Hom:
 
     def __call__(self, v: Sequence[int]) -> Vector:
         v = self.domain.reduce(v)
-        return self.codomain.reduce(mat_vec([list(r) for r in self.matrix], v))
+        return self.codomain.reduce(mat_vec(self.matrix, v))
 
     def __eq__(self, other):
         return (
@@ -893,17 +890,14 @@ class Hom:
         """
         SG, Sincl = S.as_group()
         TG, Tincl = T.as_group()
-        # Solve through the basis of T; T.as_group's generators are themselves
-        # basis combinations, so go via basis coordinates.
         cols = []
-        for j in range(SG.ngens):
-            s_amb = Sincl(unit_vector(SG.ngens, j))
+        for s_amb in columns_of(Sincl.matrix):
             y = self(s_amb)
             x = Tincl.solve_element(y)
             if x is None:
                 raise ContainmentViolation((s_amb, y))
             cols.append(x)
-        return Hom(SG, TG, matrix_from_columns(cols, TG.ngens))
+        return hom_on_generators(SG, TG, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -978,11 +972,8 @@ def quotient_group(G: FPAbGroup, B: Subgroup):
     if B.ambient != G:
         raise AmbientMismatch("subgroup is not inside the group")
     sq = subquotient(Subgroup.full(G), B)
-    cols = [
-        sq.project(unit_vector(G.ngens, j))
-        for j in range(G.ngens)
-    ]
-    return sq.group, Hom(G, sq.group, matrix_from_columns(cols, sq.group.ngens))
+    gens = [unit_vector(G.ngens, j) for j in range(G.ngens)]
+    return sq.group, hom_on_generators(G, sq.group, [sq.project(g) for g in gens])
 
 
 def cokernel(f: Hom):
@@ -1015,13 +1006,41 @@ def induced_map(f: Hom, source: SubquotientData, target: SubquotientData) -> Hom
     for c in source.B.basis:
         if not target.B.contains(f(c)):
             raise NotWellDefined((c, f(c)))
-    cols = [
-        target.project(f(source.lift(unit_vector(source.group.ngens, j))))
-        for j in range(source.group.ngens)
-    ]
-    return Hom(source.group, target.group, matrix_from_columns(cols, target.group.ngens))
+    images = [target.project(f(z)) for z in source.section_columns()]
+    return hom_on_generators(source.group, target.group, images)
 
 
 def hom_on_generators(domain: FPAbGroup, codomain: FPAbGroup, images: Sequence[Sequence[int]]) -> Hom:
-    """Hom sending the j-th canonical generator to ``images[j]``."""
+    """Hom sending the j-th canonical generator to ``images[j]``.
+
+    The one constructor of derived maps; ``images`` come from lifts of the
+    domain generators (``SubquotientData.section_columns``, or the columns
+    of an ``as_group`` inclusion).  Over a trivial codomain they may be empty.
+    """
     return Hom(domain, codomain, matrix_from_columns([tuple(v) for v in images], codomain.ngens))
+
+
+def short_exact(B: Subgroup, K: Subgroup, Z: Subgroup, *witness):
+    """The short exact sequence ``K/B >-> Z/B ->> Z/K`` of ``B <= K <= Z``.
+
+    Returns ``(K/B, Z/B, Z/K, mono, epi)``: the three subquotients and the
+    two maps induced by the identity of the ambient group.  The nesting,
+    mono and epi ends, zero composite and exactness are each checked through
+    ``require`` with ``witness``.
+
+    >>> G = FPAbGroup(0, (8,))
+    >>> B, K = Subgroup.from_generators(G, [(4,)]), Subgroup.from_generators(G, [(2,)])
+    >>> [sq.group.describe() for sq in short_exact(B, K, Subgroup.full(G))[:3]]
+    ['Z/2', 'Z/4', 'Z/2']
+    """
+    require(Z.contains_subgroup(K) and K.contains_subgroup(B),
+            "short exact sequence subgroups are not nested", *witness)
+    sq_kb, sq_zb, sq_zk = subquotient(K, B), subquotient(Z, B), subquotient(Z, K)
+    ident = Hom.identity(Z.ambient)
+    mono = induced_map(ident, sq_kb, sq_zb)
+    epi = induced_map(ident, sq_zb, sq_zk)
+    require(mono.is_mono() and epi.is_epi(),
+            "short exact sequence ends are not mono and epi", *witness)
+    require(epi.compose(mono).is_zero(), "short exact sequence does not compose to zero", *witness)
+    require(mono.image() == epi.kernel(), "short exact sequence is not exact", *witness)
+    return sq_kb, sq_zb, sq_zk, mono, epi

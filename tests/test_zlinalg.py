@@ -26,6 +26,7 @@ from specseq.zlinalg import (
     group_from_presentation,
     hermite_column_form,
     hom_kit,
+    hom_on_generators,
     identity_matrix,
     induced_map,
     kernel_basis,
@@ -34,11 +35,14 @@ from specseq.zlinalg import (
     matrix_from_columns,
     quotient_group,
     require,
+    short_exact,
     smith_normal_form,
     solve_matrix,
     subquotient,
 )
 from specseq.zlinalg import _snf_with_inverses
+
+from conftest import SMALL_GROUPS, random_hom, seeded
 
 
 def bareiss_det(M):
@@ -400,6 +404,13 @@ class TestHom:
         Z6 = FPAbGroup(0, (6,))
         assert Hom(Z6, Z6, [[5]]).is_iso()
 
+    def test_hom_on_generators_rebuilds_from_columns(self):
+        rng = seeded(23)
+        for _ in range(60):
+            G, H = rng.choice(SMALL_GROUPS), rng.choice(SMALL_GROUPS)
+            f = random_hom(G, H, rng)
+            assert hom_on_generators(f.domain, f.codomain, columns_of(f.matrix)) == f
+
 
 class TestSubquotient:
     def test_orders_multiply(self):
@@ -462,6 +473,37 @@ class TestSubquotient:
         )
         with pytest.raises(NotWellDefined):
             induced_map(Hom.identity(G), top, small)
+
+
+def nested_triple(G, rng):
+    """Random subgroups B <= K <= Z of a finite group G."""
+    def multiples(S):
+        return [tuple(m * x for x in c) for c in S.basis for m in [rng.choice((0, 2, 3))]]
+
+    elts = list(G.elements())
+    Z = Subgroup.from_generators(G, [rng.choice(elts) for _ in range(2)])
+    K = Subgroup.from_generators(G, multiples(Z))
+    return Subgroup.from_generators(G, multiples(K)), K, Z
+
+
+class TestShortExact:
+    def test_nested_triple(self):
+        rng = seeded(29)
+        for _ in range(40):
+            G = FPAbGroup(0, rng.choice([(2, 4), (4, 8), (2, 12), (2, 2, 2), (12,), (8,), (6, 6)]))
+            B, K, Z = nested_triple(G, rng)
+            kb, zb, zk, mono, epi = short_exact(B, K, Z, "case")
+            assert zb.group.order() == kb.group.order() * zk.group.order()
+            assert mono.image() == epi.kernel()
+            assert (mono.domain, mono.codomain, epi.codomain) == (kb.group, zb.group, zk.group)
+
+    def test_not_nested_raises(self):
+        G = FPAbGroup(0, (8,))
+        two, four = Subgroup.from_generators(G, [(2,)]), Subgroup.from_generators(G, [(4,)])
+        for B, K, Z in ((two, four, Subgroup.full(G)), (Subgroup.zero(G), two, four)):
+            with pytest.raises(TheoremViolation) as info:
+                short_exact(B, K, Z, (0, 0), 3)
+            assert info.value.args == ("short exact sequence subgroups are not nested", ((0, 0), 3))
 
 
 class TestDirectSum:
