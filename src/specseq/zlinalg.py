@@ -11,8 +11,9 @@ This module provides:
   Hermite basis of its preimage lattice, so equality of subgroups is a
   tuple comparison.  Membership and coordinates in that basis come by
   forward substitution down its pivot rows; a Smith normal form runs only
-  where a transform is needed (presentations, kernels, intersections,
-  preimages and element solving through a map).
+  where a transform is needed: on the Hermite basis of the relations in a
+  presentation, and on the raw matrix for kernels, intersections, preimages
+  and element solving through a map.
 * ``Hom`` -- a homomorphism given by an integer matrix on canonical
   generators, with well-definedness checked at construction.
 * Derived constructions: kernels, images, cokernels, preimages, subquotients
@@ -347,36 +348,58 @@ def hermite_column_form(cols: Sequence[Sequence[int]], nrows: int) -> tuple:
     entries above a pivot vanish, and entries to the left of a pivot in its
     row are reduced into ``[0, pivot)``.  Two generating sets span the same
     lattice iff they produce equal output here.
+
+    Rows are cleared top to bottom by a Euclidean step on whole columns.
+    The live column with the smallest nonzero entry in the row subtracts
+    its nearest-integer multiple from every other live column; a column
+    whose entry becomes 0 leaves for the later rows.  This repeats until
+    one live column is left.  Each step at least halves the smallest entry,
+    and it changes a column only by a multiple of the pivot column whose
+    quotient is the ratio of their two entries, so the multipliers spent on
+    a row are bounded by the size of that row's entries.  An extended-gcd
+    merge of two columns instead leaves behind a column scaled by both
+    entries, and those factors compound from row to row in the columns
+    that later rows reduce.  Columns are zero above the row being cleared,
+    so only the rows from it down are touched.
+
+    >>> hermite_column_form([(4, 6), (6, 4)], 2)
+    ((2, 8), (0, 10))
     """
     work = [list(c) for c in cols if any(c)]
     kept: list = []
     for row in range(nrows):
-        # Merge all remaining columns with a nonzero entry in this row.
-        live = [c for c in work if c[row] != 0]
-        rest = [c for c in work if c[row] == 0]
+        live = [c for c in work if c[row]]
+        rest = [c for c in work if not c[row]]
+        while len(live) > 1:
+            piv = min(live, key=lambda c: abs(c[row]))
+            p = piv[row]
+            left = [piv]
+            for c in live:
+                if c is piv:
+                    continue
+                q, r = divmod(c[row], p)
+                if 2 * abs(r) > abs(p):
+                    q += 1
+                for i in range(row, nrows):
+                    c[i] -= q * piv[i]
+                if c[row]:
+                    left.append(c)
+                elif any(c):
+                    rest.append(c)
+            live = left
+        work = rest
         if not live:
-            work = rest
             continue
         piv = live[0]
-        for other in live[1:]:
-            g, s, t = _xgcd(piv[row], other[row])
-            a, b = piv[row] // g, other[row] // g
-            piv, other = (
-                [s * x + t * y for x, y in zip(piv, other)],
-                [-b * x + a * y for x, y in zip(piv, other)],
-            )
-            if any(other):
-                rest.append(other)
         if piv[row] < 0:
             piv = [-x for x in piv]
         # Reduce earlier pivots' entries in this row into [0, piv[row]).
         for c in kept:
             q = c[row] // piv[row]
             if q:
-                for i in range(nrows):
+                for i in range(row, nrows):
                     c[i] -= q * piv[i]
         kept.append(piv)
-        work = rest
     return tuple(tuple(c) for c in kept)
 
 
@@ -515,6 +538,14 @@ class FPAbGroup:
 def group_from_presentation(ngens: int, relation_cols: Sequence[Sequence[int]]):
     """Canonicalize ``Z^ngens`` modulo the lattice spanned by ``relation_cols``.
 
+    The relations are first replaced by their Hermite basis
+    (``hermite_column_form``): the same lattice, so the same quotient, given
+    by at most ``ngens`` triangular columns with small entries.  The Smith
+    normal form then runs on that basis.  Its row transform ``U`` is what
+    the projection and section are read from, and column operations on the
+    relations leave it a valid row transform; on the raw relation matrix
+    its entries swell far beyond those of ``G``'s invariants.
+
     Returns:
         Tuple ``(G, proj, sect)`` where ``G`` is the quotient in canonical
         form, ``proj`` is a matrix sending old coordinates to canonical
@@ -522,12 +553,9 @@ def group_from_presentation(ngens: int, relation_cols: Sequence[Sequence[int]]):
         coordinates, so that ``proj * sect = id`` modulo the relations of
         ``G``.
     """
-    R = matrix_from_columns(list(relation_cols), ngens)
-    if not relation_cols:
-        R = zero_matrix(ngens, 0)
-    U, D, _, Uinv, _ = _snf_with_inverses(R)
-    ncols = len(relation_cols)
-    n = min(ngens, ncols)
+    basis = hermite_column_form(relation_cols, ngens)
+    U, D, _, Uinv, _ = _snf_with_inverses(matrix_from_columns(basis, ngens))
+    n = len(basis)
     free_idx = []
     torsion_idx = []  # (d, old index)
     for i in range(ngens):

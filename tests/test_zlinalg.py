@@ -6,6 +6,7 @@ unimodularity, and random unimodular recombinations for canonicality of the
 Hermite basis.
 """
 
+import json
 import random
 
 import pytest
@@ -129,6 +130,69 @@ class TestSmithNormalForm:
         assert D[0][0] == 1 and D[1][1] == big * big
 
 
+def xgcd_merge_hermite(cols, nrows):
+    """The column Hermite form by 2x2 extended-gcd merges, an independent oracle.
+
+    Each row folds its live columns one at a time into a pivot by a
+    unimodular 2x2 transform and sends the leftover column on to the later
+    rows; then the pivot is made positive and the earlier pivots' entries in
+    the row are reduced into ``[0, pivot)``.
+    """
+
+    def xgcd(a, b):
+        if b == 0:
+            return (abs(a), 1 if a >= 0 else -1, 0)
+        g, s, t = xgcd(b, a % b)
+        return g, t, s - (a // b) * t
+
+    work = [list(c) for c in cols if any(c)]
+    kept = []
+    for row in range(nrows):
+        live = [c for c in work if c[row]]
+        work = [c for c in work if not c[row]]
+        if not live:
+            continue
+        piv = live[0]
+        for other in live[1:]:
+            g, s, t = xgcd(piv[row], other[row])
+            a, b = piv[row] // g, other[row] // g
+            piv, other = (
+                [s * x + t * y for x, y in zip(piv, other)],
+                [-b * x + a * y for x, y in zip(piv, other)],
+            )
+            if any(other):
+                work.append(other)
+        if piv[row] < 0:
+            piv = [-x for x in piv]
+        for c in kept:
+            q = c[row] // piv[row]
+            c[:] = [x - q * y for x, y in zip(c, piv)]
+        kept.append(piv)
+    return tuple(tuple(c) for c in kept)
+
+
+@st.composite
+def lattices_with_recombinations(draw):
+    """Columns of a lattice in Z^n (n <= 6, up to 8 columns, entries up to
+    +-10^6, small ones often, so negative pivots and rounding ties occur)
+    and a second generating set of the same lattice: unimodular column
+    operations, a shuffle and added zero columns."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-(10**6), 10**6), st.integers(-4, 4))
+    cols = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=8))
+    other = [list(c) for c in cols]
+    if len(other) >= 2:
+        pairs = st.tuples(st.integers(0, len(other) - 1), st.integers(0, len(other) - 1))
+        for (i, j), q in draw(st.lists(st.tuples(pairs, st.integers(-5, 5)), max_size=10)):
+            if i != j:
+                other[i] = [a + q * b for a, b in zip(other[i], other[j])]
+    for i in draw(st.lists(st.integers(0, 7), max_size=3)):
+        if i < len(other):
+            other[i] = [-a for a in other[i]]
+    other = draw(st.permutations(other)) + [[0] * n] * draw(st.integers(0, 2))
+    return n, [tuple(c) for c in cols], [tuple(c) for c in other]
+
+
 class TestHermiteForm:
     def test_canonical_under_recombination(self):
         rng = random.Random(7)
@@ -146,6 +210,14 @@ class TestHermiteForm:
             rng.shuffle(cols2)
             cols2.append([0] * n)
             assert hermite_column_form(cols2, n) == H1
+
+    @given(lattices_with_recombinations())
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_against_xgcd_merges(self, case):
+        n, cols, other = case
+        H = hermite_column_form(cols, n)
+        assert hermite_column_form(other, n) == H
+        assert H == xgcd_merge_hermite(cols, n)
 
     def test_pivot_shape(self):
         H = hermite_column_form([(4, 6), (0, 2)], 2)
@@ -176,6 +248,13 @@ class TestKernelAndSolve:
 
     def test_no_rational_solutions_accepted(self):
         assert solve_matrix([[2]], (1,)) is None
+
+
+def full_rank_matrix(n, rng):
+    while True:
+        M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if bareiss_det(M):
+            return M
 
 
 class TestFPAbGroup:
@@ -210,6 +289,35 @@ class TestFPAbGroup:
                 assert col == tuple(1 if i == j else 0 for i in range(G.ngens))
             for rc in rel:
                 assert G.reduce(mat_vec(proj, rc)) == G.zero()
+
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_presentations_stay_bounded(self, n):
+        """n x n matrices with entries in [-9, 9], and the same with two
+        columns made dependent, keep small transforms: the Smith form runs
+        on the Hermite basis of the relations."""
+        rng = random.Random(n)
+        M = full_rank_matrix(n, rng)
+        short = [row[:] for row in M]
+        for row in short:  # two columns become combinations of the others
+            row[-1] = row[0] - 2 * row[1]
+            row[-2] = 3 * row[2] + row[3]
+        for A, rank in ((M, n), (short, n - 2)):
+            rel = columns_of(A)
+            G, proj, sect = group_from_presentation(n, rel)
+            assert G.rank == n - rank
+            if rank == n:
+                order = 1
+                for d in G.torsion:
+                    order *= d
+                assert order == abs(bareiss_det(A))
+            ps = mat_mul(proj, sect)
+            for j in range(G.ngens):
+                col = G.reduce(tuple(ps[i][j] for i in range(G.ngens)))
+                assert col == tuple(1 if i == j else 0 for i in range(G.ngens))
+            for rc in rel:
+                assert G.reduce(mat_vec(proj, rc)) == G.zero()
+            assert max(abs(x).bit_length() for T in (proj, sect) for r in T for x in r) < 1000
+            json.dumps([proj, sect])
 
     def test_invariant_factors_match_sympy(self):
         """Invariant factors agree with sympy's Smith form up to n = 12."""
