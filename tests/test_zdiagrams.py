@@ -1,5 +1,7 @@
 """Tests for Z-indexed diagrams: (co)limits, towers, filtrations, comparison."""
 
+import math
+
 import pytest
 
 from conftest import (
@@ -18,7 +20,9 @@ from specseq.zlinalg import (
     cokernel,
     direct_sum,
     quotient_group,
+    unit_vector,
 )
+from specseq import zlinalg
 from specseq.zdiagrams import (
     HypothesisFailed,
     NotExact,
@@ -47,6 +51,7 @@ from specseq.zdiagrams import (
     stable_image,
     zcompare,
 )
+from specseq.zdiagrams import _difference_columns, _lim1_by_difference_map
 
 Z = FPAbGroup(1)
 Z4 = FPAbGroup(0, (4,))
@@ -69,6 +74,48 @@ def colimit_by_cokernel(A):
         d = d.add(incs[i + 1].compose(A.map_at(p).compose(projs[i])).negate())
     Q, _ = cokernel(d)
     return Q
+
+
+def difference_map_by_direct_sums(A):
+    """Independent lim^1 difference map: Hom arithmetic over canonical direct sums.
+
+    Returns ``(d, s_incs, t_projs)`` with ``d: S -> T`` from the sum of the
+    padded window's groups to the sum of all but the first.
+    """
+    idx = list(A.padded_range())
+    S, s_incs, s_projs = direct_sum([A.group_at(p) for p in idx])
+    T, t_incs, t_projs = direct_sum([A.group_at(p) for p in idx[1:]])
+    d = Hom.zero_map(S, T)
+    for pos, p in enumerate(idx[1:]):
+        inc = t_incs[pos]
+        d = d.add(inc.compose(s_projs[pos + 1]))
+        d = d.add(inc.compose(A.map_at(p - 1).compose(s_projs[pos])).negate())
+    return d, s_incs, t_projs
+
+
+def long_window(rng, R, nmaps):
+    """A window of ``nmaps`` maps between ``Z^R`` and ``Z^(R-2) (+) Z/2 (+) Z/6``.
+
+    Entries from a torsion generator of order ``d`` into one of order ``o``
+    are multiples of ``o / gcd(o, d)``, and zero into free generators, so
+    every map is well defined.
+    """
+    pool = [FPAbGroup(R), FPAbGroup(R - 2, (2, 6))]
+    gs = [rng.choice(pool) for _ in range(nmaps + 1)]
+    maps = []
+    for G, H in zip(gs, gs[1:]):
+        m = [[rng.randint(-3, 3) for _ in range(G.ngens)] for _ in range(H.ngens)]
+        for j, d in enumerate(G.orders):
+            for i, o in enumerate(H.orders):
+                if d:
+                    m[i][j] *= o // math.gcd(o, d) if o else 0
+        maps.append(Hom(G, H, m))
+    return ZDiagram.from_maps(
+        rng.randint(-2, 2),
+        maps,
+        left_tail=rng.choice([Tail.ZERO, Tail.CONSTANT]),
+        right_tail=rng.choice([Tail.ZERO, Tail.CONSTANT]),
+    )
 
 
 class TestColimitAndLimit:
@@ -120,6 +167,46 @@ class TestColimitAndLimit:
             assert l1.is_trivial()
             for p in list(A.padded_range())[:-1]:
                 assert A.map_at(p).compose(cone[p]) == cone[p + 1]
+
+
+class TestLim1Presentation:
+    def test_columns_match_difference_map_by_direct_sums(self):
+        tails, torsion = set(), False
+        for t in range(60):
+            A = random_diagram(seeded(t))
+            idx = list(A.padded_range())
+            tails.add((A.left_tail, A.right_tail))
+            torsion |= any(A.group_at(p).torsion for p in idx)
+            d, s_incs, t_projs = difference_map_by_direct_sums(A)
+            n, offsets, columns = _difference_columns(A)
+            assert n == sum(A.group_at(p).ngens for p in idx[1:])
+            columns = iter(columns)
+            for s_inc, p in zip(s_incs, idx):
+                G = A.group_at(p)
+                for g in range(G.ngens):
+                    col = next(columns)
+                    x = d(s_inc(unit_vector(G.ngens, g)))
+                    for t_proj, q in zip(t_projs, idx[1:]):
+                        H = A.group_at(q)
+                        block = col[offsets[q]:offsets[q] + H.ngens]
+                        assert H.reduce(block) == t_proj(x), (t, p, g, q)
+            assert next(columns, None) is None
+        assert len(tails) == 4 and torsion
+
+    @pytest.mark.parametrize("R", [4, 8])
+    @pytest.mark.parametrize("nmaps", [8, 12])
+    def test_long_windows_without_hom_arithmetic(self, monkeypatch, R, nmaps):
+        def refuse(*args):
+            raise RuntimeError("lim^1 must not build Hom arithmetic")
+
+        windows = [long_window(seeded(11_000 + 100 * R + 10 * nmaps + t), R, nmaps)
+                   for t in range(3)]
+        assert {bool(G.torsion) for A in windows for G in A.groups} == {False, True}
+        monkeypatch.setattr(Hom, "compose", refuse)
+        monkeypatch.setattr(Hom, "add", refuse)
+        monkeypatch.setattr(zlinalg, "direct_sum", refuse)
+        for A in windows:
+            assert _lim1_by_difference_map(A).is_trivial()
 
 
 def make_ses(rng):
