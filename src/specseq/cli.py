@@ -12,8 +12,13 @@ undecodable input file and an unwritable ``--out`` are parse errors there.
 The compute phase runs the command on the loaded input; a ``ValueError``,
 ``KeyError`` or ``TypeError`` raised there is a fault of the program, not
 of its input, and reports as an internal error.  Validation failures and
-theorem-check failures give 2 and 3 in either phase.  The argument parser
-is built once per process, on first use.
+theorem-check failures give 2 and 3 in either phase.  Exit 3 covers
+``THEOREM_ERRORS``: every ``TheoremViolation`` (each check of
+``zlinalg.require``, among them the four of ``zlinalg.hom_through``, which
+builds the page differentials), a failed rule hypothesis, a violated
+comparison setup, an inconsistent or underdetermined two-row instance, and
+a stabilization budget overrun.  The argument parser is built once per
+process, on first use.
 """
 
 import argparse
@@ -48,7 +53,6 @@ from .excouple import (
     NotFiltered,
     NotRegular,
     NotUnimodular,
-    PreimageFailure,
     SetupViolation,
     _group_from_json,
     _homs_from_json,
@@ -105,7 +109,6 @@ THEOREM_ERRORS = (
     SetupViolation,
     Inconsistent,
     Underdetermined,
-    PreimageFailure,
     BudgetExceeded,
 )
 

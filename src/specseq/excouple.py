@@ -13,9 +13,15 @@ differentials into the generic page-turning engine of ``spectral`` -- and
 checks the two agree as canonical subquotients of E.  Extension data
 (stable-E and limit-page short exact sequences, the comparison monomorphism
 between them) is built explicitly and verified, and each position is
-classified by how the limit page relates to the two abutments.  Every such
-check goes through ``zlinalg.require``: a failure raises
-``TheoremViolation`` and means the library is wrong.
+classified by how the limit page relates to the two abutments.
+
+Maps out of subquotients of E are induced.  By a hom (k onto an image of
+i, the k of a filtered complex), they come from ``zlinalg.induced_map``.
+By a relation (the page differentials ``j o i^-(r-1) o k``, both
+identifications of ``er_extension_check``, the j of derived and lim^1
+couples), they come from ``zlinalg.hom_through``.  Every check goes through
+``zlinalg.require``: a failure raises ``TheoremViolation`` and means the
+library is wrong.
 """
 
 from __future__ import annotations
@@ -25,15 +31,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .zlinalg import (
-    ContainmentViolation,
     FPAbGroup,
     Hom,
     NotWellDefined,
     Subgroup,
     SubquotientData,
-    columns_of,
+    TheoremViolation,
     direct_sum,
-    hom_on_generators,
+    hom_through,
     induced_map,
     require,
     shared_results,
@@ -47,6 +52,8 @@ from .zdiagrams import (
     Tail,
     ZDiagram,
     ZDiagramMorphism,
+    _MorphismFacts,
+    _iso_lim_auxiliary,
     apply_rule,
     colimit,
     filtrations,
@@ -82,10 +89,6 @@ class NotUnimodular(Exception):
 
 class BidegreeMismatch(Exception):
     """Two couples can only be combined when their bidegrees agree."""
-
-
-class PreimageFailure(Exception):
-    """A differential preimage was missing; impossible for valid couples."""
 
 
 class SetupViolation(Exception):
@@ -394,34 +397,6 @@ class ExactCouple:
             K = dia.composite(px.r, dia.p1 + 1).kernel()
         return self.j_at(px.x).image_of_subgroup(K)
 
-    def _internal_d(self, e: Position, r: int,
-                    sq_src: SubquotientData, sq_tgt: SubquotientData) -> Hom:
-        """The page-r differential out of E^r_e via k, an (r-1)-fold i-preimage, j."""
-        bd = self.bidegrees
-        e2 = _add(e, bd.differential_bidegree(r))
-        y = _sub(e2, bd.b)  # preimages live in D_y
-        pt = self.position_index(_add(_sub(e, bd.b), bd.z))
-        comp = self.diagonal(pt.n).composite(pt.r - (r - 1), pt.r)
-        # ambiguity in the preimage choice is killed in the target quotient
-        jker = self.j_at(y).image_of_subgroup(comp.kernel())
-        if not sq_tgt.B.contains_subgroup(jker):
-            raise PreimageFailure(("preimage ambiguity not a boundary", e, r))
-        cols = []
-        for z in sq_src.section_columns():
-            t = self.k_at(e)(z)
-            s = comp.solve_element(t)
-            if s is None:
-                raise PreimageFailure(("no i-preimage", e, r, t))
-            val = self.j_at(y)(s)
-            try:
-                cols.append(sq_tgt.project(val))
-            except ContainmentViolation as exc:
-                raise PreimageFailure(("value escapes the target cycles", e, r)) from exc
-        try:
-            return hom_on_generators(sq_src.group, sq_tgt.group, cols)
-        except NotWellDefined as exc:
-            raise PreimageFailure(("differential not additive", e, r)) from exc
-
     @_in_own_table
     def internal_page(self, r: int) -> dict:
         """Page r from the cycle/boundary construction, with its differentials.
@@ -446,7 +421,10 @@ class ExactCouple:
                 continue
             e2 = _add(e, v)
             tgt = sq[e2] if e2 in sq else whole(self.E_at(e2))
-            de = self._internal_d(e, r, sq[e], tgt)
+            # the relation j o i^-(r-1) o k; the i-preimages live in D_{e2-b}
+            pt = self.position_index(_add(_sub(e, bd.b), bd.z))
+            back = self.diagonal(pt.n).composite(pt.r - (r - 1), pt.r)
+            de = hom_through(sq[e], self.k_at(e), back, self.j_at(_sub(e2, bd.b)), tgt, e, r)
             if not de.is_zero():
                 d[e] = de
         # Z^r is the tau-preimage of Ker d^r, B^r of the incoming image
@@ -669,26 +647,14 @@ class ExactCouple:
         sq_kb, sq_mid, sq_q, mono, epi = short_exact(
             self.boundaries_at(e, r), self.k_at(e).kernel(), self.cycles_at(e, r), x, r)
 
-        # left identification: lift to Ker k = Im j, pull through j, push
-        # by the iterated i
-        jx = self.j_at(x)
-        cols = []
-        for rep in sq_kb.section_columns():
-            u = jx.solve_element(rep)
-            require(u is not None, "kernel of k must be the image of j", x, r)
-            cols.append(sq_im.project(ir(u)))
-        alpha = hom_on_generators(sq_kb.group, sq_im.group, cols)
+        # left identification: pull Ker k = Im j back through j, push by
+        # the iterated i
+        alpha = hom_through(sq_kb, Hom.identity(self.E_at(e)), self.j_at(x), ir, sq_im, x, r)
         require(alpha.is_iso(), "left identification is not an isomorphism", x, r)
 
-        # right identification: lift to Z^r, apply k, pull through the
-        # iterated i (the result lands in Ker i^{r+1} since i after k is zero)
-        ke = self.k_at(e)
-        cols = []
-        for rep in sq_q.section_columns():
-            v = jr.solve_element(ke(rep))
-            require(v is not None, "cycles must hit the image of the iterated i", x, r)
-            cols.append(sq_ker.project(v))
-        beta = hom_on_generators(sq_q.group, sq_ker.group, cols)
+        # right identification: apply k, pull back through the iterated i
+        # (the result lands in Ker i^{r+1} since i after k is zero)
+        beta = hom_through(sq_q, self.k_at(e), jr, Hom.identity(self.D_at(w)), sq_ker, x, r)
         require(beta.is_iso(), "right identification is not an isomorphism", x, r)
 
         if all(
@@ -803,15 +769,12 @@ class ExactCouple:
             "lim1_zero": True,
         }
 
-    def _k_onto(self, e, sq_cok, target: Subgroup) -> Hom:
-        """k, induced from a cycles-mod-(kernel of k) quotient onto ``target``."""
-        target_group, target_incl = target.as_group()
-        cols = []
-        for col, z in enumerate(sq_cok.section_columns()):
-            coords = target_incl.solve_element(self.k_at(e)(z))
-            require(coords is not None, "k value escapes its declared image", e, col)
-            cols.append(coords)
-        return hom_on_generators(sq_cok.group, target_group, cols)
+    def _k_onto(self, e, sq: SubquotientData, target: Subgroup) -> Hom:
+        """k, induced from a subquotient of E_e onto ``target.as_group()``."""
+        try:
+            return induced_map(self.k_at(e), sq, target.as_subquotient())
+        except NotWellDefined:
+            raise TheoremViolation("k value escapes its declared image", (e,)) from None
 
     @_in_own_table
     def classify(self, x: Position) -> dict:
@@ -897,24 +860,18 @@ class ExactCouple:
         )
         d_pos = self._d_check_positions()
         img = {x: self.i_at(x).image() for x in d_pos}
-        piece = {x: img[x].as_group() for x in d_pos}
         newD, newi, newj = {}, {}, {}
         for x in d_pos:
             key = _add(x, shift)
-            newD[key] = piece[x][0]
+            newD[key] = img[x].group()
             nxt = _add(x, a)
             if nxt in img:
                 newi[key] = self.i_at(nxt).restrict(img[x], img[nxt])
             # j on the derived couple: pull back through i, then j, then pass
             # to homology of j k
-            e = _add(x, b)
-            sqe = self._first_page_sq(e)
-            cols = []
-            for col, g in enumerate(columns_of(piece[x][1].matrix)):
-                t = self.i_at(x).solve_element(g)
-                require(t is not None, "image of i has no i-preimage", x, col)
-                cols.append(sqe.project(self.j_at(x)(t)))
-            newj[key] = hom_on_generators(piece[x][0], sqe.group, cols)
+            newj[key] = hom_through(img[x].as_subquotient(), Hom.identity(self.D_at(nxt)),
+                                    self.i_at(x), self.j_at(x),
+                                    self._first_page_sq(_add(x, b)), x)
         newE, newk = {}, {}
         for e in self._e_check_positions():
             sqe = self._first_page_sq(e)
@@ -924,12 +881,7 @@ class ExactCouple:
             src = _sub(_add(e, c), a)  # the image indexed below the k-target
             if src not in img:
                 continue
-            cols = []
-            for col, z in enumerate(sqe.section_columns()):
-                coords = piece[src][1].solve_element(self.k_at(e)(z))
-                require(coords is not None, "k value misses the image subobject", e, col)
-                cols.append(coords)
-            newk[e] = hom_on_generators(sqe.group, piece[src][0], cols)
+            newk[e] = self._k_onto(e, sqe, img[src])
         out = ExactCouple(new_bd, newD, newE, newi, newj, newk,
                           dict(self.diagonal_tails))
         out.validate()
@@ -1005,13 +957,12 @@ class ExactCouple:
         filt_s = filtrations(dns)
         Fu = filt_s["F_upper"]
         lo, hi = dns.p0 - 1, dns.p1 + 1
-        piece = {r: Fu[r].as_group() for r in range(lo, hi + 1)}
         newD, newi, newj = {}, {}, {}
         for r in range(lo, hi + 1):
             # F^{x+a+b+c} sits at lower-tower position x; its tower index on
             # diagonal n is r - 1 relative to the upper tower's r
             x = _sub(self.position_on(n + bd.sigma, r), _add(bd.a, bd.z))
-            newD[x] = piece[r][0]
+            newD[x] = Fu[r].group()
             if r < hi:
                 newi[x] = Hom.identity(filt_s["lim"]).restrict(Fu[r], Fu[r + 1])
             e = _add(x, bd.b)
@@ -1021,12 +972,8 @@ class ExactCouple:
             if sqe.group.is_trivial():
                 continue
             # rho lands in the stable image; a k-preimage represents the class
-            cols = []
-            for col, u in enumerate(columns_of(piece[r][1].matrix)):
-                zrep = self.k_at(e).solve_element(dns.composite(dns.p0 - 1, r - 1)(u))
-                require(zrep is not None, "stable image value misses k", e, col)
-                cols.append(sqe.project(zrep))
-            newj[x] = hom_on_generators(piece[r][0], sqe.group, cols)
+            newj[x] = hom_through(Fu[r].as_subquotient(), dns.composite(dns.p0 - 1, r - 1),
+                                  self.k_at(e), Hom.identity(self.E_at(e)), sqe, e)
         newE = {}
         for x in list(newD):
             e = _add(x, bd.b)
@@ -1241,18 +1188,14 @@ class _CoupleMorphismFacts:
         return list(self.f.eps_maps(self.n).values())
 
     @functools.cached_property
-    def lim_F_map(self) -> Hom:
-        # the F-towers increase, so their limit is the bottom padded stage
-        A, B = self.dm_low.source, self.dm_low.target
-        bot = A.p0 - 1
-        return self.Lf.restrict(colimit(A)[1][bot].image(), colimit(B)[1][bot].image())
+    def low(self) -> _MorphismFacts:
+        """The diagram facts of the D-tower morphism on diagonal n."""
+        return _MorphismFacts(self.dm_low)
 
     @functools.cached_property
-    def im_R_map(self) -> Hom:
-        A, B = self.dm_up.source, self.dm_up.target
-        RA = colimit(A)[1][A.p0 - 1].compose(limit_and_lim1(A)[1][A.p0 - 1])
-        RB = colimit(B)[1][B.p0 - 1].compose(limit_and_lim1(B)[1][B.p0 - 1])
-        return colimit_map(self.dm_up).restrict(RA.image(), RB.image())
+    def up(self) -> _MorphismFacts:
+        """The diagram facts of the D-tower morphism on diagonal n + sigma."""
+        return _MorphismFacts(self.dm_up)
 
     def all_stable(self, side: ExactCouple) -> bool:
         return all(
@@ -1267,22 +1210,11 @@ class _CoupleMorphismFacts:
         return len({tuple(v.basis) for v in side.abutments(self.n).F.values()}) <= 1
 
 
-def _iso_lim_auxiliary(F: _CoupleMorphismFacts) -> bool:
-    A, B = F.dm_up.source, F.dm_up.target
-    return (
-        (F.S.abutments(F.n).R.is_zero() and F.T.abutments(F.n).R.is_zero())
-        or (colimit(A)[1][A.p0 - 1].image().is_zero()
-            and colimit(B)[1][B.p0 - 1].image().is_zero())
-        or (colimit(A)[0].is_trivial() and colimit(B)[0].is_trivial())
-        or (A.right_tail is Tail.ZERO and B.right_tail is Tail.ZERO)
-    )
-
-
 _PAGES_MONO = ("limit page maps all mono", lambda F: all(g.is_mono() for g in F.f_infinity))
 _PAGES_ISO = ("limit page maps all iso", lambda F: all(g.is_iso() for g in F.f_infinity))
 _EPS_ISO = ("filtration quotient maps all iso", lambda F: all(g.is_iso() for g in F.eps))
-_IM_R_ISO = ("map on the image of lim -> colim iso", lambda F: F.im_R_map.is_iso())
-_LIM_F_ISO = ("map on lim of the image filtration iso", lambda F: F.lim_F_map.is_iso())
+_IM_R_ISO = ("map on the image of lim -> colim iso", lambda F: F.up.im_R_map.is_iso())
+_LIM_F_ISO = ("map on lim of the image filtration iso", lambda F: F.low.lim_F_map.is_iso())
 _MATCH_LIMIT = ("both sides match the limit abutment",
                 lambda F: F.all_stable(F.S) and F.all_stable(F.T)
                 and F.eps_trivial(F.S) and F.eps_trivial(F.T))
@@ -1292,7 +1224,7 @@ _LIM_ISO = "limit abutment map iso"
 COMPARE_RULES = {
     "mono-colim-1": (
         (_PAGES_MONO,
-         ("map on lim of the image filtration mono", lambda F: F.lim_F_map.is_mono())),
+         ("map on lim of the image filtration mono", lambda F: F.low.lim_F_map.is_mono())),
         _COLIM_MONO, lambda F: F.Lf.is_mono()),
     "mono-colim-2": (
         (_PAGES_MONO,
@@ -1301,7 +1233,7 @@ COMPARE_RULES = {
         _COLIM_MONO, lambda F: F.Lf.is_mono()),
     "epi-colim": (
         (_EPS_ISO,
-         ("map on lim of the image filtration epi", lambda F: F.lim_F_map.is_epi())),
+         ("map on lim of the image filtration epi", lambda F: F.low.lim_F_map.is_epi())),
         "colimit abutment map epi", lambda F: F.Lf.is_epi()),
     "iso-colim": (
         (_EPS_ISO, _LIM_F_ISO),
@@ -1311,7 +1243,7 @@ COMPARE_RULES = {
           # both sides are read, whatever the first one gives
           lambda F: all([F.filtration_constant(F.S), F.filtration_constant(F.T)])),
          _PAGES_MONO,
-         ("map on the image of lim -> colim mono", lambda F: F.im_R_map.is_mono())),
+         ("map on the image of lim -> colim mono", lambda F: F.up.im_R_map.is_mono())),
         "limit abutment map mono", lambda F: F.Luf.is_mono()),
     "mono-lim-2": (
         (_PAGES_MONO,
@@ -1335,7 +1267,7 @@ COMPARE_RULES = {
     "iso-lim-2": (
         (_MATCH_LIMIT, _PAGES_ISO,
          ("auxiliary clause (R zero / lim F zero / upper colims trivial / eventually"
-          " vanishing)", _iso_lim_auxiliary)),
+          " vanishing)", lambda F: _iso_lim_auxiliary(F.up))),
         _LIM_ISO, lambda F: F.Luf.is_iso()),
     "epi-lim": (
         (("limit pages of the source stable", lambda F: F.all_stable(F.S)),
@@ -1575,9 +1507,7 @@ def _filtered_complex_couple(groups, diffs, filtration) -> ExactCouple:
             if p <= pmax:
                 i[pos] = induced_map(ident, dD, sq_D(p + 1, n))
             j[pos] = induced_map(ident, dD, dE)
-            prev = sq_D(p - 1, n - 1)
-            cols = [prev.project(d_at(n)(z)) for z in dE.section_columns()]
-            k[pos] = hom_on_generators(dE.group, prev.group, cols)
+            k[pos] = induced_map(d_at(n), dE, sq_D(p - 1, n - 1))
     # towers are constant from stage pmax+1 on; when the total homology of a
     # degree vanishes, the tower is eventually zero instead
     tails = {}
@@ -1588,15 +1518,24 @@ def _filtered_complex_couple(groups, diffs, filtration) -> ExactCouple:
 
 
 def couple_direct_sum(C1: ExactCouple, C2: ExactCouple) -> ExactCouple:
-    """Positionwise direct sum of two couples with the same bidegrees."""
+    """Positionwise direct sum of two couples with the same bidegrees.
+
+    On each side a tower of the sum is constant when one summand's tower
+    is, and zero otherwise.  A summand's tails are those of its
+    ``diagonal``: (ZERO, ZERO) where its tower is empty, else the declared
+    or default ones.
+    """
     if C1.bidegrees != C2.bidegrees:
         raise BidegreeMismatch((C1.bidegrees, C2.bidegrees))
     bd = C1.bidegrees
-    tails = dict(C2.diagonal_tails)
-    tails.update(C1.diagonal_tails)
-    for nd, t in C2.diagonal_tails.items():
-        if nd in C1.diagonal_tails and C1.diagonal_tails[nd] != t:
-            raise BidegreeMismatch(("conflicting tails on diagonal", nd))
+
+    def joined(*tails):
+        return Tail.CONSTANT if Tail.CONSTANT in tails else Tail.ZERO
+
+    tails = {}
+    for n in {det2(bd.a, x) for x in [*C1.D, *C2.D]}:
+        A, B = C1.diagonal(n), C2.diagonal(n)
+        tails[n] = (joined(A.left_tail, B.left_tail), joined(A.right_tail, B.right_tail))
 
     d_kits: Dict[Position, tuple] = {}
     e_kits: Dict[Position, tuple] = {}

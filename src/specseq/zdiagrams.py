@@ -648,22 +648,21 @@ def q_factor_diagram(A: ZDiagram):
     """
     lo, hi = A.p0 - 1, A.p1
     subs = {p: A.map_at(p).image() for p in range(lo, hi + 1)}
-    pieces = {p: subs[p].as_group() for p in range(lo, hi + 1)}
     maps = tuple(
         A.map_at(p + 1).restrict(subs[p], subs[p + 1]) for p in range(lo, hi)
     )
     QA = ZDiagram(
         (lo, hi),
-        tuple(pieces[p][0] for p in range(lo, hi + 1)),
+        tuple(subs[p].group() for p in range(lo, hi + 1)),
         maps,
         A.left_tail,
         A.right_tail,
     )
     comps = {}
     for p in range(lo, hi + 1):
-        Q, incl = pieces[p]
-        images = [incl.solve_element(v) for v in columns_of(A.map_at(p).matrix)]
-        comps[p] = hom_on_generators(A.group_at(p), Q, images)
+        sq = subs[p].as_subquotient()
+        images = [sq.project(v) for v in columns_of(A.map_at(p).matrix)]
+        comps[p] = hom_on_generators(A.group_at(p), sq.group, images)
     return QA, ZDiagramMorphism.on_window(A, QA, comps)
 
 

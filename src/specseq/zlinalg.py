@@ -10,17 +10,25 @@ This module provides:
 * ``Subgroup`` -- a subgroup of an ``FPAbGroup`` stored as the canonical
   Hermite basis of its preimage lattice, so equality of subgroups is a
   tuple comparison.  Membership and coordinates in that basis come by
-  forward substitution down its pivot rows; a Smith normal form runs only
-  where a transform is needed: on the Hermite basis of the relations in a
-  presentation, and on the raw matrix for kernels, intersections, preimages
-  and element solving through a map.
+  forward substitution down its pivot rows.  As a group it is the
+  subquotient ``S / 0``, so ``as_group`` and ``Hom.restrict`` project to
+  it and solve nothing.
 * ``Hom`` -- a homomorphism given by an integer matrix on canonical
   generators, with well-definedness checked at construction.
 * Derived constructions: kernels, images, cokernels, preimages, subquotients
   with sections, induced maps, and the lattice algebra of subgroups.
 * ``hom_on_generators``, the one constructor of derived maps, from the
-  images of the domain generators; ``short_exact``, the checked sequence
-  ``K/B >-> Z/B ->> Z/K`` of nested subgroups ``B <= K <= Z``.
+  images of the domain generators; ``hom_through``, the checked map out of
+  a subquotient given by a relation ``after o back^-1 o before``;
+  ``short_exact``, the checked sequence ``K/B >-> Z/B ->> Z/K`` of nested
+  subgroups ``B <= K <= Z``.
+
+A Smith normal form runs only where a transform is needed: on the Hermite
+basis of the relations in a presentation (``group_from_presentation``,
+under every subquotient), and on the raw matrix for kernels,
+intersections, preimages and ``Hom.solve_element``.  Within the package,
+elements are solved for only in ``hom_through``, through a ``back`` map
+that need not be injective.
 * ``shared_results`` -- a context-scoped result table.  While one is open,
   images, preimages (and so kernels), images of subgroups, intersections,
   ``as_group`` and subquotients are looked up by the value of their inputs
@@ -217,24 +225,22 @@ def smith_normal_form(M: Matrix):
 
 
 def _snf_with_inverses(M: Matrix):
-    """Smith normal form that also tracks the inverse transforms.
+    """Smith normal form that also tracks the inverse row transform.
 
-    Returns ``(U, D, V, Uinv, Vinv)`` with ``D = U M V`` and
-    ``Uinv U = I``, ``V Vinv = I``; ``U``, ``D`` and ``V`` equal those of
-    ``smith_normal_form(M)``.
+    Returns ``(U, D, V, Uinv)`` with ``D = U M V`` and ``Uinv U = I``;
+    ``U``, ``D`` and ``V`` equal those of ``smith_normal_form(M)``.
     """
     return _smith(M, inverses=True)
 
 
 def _smith(M: Matrix, inverses: bool):
-    """Shared SNF loop; ``Uinv`` and ``Vinv`` are ``None`` unless ``inverses``."""
+    """Shared SNF loop; ``Uinv`` is ``None`` unless ``inverses``."""
     rows = len(M)
     cols = len(M[0]) if M else 0
     D = [list(row) for row in M]
     U = identity_matrix(rows)
     V = identity_matrix(cols)
     Uinv = identity_matrix(rows) if inverses else None
-    Vinv = identity_matrix(cols) if inverses else None
 
     def row_combine(i1, i2, s, t, u, v):
         # rows (i1, i2) of D and U <- 2x2 transform; inverse column op on Uinv.
@@ -259,14 +265,6 @@ def _smith(M: Matrix, inverses: bool):
                 a, b = r[j1], r[j2]
                 r[j1] = s * a + t * b
                 r[j2] = u * a + v * b
-        if Vinv is None:
-            return
-        det = s * v - t * u
-        r1, r2 = Vinv[j1], Vinv[j2]
-        for j in range(len(r1)):
-            a, b = r1[j], r2[j]
-            r1[j] = det * (v * a - u * b)
-            r2[j] = det * (-t * a + s * b)
 
     def negate_row(k):
         for A in (D, U):
@@ -337,7 +335,7 @@ def _smith(M: Matrix, inverses: bool):
                 if D[k + 1][k + 1] < 0:
                     negate_row(k + 1)
                 changed = True
-    return U, D, V, Uinv, Vinv
+    return U, D, V, Uinv
 
 
 def hermite_column_form(cols: Sequence[Sequence[int]], nrows: int) -> tuple:
@@ -554,7 +552,7 @@ def group_from_presentation(ngens: int, relation_cols: Sequence[Sequence[int]]):
         ``G``.
     """
     basis = hermite_column_form(relation_cols, ngens)
-    U, D, _, Uinv, _ = _snf_with_inverses(matrix_from_columns(basis, ngens))
+    U, D, _, Uinv = _snf_with_inverses(matrix_from_columns(basis, ngens))
     n = len(basis)
     free_idx = []
     torsion_idx = []  # (d, old index)
@@ -713,23 +711,24 @@ class Subgroup:
         gens = [mat_vec(A, k[: len(self.basis)]) for k in kernel_basis(stacked)]
         return Subgroup(self.ambient, hermite_column_form(gens, n))
 
+    def as_subquotient(self) -> "SubquotientData":
+        """The subgroup as the subquotient ``S / 0`` of its ambient group."""
+        return subquotient(self, Subgroup.zero(self.ambient))
+
     def as_group(self):
         """The subgroup as an abstract group with its inclusion map.
+
+        Both are read off ``as_subquotient()``: the group of ``S / 0``, and
+        the map sending its canonical generators to their section columns.
 
         Returns:
             ``(S, incl)`` with ``S`` canonical and ``incl: S -> ambient``.
         """
-        return _shared(("as_group", self), self._as_group)
+        def compute():
+            sq = self.as_subquotient()
+            return sq.group, hom_on_generators(sq.group, self.ambient, sq.section_columns())
 
-    def _as_group(self):
-        basis_m = self._matrix()
-        rel_coords = []
-        for rc in self.ambient.relation_columns():
-            x = self.coordinates(rc)
-            require(x is not None, "relation column lies outside the subgroup", rc)
-            rel_coords.append(x)
-        S, _, sect = group_from_presentation(len(self.basis), rel_coords)
-        return S, hom_on_generators(S, self.ambient, [mat_vec(basis_m, c) for c in columns_of(sect)])
+        return _shared(("as_group", self), compute)
 
     def group(self) -> FPAbGroup:
         return self.as_group()[0]
@@ -911,21 +910,20 @@ class Hom:
         return self.is_mono() and self.is_epi()
 
     def restrict(self, S: Subgroup, T: Subgroup) -> "Hom":
-        """Restriction ``S -> T`` of the map, as abstract groups.
+        """Restriction ``S -> T`` of the map, as the groups of ``as_group``.
 
-        Raises ``ContainmentViolation`` if some generator of ``S`` does not
-        land in ``T``.
+        Raises ``ContainmentViolation((s, y))`` at the first inclusion column
+        ``s`` of ``S`` whose image ``y`` does not lie in ``T``.
         """
-        SG, Sincl = S.as_group()
-        TG, Tincl = T.as_group()
-        cols = []
-        for s_amb in columns_of(Sincl.matrix):
-            y = self(s_amb)
-            x = Tincl.solve_element(y)
-            if x is None:
-                raise ContainmentViolation((s_amb, y))
-            cols.append(x)
-        return hom_on_generators(SG, TG, cols)
+        src, tgt = S.as_subquotient(), T.as_subquotient()
+        images = []
+        for s in src.section_columns():
+            y = self(s)
+            try:
+                images.append(tgt.project(y))
+            except ContainmentViolation:
+                raise ContainmentViolation((s, y)) from None
+        return hom_on_generators(src.group, tgt.group, images)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,6 +1034,47 @@ def induced_map(f: Hom, source: SubquotientData, target: SubquotientData) -> Hom
             raise NotWellDefined((c, f(c)))
     images = [target.project(f(z)) for z in source.section_columns()]
     return hom_on_generators(source.group, target.group, images)
+
+
+def hom_through(source: SubquotientData, before: Hom, back: Hom, after: Hom,
+                target: SubquotientData, *witness) -> Hom:
+    """The map ``source.group -> target.group`` of the relation
+    ``after o back^-1 o before``.
+
+    Each canonical generator of ``source`` is lifted to its section column,
+    sent by ``before``, pulled back to one preimage under ``back``, sent by
+    ``after`` and projected to ``target``.  This is how a map out of a
+    subquotient is induced by a relation rather than by a hom (Weibel,
+    *An Introduction to Homological Algebra*, 5.9): the page differentials
+    ``j o i^-(r-1) o k`` of an exact couple and the identifications of
+    their E-infinity extensions.  Four checks go through ``require`` with
+    ``witness``, so each failure raises ``TheoremViolation``: ``after(Ker
+    back) <= target.B`` (the choice of preimage does not matter), every
+    generator has a preimage, every value lies in ``target.Z``, and the
+    values define a homomorphism.
+
+    The inclusion ``Z/2 -> Z/4`` as "lift along ``Z/4 ->> Z/2``, then
+    double":
+
+    >>> Z2, Z4 = FPAbGroup(0, (2,)), FPAbGroup(0, (4,))
+    >>> whole2, whole4 = Subgroup.full(Z2).as_subquotient(), Subgroup.full(Z4).as_subquotient()
+    >>> hom_through(whole2, Hom.identity(Z2), Hom(Z4, Z2, [[1]]), Hom(Z4, Z4, [[2]]), whole4).matrix
+    ((2,),)
+    """
+    ambiguity = after.image_of_subgroup(back.kernel())
+    require(target.B.contains_subgroup(ambiguity),
+            "relation is not single-valued modulo the target boundaries", *witness)
+    images = []
+    for z in source.section_columns():
+        s = back.solve_element(before(z))
+        require(s is not None, "relation has no preimage", *witness)
+        value = after(s)
+        require(target.Z.contains(value), "relation value escapes the target cycles", *witness)
+        images.append(target.project(value))
+    try:
+        return hom_on_generators(source.group, target.group, images)
+    except NotWellDefined:
+        raise TheoremViolation("relation is not additive", witness) from None
 
 
 def hom_on_generators(domain: FPAbGroup, codomain: FPAbGroup, images: Sequence[Sequence[int]]) -> Hom:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from specseq import cli
+from specseq import cli, zlinalg
 from specseq.cli import main
 from specseq.excouple import (
     COMPARE_RULES,
@@ -193,6 +193,14 @@ class TestExitCodes:
         assert code == 3 and rep["error"] == "theorem-check"
         assert rep["kind"] == "TheoremViolation"
         assert rep["witness"] == repr(("page anchoring disagrees", ((0, 0), 2)))
+
+    def test_relation_without_preimage_is_a_theorem_violation(
+            self, capsys, monkeypatch, couple2_file):
+        # the page differentials are the one place the library solves for an element
+        monkeypatch.setattr(zlinalg.Hom, "solve_element", lambda self, y: None)
+        code, rep = run(capsys, "pages", couple2_file)
+        assert code == 3 and rep["kind"] == "TheoremViolation"
+        assert rep["witness"] == repr(("relation has no preimage", ((0, 0), 1)))
 
     def test_usage_error_is_a_parse_error(self, capsys, couple2_file):
         code, rep = run(capsys, "abutments", couple2_file)

@@ -459,6 +459,27 @@ class TestDirectSums:
             assert S.D_at(x) == C.D_at(x)
         assert S.abutments(0).lim == Z6
 
+    def test_sums_of_filtered_complex_couples(self):
+        """Summands with unequal tails: the sum validates, and its E-infinity
+        and both abutments are the direct sums of the summands'."""
+        unequal = 0
+        for seed in range(15):
+            rng = seeded(1000 + seed)
+            C1 = couple_from_filtered_complex(*random_filtered_complex(rng))
+            C2 = couple_from_filtered_complex(*random_filtered_complex(rng))
+            unequal += any(C1.diagonal_tails.get(n, t) != t
+                           for n, t in C2.diagonal_tails.items())
+            S = couple_direct_sum(C1, C2)
+            einf = [C.e_infinity() for C in (C1, C2, S)]
+            for e in set(S.E) | set(C1.E) | set(C2.E):
+                g1, g2, gs = (out[e]["sq"].group if e in out else FPAbGroup() for out in einf)
+                assert gs == direct_sum([g1, g2])[0], (seed, e)
+            for n in S._content_diagonals():
+                a1, a2, a_s = (C.abutments(n) for C in (C1, C2, S))
+                assert a_s.colim == direct_sum([a1.colim, a2.colim])[0], (seed, n)
+                assert a_s.lim == direct_sum([a1.lim, a2.lim])[0], (seed, n)
+        assert unequal >= 10
+
     def test_bidegree_mismatch_rejected(self):
         other = zero_couple(Bidegrees((1, -1), (0, 0), (0, -1)))
         with pytest.raises(BidegreeMismatch):

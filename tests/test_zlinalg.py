@@ -28,6 +28,7 @@ from specseq.zlinalg import (
     hermite_column_form,
     hom_kit,
     hom_on_generators,
+    hom_through,
     identity_matrix,
     induced_map,
     kernel_basis,
@@ -42,6 +43,7 @@ from specseq.zlinalg import (
     subquotient,
 )
 from specseq.zlinalg import _snf_with_inverses
+from specseq.spectral import whole
 
 from conftest import SMALL_GROUPS, random_hom, seeded
 
@@ -109,9 +111,8 @@ class TestSmithNormalForm:
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
     def test_tracked_inverses(self, M):
-        U, _, V, Uinv, Vinv = _snf_with_inverses(M)
+        U, _, _, Uinv = _snf_with_inverses(M)
         assert mat_mul(Uinv, U) == identity_matrix(len(M))
-        assert mat_mul(V, Vinv) == identity_matrix(len(M[0]))
 
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
@@ -612,6 +613,114 @@ class TestShortExact:
             with pytest.raises(TheoremViolation) as info:
                 short_exact(B, K, Z, (0, 0), 3)
             assert info.value.args == ("short exact sequence subgroups are not nested", ((0, 0), 3))
+
+
+def as_group_by_presentation(S):
+    """``S.as_group()`` by presenting ``S`` on its Hermite basis, modulo the
+    coordinates of the ambient relations: the construction before
+    ``as_group`` read the group off ``S / 0``."""
+    rel = [S.coordinates(rc) for rc in S.ambient.relation_columns()]
+    G, _, sect = group_from_presentation(len(S.basis), rel)
+    basis = matrix_from_columns(list(S.basis), S.ambient.ngens)
+    return G, hom_on_generators(G, S.ambient, [mat_vec(basis, c) for c in columns_of(sect)])
+
+
+def restrict_by_solving(f, S, T):
+    """``f.restrict(S, T)`` by solving through the inclusion of ``T``: the
+    construction before ``restrict`` projected to ``T / 0``."""
+    SG, Sincl = as_group_by_presentation(S)
+    TG, Tincl = as_group_by_presentation(T)
+    cols = []
+    for s in columns_of(Sincl.matrix):
+        y = f(s)
+        x = Tincl.solve_element(y)
+        if x is None:
+            raise ContainmentViolation((s, y))
+        cols.append(x)
+    return hom_on_generators(SG, TG, cols)
+
+
+TORSION_GROUPS = SMALL_GROUPS + [FPAbGroup(1, (2, 4)), FPAbGroup(2, (3,)), FPAbGroup(0, (2, 6, 12))]
+
+
+def random_subgroup(G, rng):
+    gens = [tuple(rng.randint(-6, 6) for _ in range(G.ngens)) for _ in range(rng.randint(0, 3))]
+    return Subgroup.from_generators(G, gens)
+
+
+class TestSubgroupsAsSubquotients:
+    def test_as_group_matches_presentation(self):
+        rng = seeded(41)
+        seen_trivial = seen_torsion = 0
+        for _ in range(150):
+            S = random_subgroup(rng.choice(TORSION_GROUPS), rng)
+            new, old = S.as_group(), as_group_by_presentation(S)
+            assert new == old
+            seen_trivial += new[0].is_trivial()
+            seen_torsion += bool(new[0].torsion)
+        assert seen_trivial and seen_torsion
+
+    def test_restrict_matches_solving(self):
+        rng = seeded(43)
+        refused = 0
+        for _ in range(150):
+            G, H = rng.choice(TORSION_GROUPS), rng.choice(TORSION_GROUPS)
+            f = random_hom(G, H, rng)
+            S = random_subgroup(G, rng)
+            T = random_subgroup(H, rng)
+            if rng.random() < 0.5:
+                T = T.sum(f.image_of_subgroup(S))
+            try:
+                want = restrict_by_solving(f, S, T)
+            except ContainmentViolation as exc:
+                refused += 1
+                with pytest.raises(ContainmentViolation) as got:
+                    f.restrict(S, T)
+                assert got.value.args == exc.args
+                continue
+            assert f.restrict(S, T) == want
+        assert 5 <= refused <= 100
+
+    def test_restrict_witness(self):
+        G = FPAbGroup(1, (4,))
+        f = Hom(G, G, [[1, 0], [0, 2]])
+        T = Subgroup.from_generators(G, [(2, 0), (0, 1)])
+        with pytest.raises(ContainmentViolation) as exc:
+            f.restrict(Subgroup.full(G), T)
+        assert exc.value.args == (((1, 0), (1, 0)),)
+
+
+class TestHomThrough:
+    Z2, Z4 = FPAbGroup(0, (2,)), FPAbGroup(0, (4,))
+
+    def test_inclusion_through_a_lift(self):
+        Z2, Z4 = self.Z2, self.Z4
+        f = hom_through(whole(Z2), Hom.identity(Z2), Hom(Z4, Z2, [[1]]),
+                        Hom(Z4, Z4, [[2]]), whole(Z4), "w")
+        assert f == Hom(Z2, Z4, [[2]])
+
+    def test_each_failure_is_a_theorem_violation(self):
+        Z, Z2, Z4 = FPAbGroup(1), self.Z2, self.Z4
+        reduce4 = Hom(Z4, Z2, [[1]])
+        two_in_four = Subgroup.from_generators(Z4, [(2,)]).as_subquotient()
+        cases = [
+            # after sends Ker back = {0, 2} outside target.B = 0
+            ((whole(Z2), Hom.identity(Z2), reduce4, Hom.identity(Z4), whole(Z4)),
+             "relation is not single-valued modulo the target boundaries"),
+            ((whole(Z2), Hom.identity(Z2), Hom.zero_map(Z4, Z2),
+              Hom.zero_map(Z4, Z4), whole(Z4)),
+             "relation has no preimage"),
+            ((whole(Z4), Hom.identity(Z4), Hom.identity(Z4), Hom.identity(Z4), two_in_four),
+             "relation value escapes the target cycles"),
+            # Z/2Z -> Z, 1 |-> 1
+            ((subquotient(Subgroup.full(Z), Subgroup.from_generators(Z, [(2,)])),
+              Hom.identity(Z), Hom.identity(Z), Hom.identity(Z), whole(Z)),
+             "relation is not additive"),
+        ]
+        for args, check in cases:
+            with pytest.raises(TheoremViolation) as exc:
+                hom_through(*args, (0, 0), 3)
+            assert exc.value.args == (check, ((0, 0), 3))
 
 
 class TestDirectSum:
