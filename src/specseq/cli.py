@@ -130,6 +130,13 @@ def _matrix(text):
     return ((a, b), (c, d))
 
 
+def _page_count(text):
+    """``--to N`` as a positive page number."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected a positive page number, got %r" % (text,))
+    return int(text)
+
+
 def _load_couple(args):
     with open(args.file) as fh:
         return couple_from_json(json.load(fh))
@@ -175,7 +182,7 @@ def cmd_validate(args, C):
 
 
 def cmd_pages(args, C):
-    ss = C.internal_spectral_sequence(up_to=args.to)
+    ss = C.internal_spectral_sequence()
     return {"pages": [_page_report(ss, r) for r in range(1, args.to + 1)]}
 
 
@@ -387,7 +394,7 @@ def build_parser():
 
     p = sub.add_parser("pages", help="page tables of the couple's spectral sequence")
     p.add_argument("file")
-    p.add_argument("--to", type=int, default=3, help="last page to print")
+    p.add_argument("--to", type=_page_count, default=3, help="last page to print")
     p.set_defaults(fn=cmd_pages, load=_load_couple)
 
     p = sub.add_parser("einf", help="limit page and collapse page")

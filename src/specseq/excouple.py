@@ -8,9 +8,10 @@ Z-indexed towers, one per diagonal, so all the tower machinery of
 filtrations, stable images.
 
 The module computes the associated spectral sequence twice -- once through
-the internal cycle/boundary subgroup construction, once by feeding the
-differentials into the generic page-turning engine of ``spectral`` -- and
-checks the two agree as canonical subquotients of E.  Extension data
+the internal cycle/boundary subgroup construction, once by the generic
+page-turning engine of ``spectral`` -- and checks the two agree as
+canonical subquotients of E, page by page, as the engine turns each page
+on demand.  Extension data
 (stable-E and limit-page short exact sequences, the comparison monomorphism
 between them) is built explicitly and verified, and each position is
 classified by how the limit page relates to the two abutments.
@@ -195,7 +196,7 @@ class ExactCouple:
         self.E = {tuple(x): G for x, G in E.items() if not G.is_trivial()}
         self.diagonal_tails = dict(diagonal_tails or {})
         self._diagrams: Dict[int, ZDiagram] = {}
-        self._full_ss: Optional[SpectralSequence] = None
+        self._ss: Optional[SpectralSequence] = None
         self._results: dict = {}
         self.i = {tuple(x): f for x, f in i.items() if not f.is_zero()}
         self.j = {tuple(x): f for x, f in j.items() if not f.is_zero()}
@@ -429,20 +430,11 @@ class ExactCouple:
                 d[e] = de
         # Z^r is the tau-preimage of Ker d^r, B^r of the incoming image
         for e in self.E:
-            amb = self.E_at(e)
             ker = d[e].kernel() if e in d else Subgroup.full(sq[e].group)
-            pulled_Z = Subgroup.from_generators(
-                amb, [sq[e].lift(cb) for cb in ker.basis] + list(B[e].basis)
-            )
-            require(pulled_Z == self.cycles_at(e, r), "cycle identity", e, r)
+            require(sq[e].pull_back(ker) == self.cycles_at(e, r), "cycle identity", e, r)
             e_prev = _sub(e, v)
-            img = (
-                d[e_prev].image() if e_prev in d else Subgroup.zero(sq[e].group)
-            )
-            pulled_B = Subgroup.from_generators(
-                amb, [sq[e].lift(cb) for cb in img.basis] + list(B[e].basis)
-            )
-            require(pulled_B == self.boundaries_at(e, r), "boundary identity", e, r)
+            img = d[e_prev].image() if e_prev in d else Subgroup.zero(sq[e].group)
+            require(sq[e].pull_back(img) == self.boundaries_at(e, r), "boundary identity", e, r)
         groups = {e: sq[e].group for e in self.E if not sq[e].group.is_trivial()}
         return {"r": r, "bidegree": v, "Z": Z, "B": B, "sq": sq,
                 "E": groups, "d": d}
@@ -455,46 +447,32 @@ class ExactCouple:
         qs = [e[1] for e in self.E]
         return ((min(ps), max(ps)), (min(qs), max(qs)))
 
-    def bidegree_rule(self) -> Callable[[int], Position]:
-        return self.bidegrees.differential_bidegree
+    @_in_own_table
+    def internal_spectral_sequence(self) -> SpectralSequence:
+        """The couple's one spectral sequence, kept on the couple and shared
+        (do not mutate it).
+
+        Page 1 is E with d = jk.  The generic engine turns each later page
+        when it is first asked for, and takes its differentials from
+        ``_checked_differentials``.
+        """
+        if self._ss is None:
+            first = Page(BigradedGroup(self.page_bounds(), dict(self.E)), self.bidegrees.z,
+                         self.internal_page(1)["d"])
+            self._ss = SpectralSequence(1, first, self.bidegrees.differential_bidegree,
+                                         self._checked_differentials)
+        return self._ss
 
     @_in_own_table
-    def internal_spectral_sequence(self, up_to: Optional[int] = None) -> SpectralSequence:
-        """The spectral sequence of the couple, via the generic paging engine.
-
-        Differentials of every page are computed internally and installed
-        with ``advance``, and on every page the engine's accumulated
-        cycle/boundary subgroups are checked equal to the internal ones (two
-        independent computation paths); a disagreement raises
-        ``TheoremViolation``.
-
-        The first full build (``up_to`` unset) is kept on the couple; every
-        later full build and ``e_infinity`` return that one object, so
-        callers share it and must not mutate it.  Builds with an explicit
-        ``up_to`` are never kept.
-        """
-        full = up_to is None
-        if full and self._full_ss is not None:
-            return self._full_ss
-        bounds = self.page_bounds()
-        first = self.internal_page(1)
-        ss = SpectralSequence(
-            1,
-            Page(BigradedGroup(bounds, dict(self.E)), self.bidegrees.z, first["d"]),
-            self.bidegree_rule(),
-        )
-        if up_to is None:
-            up_to = ss.stabilization_horizon() + 1
-        for r in range(2, up_to + 1):
-            ip = self.internal_page(r)
-            ss.advance(ip["d"])
-            anchored = ss.subquotients[-1]
-            for e in self.E:
-                require((anchored[e].Z, anchored[e].B) == (ip["Z"][e], ip["B"][e]),
-                        "page anchoring disagrees", e, r)
-        if full:
-            self._full_ss = ss
-        return ss
+    def _checked_differentials(self, r: int, anchored: dict) -> dict:
+        """d^r from ``internal_page(r)``, once the engine's anchored page r
+        agrees with its cycles and boundaries (two independent computation
+        paths); a disagreement raises ``TheoremViolation``."""
+        ip = self.internal_page(r)
+        for e in self.E:
+            require((anchored[e].Z, anchored[e].B) == (ip["Z"][e], ip["B"][e]),
+                    "page anchoring disagrees", e, r)
+        return ip["d"]
 
     @_in_own_table
     def e_infinity(self) -> dict:
@@ -502,8 +480,7 @@ class ExactCouple:
 
         Computed from the stable image tower (omega-cycles over omega-
         boundaries), and checked equal to the limit page of the generic
-        engine, built by ``internal_spectral_sequence()`` (the couple's kept
-        build, when there is one); a disagreement raises
+        engine, read off the couple's one sequence; a disagreement raises
         ``TheoremViolation``.
         """
         out = {}
@@ -1379,8 +1356,6 @@ def zeeman_check(f, abut_source: dict, abut_target: dict, abut_maps: dict,
     # conclusion: every page map is an isomorphism
     first_failure = None
     for r in range(2, horizon + 2):
-        src.ensure_page(r)
-        tgt.ensure_page(r)
         pos = set(src.page(r).objects.positions()) | set(
             tgt.page(r).objects.positions()
         )

@@ -8,9 +8,14 @@ every later page is presented as a canonical subquotient Z/B of the original
 objects.  This anchoring is what lets independently computed pages (e.g. from
 an exact couple) be compared for equality rather than mere isomorphism.
 
+Pages are turned on demand, and each new page takes its differentials from
+one source given at construction; a sequence given by data has none, so its
+later differentials are zero.
+
 Bounded support makes E-infinity finitely computable: once the differential
 bidegree leaves the bounding rectangle in both directions, the pages are
-stationary.
+stationary.  E-infinity is read on the first such page, the settled page,
+after which the source is dropped.
 """
 
 from __future__ import annotations
@@ -163,21 +168,23 @@ def turn_page(page: Page):
 
 
 class SpectralSequence:
-    """A spectral sequence built page by page from a starting page.
+    """A spectral sequence that turns its pages on demand from a starting page.
 
-    The differentials of each page are *data*: they are supplied via
-    ``advance`` (pages whose differentials are never supplied get zero).  The
-    engine accumulates, per position, the nested cycle and boundary subgroups
-    of the starting page, so ``cycles_boundaries`` and ``e_infinity`` are
-    exact subquotients of E^{r0}.  ``subquotients[r - r0][x]`` is the
-    subquotient ``Z/B`` of E^{r0}_x that presents E^r_x.
+    Each new page takes its nonzero differentials from the source
+    ``differentials(r, anchored)``, asked up to ``settled_page()``.  The
+    engine accumulates, per position, the nested cycle and boundary
+    subgroups of the starting page: ``subquotients[r - r0][x]`` is the
+    subquotient ``Z/B`` of E^{r0}_x that presents E^r_x, so
+    ``cycles_boundaries`` and ``e_infinity`` are exact subquotients of E^{r0}.
     """
 
-    def __init__(self, r0: int, first_page: Page, bidegree_rule: Callable[[int], Position]):
+    def __init__(self, r0: int, first_page: Page, bidegree_rule: Callable[[int], Position],
+                 differentials: Optional[Callable] = None):
         if tuple(bidegree_rule(r0)) != first_page.bidegree:
             raise NotADifferential(("bidegree rule mismatch at first page", r0))
         self.r0 = r0
         self.rule = bidegree_rule
+        self.differentials = differentials
         self.pages = [first_page]
         amb = first_page.objects
         self.subquotients = [{x: whole(amb.at(x)) for x in amb.positions()}]
@@ -189,43 +196,36 @@ class SpectralSequence:
         return self.r0 + len(self.pages) - 1
 
     def page(self, r: int) -> Page:
-        if not (self.r0 <= r <= self.top_r):
-            raise ValueError("page %d not materialized" % r)
+        """Page r, turned from the top page the first time it is asked for."""
+        if r < self.r0:
+            raise ValueError("page %d precedes the first page %d" % (r, self.r0))
+        self.ensure_page(r)
         return self.pages[r - self.r0]
 
-    def advance(self, next_diffs: Optional[Dict[Position, Hom]] = None) -> Page:
-        """Turn the top page and install the given differentials on the result."""
+    def advance(self) -> Page:
+        """Turn the top page: the next page is Ker d / Im d at each position,
+        pulled back to a subquotient of E^{r0}, with the source's differentials."""
         cur = self.pages[-1]
-        objects, tau = turn_page(cur)
+        v = cur.bidegree
         r_next = self.top_r + 1
         ambient = self.pages[0].objects
         sq_next = {}
         for x in ambient.positions():
             sq = self.subquotients[-1][x]
-            if x in tau:
-                K = tau[x].Z  # Ker d_x inside E^r_x
-                I = tau[x].B  # Im d_{x-v} inside E^r_x
-            else:
-                # position already trivial on the current page
-                K = Subgroup.zero(cur.objects.at(x))
-                I = Subgroup.zero(cur.objects.at(x))
-            amb_x = ambient.at(x)
-            z_gens = [sq.lift(c) for c in K.basis]
-            b_gens = [sq.lift(c) for c in I.basis]
-            Znew = Subgroup.from_generators(amb_x, z_gens + list(sq.B.basis))
-            Bnew = Subgroup.from_generators(amb_x, b_gens + list(sq.B.basis))
-            sq_next[x] = subquotient(Znew, Bnew)
-        # present the new page through the anchored subquotients so that all
-        # stored pages share the E^{r0} coordinates
+            K = cur.d_at(x).kernel()
+            I = cur.d_at((x[0] - v[0], x[1] - v[1])).image()
+            sq_next[x] = subquotient(sq.pull_back(K), sq.pull_back(I))
         support = {
             x: sq_next[x].group
             for x in ambient.positions()
             if not sq_next[x].group.is_trivial()
         }
-        objects = BigradedGroup(ambient.bounds, support)
-        new_page = Page(objects, tuple(self.rule(r_next)), next_diffs or {})
+        diffs = self.differentials(r_next, sq_next) if self.differentials else {}
+        new_page = Page(BigradedGroup(ambient.bounds, support), tuple(self.rule(r_next)), diffs)
         self.pages.append(new_page)
         self.subquotients.append(sq_next)
+        if self.differentials and r_next >= self.settled_page():
+            self.differentials = None
         return new_page
 
     def ensure_page(self, r: int):
@@ -249,7 +249,6 @@ class SpectralSequence:
         """
         if r < self.r0:
             raise ValueError("r must be >= r0")
-        self.ensure_page(r + 1)
         x = tuple(x)
         chain = [self.anchored(s, x) for s in range(self.r0, r + 2)]
         Zs = [sq.Z for sq in chain]
@@ -264,28 +263,32 @@ class SpectralSequence:
         require(Zs[-1].contains_subgroup(Bs[-1]), "boundaries are not cycles", x, r)
         return Zs, Bs
 
-    def stabilization_horizon(self) -> int:
-        """A page index from which no differential can re-enter the bounds.
+    def settled_page(self) -> int:
+        """The first page past the stabilization horizon, where E^infinity is read.
 
         For the homological/cohomological rules the bidegree grows linearly,
-        so any page past the rectangle diameter is safe.  For explicit rules
-        the declared list is exhausted and later differentials are zero by
-        convention.
+        so every differential past the rectangle diameter leaves the bounds.
+        For explicit rules the declared list is exhausted and later
+        differentials are zero by convention.
         """
-        (pmin, pmax), (qmin, qmax) = self.pages[0].objects.bounds
-        diam = max(pmax - pmin, qmax - qmin) + 2
-        horizon = max(self.top_r, self.r0 + diam)
         explicit = getattr(self.rule, "explicit_up_to", None)
         if explicit is not None:
-            horizon = max(self.top_r, explicit)
-        else:
-            for r in range(horizon, horizon + diam):
-                v = self.rule(r)
-                if abs(v[0]) <= pmax - pmin and abs(v[1]) <= qmax - qmin:
-                    raise UnboundedSupport(
-                        "bidegree rule does not leave the bounds by page %d" % r
-                    )
-        return horizon
+            return explicit + 1
+        (pmin, pmax), (qmin, qmax) = self.pages[0].objects.bounds
+        diam = max(pmax - pmin, qmax - qmin) + 2
+        horizon = self.r0 + diam
+        for r in range(horizon, horizon + diam):
+            v = self.rule(r)
+            if abs(v[0]) <= pmax - pmin and abs(v[1]) <= qmax - qmin:
+                raise UnboundedSupport(
+                    "bidegree rule does not leave the bounds by page %d" % r
+                )
+        return horizon + 1
+
+    def stabilization_horizon(self) -> int:
+        """A page index from which no differential can re-enter the bounds,
+        and no less than the top page."""
+        return max(self.top_r, self.settled_page() - 1)
 
     def e_infinity(self):
         """The limit page with, per position, its stabilization page.
@@ -293,8 +296,7 @@ class SpectralSequence:
         Returns ``(Einf: BigradedGroup, stab: dict position -> page index,
         data: dict position -> SubquotientData)``.
         """
-        H = self.stabilization_horizon()
-        self.ensure_page(H + 1)
+        self.ensure_page(self.settled_page())
         ambient = self.pages[0].objects
         support = {}
         stab = {}
@@ -317,8 +319,7 @@ class SpectralSequence:
 
     def collapse_page(self) -> Optional[int]:
         """Least page from which all differentials (within bounds) vanish."""
-        H = self.stabilization_horizon()
-        self.ensure_page(H + 1)
+        self.ensure_page(self.settled_page())
         last_nonzero = self.r0 - 1
         for r in range(self.r0, self.top_r + 1):
             if self.page(r).diffs:
@@ -366,8 +367,6 @@ class SSMorphism:
     def component(self, r: int, x: Position) -> Hom:
         """f^r_x, induced on the anchored subquotients."""
         x = tuple(x)
-        self.source.ensure_page(r)
-        self.target.ensure_page(r)
         f0 = self.components.get(
             x,
             Hom.zero_map(
@@ -383,8 +382,6 @@ class SSMorphism:
 
     def verify_page(self, r: int):
         """Check the commuting squares f d = d f on page r."""
-        self.source.ensure_page(r)
-        self.target.ensure_page(r)
         ps, pt = self.source.page(r), self.target.page(r)
         if ps.bidegree != pt.bidegree:
             raise NotAMorphism(("bidegree mismatch on page", r))
@@ -425,8 +422,6 @@ class SSMorphism:
         records that a *componentwise mono* hypothesis alone does not
         propagate (see the search utility below).
         """
-        self.source.ensure_page(r + 1)
-        self.target.ensure_page(r + 1)
         v = self.source.page(r).bidegree
         verdicts = []
         pos = set(self.source.page(r).objects.positions()) | set(
@@ -453,17 +448,13 @@ class SSMorphism:
 
     def iso_propagation(self, r: int) -> bool:
         """If f^r is a positionwise iso, all later pages and f-infinity are too."""
-        self.source.ensure_page(r)
-        self.target.ensure_page(r)
         pos = set(self.source.page(r).objects.positions()) | set(
             self.target.page(r).objects.positions()
         )
         if not all(self.component(r, x).is_iso() for x in pos):
             return False
-        H = max(self.source.stabilization_horizon(), self.target.stabilization_horizon())
-        for s in range(r + 1, H + 2):
-            self.source.ensure_page(s)
-            self.target.ensure_page(s)
+        settled = max(self.source.settled_page(), self.target.settled_page())
+        for s in range(r + 1, settled + 1):
             ps = set(self.source.page(s).objects.positions()) | set(
                 self.target.page(s).objects.positions()
             )

@@ -973,6 +973,13 @@ class SubquotientData:
         x = mat_vec(self._sect, q)
         return self.Z.ambient.reduce(mat_vec(self._zbasis, x))
 
+    def pull_back(self, S: Subgroup) -> Subgroup:
+        """The preimage in ``Z`` of a subgroup ``S`` of the quotient: lifts of
+        its basis together with ``B``."""
+        return Subgroup.from_generators(
+            self.Z.ambient, [self.lift(c) for c in S.basis] + list(self.B.basis)
+        )
+
     def section_columns(self) -> list:
         """Ambient representatives of the canonical quotient generators."""
         return [

@@ -217,7 +217,10 @@ class TestExitCodes:
 
     def test_malformed_option_values_are_parse_errors(self, capsys, couple2_file):
         for argv in (["classify", couple2_file, "--x", "1,2,3"],
-                     ["reindex", couple2_file, "--matrix", "1,0,0"]):
+                     ["reindex", couple2_file, "--matrix", "1,0,0"],
+                     ["pages", couple2_file, "--to", "0"],
+                     ["pages", couple2_file, "--to", "-2"],
+                     ["pages", couple2_file, "--to", "two"]):
             code, rep = run(capsys, *argv)
             assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ArgumentError"
 

@@ -158,7 +158,10 @@ class TestSpectralSequenceReuse:
         for _ in range(6):
             C = couple_from_filtered_complex(*random_filtered_complex(rng))
             ss = C.internal_spectral_sequence()
-            assert built
+            assert built == [1]
+            C.e_infinity()
+            # each page is computed once, when the sequence first turns to it
+            assert built == list(range(1, ss.settled_page() + 1))
             built.clear()
             C.e_infinity()
             assert built == []
@@ -175,29 +178,107 @@ class TestSpectralSequenceReuse:
             C.internal_spectral_sequence()
             assert built == []
 
-    def test_partial_builds_are_not_kept(self, monkeypatch):
+    def test_pages_asked_for_first_are_kept_and_checked(self, monkeypatch):
         built = self.count_pages(monkeypatch)
         rng = seeded(99)
         for _ in range(6):
             C = couple_from_filtered_complex(*random_filtered_complex(rng))
-            partial = C.internal_spectral_sequence(up_to=2)
+            ss = C.internal_spectral_sequence()
+            ss.page(2)
+            # one sequence: page 2 came from the source, with its check
+            assert built == [1, 2]
             built.clear()
-            full = C.internal_spectral_sequence()
-            # a fresh build, with its page-by-page cross-check
-            assert built
-            assert full is not partial
-            assert C.internal_spectral_sequence(up_to=2) is not full
-            built.clear()
+            assert C.internal_spectral_sequence() is ss
             C.e_infinity()
-            assert built == []
-            assert C.internal_spectral_sequence() is full
+            assert built == list(range(3, ss.settled_page() + 1))
+            built.clear()
+            ss.page(ss.settled_page() + 2)
+            # past the settled page the source is gone: zero differentials
+            assert built == [] and ss.differentials is None
+
+
+def seeded_couple(s):
+    return couple_from_filtered_complex(
+        *random_filtered_complex(seeded(s), max_degree=3, stages=4))
+
+
+def later_differential_seeds(seeds=range(60)):
+    """Seeds of couples whose spectral sequence has a nonzero d^r, r >= 2."""
+    out = []
+    for s in seeds:
+        ss = seeded_couple(s).internal_spectral_sequence()
+        ss.e_infinity()
+        if any(p.diffs for p in ss.pages[1:]):
+            out.append(s)
+    return out
+
+
+class TestPagesOnDemand:
+    """A couple has one spectral sequence, grown from one differential source."""
+
+    def test_e_infinity_after_an_early_page(self):
+        seeds = later_differential_seeds()
+        assert len(seeds) >= 8
+        for s in seeds:
+            C = seeded_couple(s)
+            ss = C.internal_spectral_sequence()
+            ss.page(2)
+            _, _, data = ss.e_infinity()
+            want = C.e_infinity()
+            for e in C.E:
+                assert (data[e].Z, data[e].B) == (want[e]["Z"], want[e]["B"])
+
+    def test_limit_reads_do_not_grow_the_sequence(self):
+        for C in (seeded_couple(3), demo_couple("couple2")):
+            ss = C.internal_spectral_sequence()
+            f = SSMorphism(ss, ss, {x: Hom.identity(G) for x, G in C.E.items()})
+            C.e_infinity()
+            top = ss.top_r
+            assert top == ss.settled_page()
+            for _ in range(3):
+                ss.e_infinity()
+                ss.collapse_page()
+                C.e_infinity()
+                assert f.iso_propagation(1)
+                assert ss.top_r == top
+
+    def test_limit_reads_do_not_grow_a_data_sequence(self):
+        Z4 = FPAbGroup(0, (4,))
+        ss = spectral_sequence_from_page(
+            1, ((0, 1), (0, 0)), {(1, 0): Z4, (0, 0): Z2}, {(1, 0): Hom(Z4, Z2, [[1]])},
+            homological_rule)
+        f = SSMorphism(ss, ss, {(1, 0): Hom.identity(Z4), (0, 0): Hom.identity(Z2)})
+        ss.e_infinity()
+        top = ss.top_r
+        for _ in range(3):
+            ss.e_infinity()
+            ss.collapse_page()
+            assert f.iso_propagation(1)
+            assert ss.top_r == top
+
+    def test_settled_couple_is_freed_without_the_collector(self):
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            refs = []
+            for s in range(4):
+                C = seeded_couple(s)
+                C.e_infinity()
+                refs.append(weakref.ref(C))
+                del C
+            assert [r() for r in refs] == [None] * 4
+        finally:
+            gc.enable()
 
 
 class TestTheoremChecks:
     def test_broken_page_anchoring_raises(self, broken_page_anchoring):
-        C = demo_couple("couple2")
+        ss = demo_couple("couple2").internal_spectral_sequence()
         with pytest.raises(zlinalg.TheoremViolation) as info:
-            C.internal_spectral_sequence()
+            ss.page(2)
         assert info.value.check == "page anchoring disagrees"
         assert info.value.witness == ((0, 0), 2)
         # e_infinity always runs the same comparison
@@ -328,7 +409,7 @@ class TestRandomCouples:
         rng = seeded(59)
         for _ in range(25):
             C = couple_from_filtered_complex(*random_filtered_complex(rng))
-            ss = C.internal_spectral_sequence(up_to=5)
+            ss = C.internal_spectral_sequence()
             for r in range(1, 5):
                 objs, _ = turn_page(ss.page(r))
                 nxt = ss.page(r + 1).objects
@@ -535,6 +616,38 @@ COMPARE_FAILURES = {
 }
 
 
+def tower_morphism(iso_on):
+    """An endomorphism of the couple with constant towers Z on diagonals 0
+    and -1 (the lower and upper D-towers of diagonal 0, sigma = -1) and no
+    E-objects: the identity on the ``iso_on`` tower, twice on the other."""
+    bd = DEMO_BIDEGREES
+    low, up = (0, 0), (-1, 0)
+    tails = (Tail.CONSTANT, Tail.CONSTANT)
+    C = ExactCouple(bd, {low: Z, up: Z}, {}, {}, {}, {}, {0: tails, -1: tails})
+    C.validate()
+    assert C.position_index(low).n == 0 and C.position_index(up).n == bd.sigma
+    scale = {"lower": (1, 2), "upper": (2, 1)}[iso_on]
+    return CoupleMorphism(C, C, {x: Hom(Z, Z, [[m]]) for x, m in zip((low, up), scale)}, {})
+
+
+# tower the morphism is iso on -> {rule: the clause it fails at}; a clause
+# read off the wrong tower changes one of these verdicts
+TOWER_FAILURES = {
+    "lower": {"mono-colim-2": "lim of the source image filtration zero",
+              "mono-lim-2": "colimit abutments trivial on both sides",
+              "iso-universal": IM_R_ISO, "iso-lim-1": IM_R_ISO,
+              "iso-lim-2": COMPARE_CLAUSES["iso-lim-2"][0][2],
+              "epi-lim": "upper colimit abutments trivial on both sides"},
+    "upper": {"mono-colim-2": "lim of the source image filtration zero",
+              "epi-colim": "map on lim of the image filtration epi",
+              "iso-colim": LIM_F_ISO,
+              "mono-lim-2": "colimit abutments trivial on both sides",
+              "iso-universal": LIM_F_ISO,
+              "iso-lim-2": COMPARE_CLAUSES["iso-lim-2"][0][2],
+              "epi-lim": "upper colimit abutments trivial on both sides"},
+}
+
+
 class TestComparison:
     @pytest.mark.parametrize("name", ["couple2", "couple3"])
     def test_whole_verdicts_on_identity(self, name):
@@ -543,6 +656,14 @@ class TestComparison:
         for rule in COMPARE_RULES:
             want = expected_outcome(COMPARE_CLAUSES[rule], {"rule": rule, "diagonal": 0},
                                     COMPARE_FAILURES[name].get(rule))
+            assert_outcome(lambda: compare_abutments(f, rule, 0), want)
+
+    @pytest.mark.parametrize("iso_on", ["lower", "upper"])
+    def test_whole_verdicts_read_the_right_tower(self, iso_on):
+        f = tower_morphism(iso_on)
+        for rule in COMPARE_RULES:
+            want = expected_outcome(COMPARE_CLAUSES[rule], {"rule": rule, "diagonal": 0},
+                                    TOWER_FAILURES[iso_on].get(rule))
             assert_outcome(lambda: compare_abutments(f, rule, 0), want)
 
     def test_identity_satisfies_applicable_rules(self):
