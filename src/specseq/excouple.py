@@ -160,6 +160,19 @@ def _in_own_table(method):
     return run
 
 
+class _CoupleSequence(SpectralSequence):
+    """A couple's spectral sequence: every page is turned inside the couple's
+    result table, whoever asks for it."""
+
+    def __init__(self, table: dict, *args):
+        super().__init__(*args)
+        self._table = table
+
+    def advance(self):
+        with shared_results(self._table):
+            return super().advance()
+
+
 @dataclass(frozen=True)
 class PositionIndex:
     """A position resolved against the tower structure: x = x(n) + r*a."""
@@ -452,15 +465,16 @@ class ExactCouple:
         """The couple's one spectral sequence, kept on the couple and shared
         (do not mutate it).
 
-        Page 1 is E with d = jk.  The generic engine turns each later page
-        when it is first asked for, and takes its differentials from
-        ``_checked_differentials``.
+        Page 1 is E with d = jk.  The generic engine turns each later page,
+        inside the couple's result table, when it is first asked for, and
+        takes its differentials from ``_checked_differentials``.
         """
         if self._ss is None:
             first = Page(BigradedGroup(self.page_bounds(), dict(self.E)), self.bidegrees.z,
                          self.internal_page(1)["d"])
-            self._ss = SpectralSequence(1, first, self.bidegrees.differential_bidegree,
-                                         self._checked_differentials)
+            self._ss = _CoupleSequence(self._results, 1, first,
+                                       self.bidegrees.differential_bidegree,
+                                       self._checked_differentials)
         return self._ss
 
     @_in_own_table
@@ -1305,8 +1319,9 @@ def zeeman_check(f, abut_source: dict, abut_target: dict, abut_maps: dict,
             if x[0] < 0 or x[1] < 0:
                 raise SetupViolation(("support leaves the first quadrant", x))
     horizon = max(src.stabilization_horizon(), tgt.stabilization_horizon())
+    settled = max(src.settled_page(), tgt.settled_page())
     want = (lambda r: (-r, r - 1)) if setup == "I" else (lambda r: (r, -r + 1))
-    for r in range(2, horizon + 2):
+    for r in range(2, settled + 1):
         if tuple(src.rule(r)) != want(r) or tuple(tgt.rule(r)) != want(r):
             raise SetupViolation(("differential bidegrees do not match the"
                                   " declared setup", r))
@@ -1355,7 +1370,7 @@ def zeeman_check(f, abut_source: dict, abut_target: dict, abut_maps: dict,
             raise SetupViolation(("edge determination fails", n))
     # conclusion: every page map is an isomorphism
     first_failure = None
-    for r in range(2, horizon + 2):
+    for r in range(2, settled + 1):
         pos = set(src.page(r).objects.positions()) | set(
             tgt.page(r).objects.positions()
         )

@@ -199,7 +199,8 @@ class SpectralSequence:
         """Page r, turned from the top page the first time it is asked for."""
         if r < self.r0:
             raise ValueError("page %d precedes the first page %d" % (r, self.r0))
-        self.ensure_page(r)
+        while self.top_r < r:
+            self.advance()
         return self.pages[r - self.r0]
 
     def advance(self) -> Page:
@@ -228,13 +229,9 @@ class SpectralSequence:
             self.differentials = None
         return new_page
 
-    def ensure_page(self, r: int):
-        while self.top_r < r:
-            self.advance()
-
     def anchored(self, r: int, x: Position) -> SubquotientData:
         """The subquotient Z/B of E^{r0}_x that presents E^r_x."""
-        self.ensure_page(r)
+        self.page(r)
         sq = self.subquotients[r - self.r0].get(tuple(x))
         return sq if sq is not None else whole(self.pages[0].objects.at(x))
 
@@ -296,7 +293,7 @@ class SpectralSequence:
         Returns ``(Einf: BigradedGroup, stab: dict position -> page index,
         data: dict position -> SubquotientData)``.
         """
-        self.ensure_page(self.settled_page())
+        self.page(self.settled_page())
         ambient = self.pages[0].objects
         support = {}
         stab = {}
@@ -319,7 +316,7 @@ class SpectralSequence:
 
     def collapse_page(self) -> Optional[int]:
         """Least page from which all differentials (within bounds) vanish."""
-        self.ensure_page(self.settled_page())
+        self.page(self.settled_page())
         last_nonzero = self.r0 - 1
         for r in range(self.r0, self.top_r + 1):
             if self.page(r).diffs:

@@ -59,8 +59,6 @@ def test_criterion_01_three_couple_demos():
     ok &= (rep["eps"], rep["stable_e"], rep["eps_upper"]) == (
         FPAbGroup(0, (2,)), FPAbGroup(0, (6,)), FPAbGroup(0, (3,)))
     for r in range(1, 5):
-        for ss in sss:
-            ss.ensure_page(r)
         pos = set()
         for ss in sss:
             pos |= set(ss.page(r).objects.positions())

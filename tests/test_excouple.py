@@ -68,8 +68,6 @@ class TestDemoCouples:
         sss = [demo_couple(n).internal_spectral_sequence() for n in
                ("couple1", "couple2", "couple3")]
         for r in range(1, 5):
-            for ss in sss:
-                ss.ensure_page(r)
             for x in [(0, 0), (1, -1), (-1, 0)]:
                 groups = [ss.page(r).objects.at(x) for ss in sss]
                 assert groups[0] == groups[1] == groups[2]
@@ -292,7 +290,7 @@ def full_analysis(C):
     ss = C.internal_spectral_sequence()
     pages = [
         ({x: p.objects.at(x) for x in p.objects.positions()}, dict(p.diffs))
-        for p in ss.pages
+        for p in map(ss.page, range(ss.r0, ss.settled_page() + 1))
     ]
     einf = {e: v["sq"].group for e, v in C.e_infinity().items()}
     b = C.bidegrees.b
@@ -724,6 +722,18 @@ class TestZeeman:
         with pytest.raises(SetupViolation):
             zeeman_check(f, bad, abut, maps, setup="I",
                          edge_oracle=lambda f, n: True)
+
+    def test_repeated_checks_do_not_grow_the_sequences(self):
+        f = two_row_morphism()
+        abut = two_row_abutment()
+        maps = {n: Hom.identity(L) for n, (L, _) in abut.items()}
+        runs = []
+        for _ in range(3):
+            res = zeeman_check(f, abut, abut, maps, setup="I",
+                               edge_oracle=lambda f, n: True)
+            runs.append((res["horizon"], f.source.top_r, f.target.top_r))
+        settled = f.source.settled_page()
+        assert runs[1:] == [(settled, settled, settled)] * 2
 
     def test_missing_edge_rule_rejected(self):
         f = two_row_morphism()

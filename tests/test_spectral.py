@@ -38,20 +38,17 @@ def two_column_ss(A1, A0, d, r0=1, rule=homological_rule):
 class TestPageTurning:
     def test_zero_differentials_keep_the_page(self):
         ss = two_column_ss(Z4, Z2, Hom.zero_map(Z4, Z2))
-        ss.ensure_page(4)
         for r in range(1, 5):
             assert ss.page(r).objects.at((1, 0)) == Z4
             assert ss.page(r).objects.at((0, 0)) == Z2
 
     def test_multiplication_by_two_on_Z(self):
         ss = two_column_ss(Z, Z, Hom(Z, Z, [[2]]))
-        ss.ensure_page(2)
         assert ss.page(2).objects.at((1, 0)).is_trivial()
         assert ss.page(2).objects.at((0, 0)) == Z2
 
     def test_projection_Z4_to_Z2(self):
         ss = two_column_ss(Z4, Z2, Hom(Z4, Z2, [[1]]))
-        ss.ensure_page(2)
         assert ss.page(2).objects.at((1, 0)) == Z2  # kernel of the projection
         assert ss.page(2).objects.at((0, 0)).is_trivial()
 
@@ -76,7 +73,6 @@ class TestPageTurning:
             A0 = rng.choice(FINITE_GROUPS)
             ss = two_column_ss(A1, A0, random_hom(A1, A0, rng))
             objects, _ = turn_page(ss.page(1))
-            ss.ensure_page(2)
             for x in [(0, 0), (1, 0)]:
                 assert objects.at(x) == ss.page(2).objects.at(x)
 
@@ -122,7 +118,7 @@ class TestEInfinity:
     def test_stationary_under_larger_horizon(self):
         ss = two_column_ss(Z4, Z2, Hom(Z4, Z2, [[1]]))
         first = ss.e_infinity()[0]
-        ss.ensure_page(ss.stabilization_horizon() + 7)
+        ss.page(ss.stabilization_horizon() + 7)
         again = ss.e_infinity()[0]
         assert first.support == again.support
 
