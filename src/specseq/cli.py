@@ -130,11 +130,13 @@ def _matrix(text):
     return ((a, b), (c, d))
 
 
-def _page_count(text):
-    """``--to N`` as a positive page number."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError("expected a positive page number, got %r" % (text,))
-    return int(text)
+def _at_least(lo):
+    """An option type for integers ``>= lo``."""
+    def parse(text):
+        if not text.isdigit() or int(text) < lo:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (lo, text))
+        return int(text)
+    return parse
 
 
 def _load_couple(args):
@@ -313,7 +315,10 @@ def _load_two_row(args):
             A, [tuple(v) for v in entry.get("stage", [])]
         )
         abutment[int(n)] = (A, F)
-    return abutment, data["N"]
+    N = data["N"]
+    if type(N) is not int or N < 1:
+        raise ValueError('"N" should be an integer >= 1, got %r' % (N,))
+    return abutment, N
 
 
 def cmd_solve_two_row(args, instance):
@@ -394,7 +399,7 @@ def build_parser():
 
     p = sub.add_parser("pages", help="page tables of the couple's spectral sequence")
     p.add_argument("file")
-    p.add_argument("--to", type=_page_count, default=3, help="last page to print")
+    p.add_argument("--to", type=_at_least(1), default=3, help="last page to print")
     p.set_defaults(fn=cmd_pages, load=_load_couple)
 
     p = sub.add_parser("einf", help="limit page and collapse page")
@@ -430,8 +435,8 @@ def build_parser():
 
     p = sub.add_parser("zeeman", help="reverse comparison on a two-row pair")
     p.add_argument("--setup", choices=("I", "II"), default="I")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--N", type=int, default=6)
+    p.add_argument("--k", type=_at_least(2), default=3)
+    p.add_argument("--N", type=_at_least(1), default=6)
     p.add_argument("--perturb", action="store_true",
                    help="break the abutment filtration to witness the failure mode")
     p.set_defaults(fn=cmd_zeeman, load=None)
@@ -441,15 +446,15 @@ def build_parser():
     p.set_defaults(fn=cmd_solve_two_row, load=_load_two_row)
 
     p = sub.add_parser("five-term", help="low-degree exact sequence of the k-tower")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(2), required=True)
     p.set_defaults(fn=cmd_five_term, load=None)
 
     p = sub.add_parser("demo", help="built-in instances")
     p.add_argument("name",
                    choices=("couple1", "couple2", "couple3", "cyclic-k", "cp-r"))
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--N", type=int, default=7)
+    p.add_argument("--k", type=_at_least(2), default=5)
+    p.add_argument("--r", type=_at_least(1), default=2)
+    p.add_argument("--N", type=_at_least(1), default=7)
     p.set_defaults(fn=cmd_demo, load=None)
     return parser
 

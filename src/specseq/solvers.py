@@ -117,7 +117,11 @@ def two_row_solve(abutment: dict, N: int) -> dict:
         Inconsistent: the exactness constraints cannot be met.
         Underdetermined: a group or extension is not forced; the
             argument is the first ambiguous total degree.
+        ValueError: ``N < 1``.
     """
+    if N < 1:
+        raise ValueError("N should be at least 1")
+
     def at(n):
         if n in abutment:
             return abutment[n]

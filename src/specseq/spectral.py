@@ -353,23 +353,30 @@ class SSMorphism:
         self.components = {}
         amb_s = source.pages[0].objects
         amb_t = target.pages[0].objects
-        pos = set(amb_s.positions()) | set(amb_t.positions())
-        for x in pos:
-            f = components.get(x, Hom.zero_map(amb_s.at(x), amb_t.at(x)))
+        for x in self.page_positions(source.r0):
+            f = components[x] if x in components else Hom.zero_map(amb_s.at(x), amb_t.at(x))
             if f.domain != amb_s.at(x) or f.codomain != amb_t.at(x):
                 raise NotAMorphism(("component endpoints", x))
             self.components[x] = f
         self.verify_page(source.r0)
 
+    def page_positions(self, r: int) -> set:
+        """The positions of page r in the source or in the target."""
+        return set(self.source.page(r).objects.positions()) | set(
+            self.target.page(r).objects.positions()
+        )
+
+    def _first_component(self, x: Position) -> Hom:
+        """f^{r0}_x: the given component, or the zero map off both supports."""
+        if x in self.components:
+            return self.components[x]
+        return Hom.zero_map(self.source.pages[0].objects.at(x),
+                            self.target.pages[0].objects.at(x))
+
     def component(self, r: int, x: Position) -> Hom:
         """f^r_x, induced on the anchored subquotients."""
         x = tuple(x)
-        f0 = self.components.get(
-            x,
-            Hom.zero_map(
-                self.source.pages[0].objects.at(x), self.target.pages[0].objects.at(x)
-            ),
-        )
+        f0 = self._first_component(x)
         sq_s = self.source.anchored(r, x)
         sq_t = self.target.anchored(r, x)
         try:
@@ -383,8 +390,7 @@ class SSMorphism:
         if ps.bidegree != pt.bidegree:
             raise NotAMorphism(("bidegree mismatch on page", r))
         v = ps.bidegree
-        pos = set(ps.objects.positions()) | set(pt.objects.positions())
-        for x in pos:
+        for x in self.page_positions(r):
             y = (x[0] + v[0], x[1] + v[1])
             lhs = self.component(r, y).compose(ps.d_at(x))
             rhs = pt.d_at(x).compose(self.component(r, x))
@@ -396,16 +402,12 @@ class SSMorphism:
         _, _, data_s = self.source.e_infinity()
         _, _, data_t = self.target.e_infinity()
         out = {}
-        pos = set(data_s) | set(data_t)
         amb_s = self.source.pages[0].objects
         amb_t = self.target.pages[0].objects
-        for x in pos:
-            f0 = self.components.get(
-                x, Hom.zero_map(amb_s.at(x), amb_t.at(x))
-            )
+        for x in set(data_s) | set(data_t):
             sq_s = data_s.get(x) or whole(amb_s.at(x))
             sq_t = data_t.get(x) or whole(amb_t.at(x))
-            out[x] = induced_map(f0, sq_s, sq_t)
+            out[x] = induced_map(self._first_component(x), sq_s, sq_t)
         return out
 
     def propagation_report(self, r: int) -> dict:
@@ -421,13 +423,7 @@ class SSMorphism:
         """
         v = self.source.page(r).bidegree
         verdicts = []
-        pos = set(self.source.page(r).objects.positions()) | set(
-            self.target.page(r).objects.positions()
-        )
-        pos |= set(self.source.page(r + 1).objects.positions()) | set(
-            self.target.page(r + 1).objects.positions()
-        )
-        for x in sorted(pos):
+        for x in sorted(self.page_positions(r) | self.page_positions(r + 1)):
             fm = self.component(r, (x[0] - v[0], x[1] - v[1]))
             f = self.component(r, x)
             fp = self.component(r, (x[0] + v[0], x[1] + v[1]))
@@ -445,17 +441,11 @@ class SSMorphism:
 
     def iso_propagation(self, r: int) -> bool:
         """If f^r is a positionwise iso, all later pages and f-infinity are too."""
-        pos = set(self.source.page(r).objects.positions()) | set(
-            self.target.page(r).objects.positions()
-        )
-        if not all(self.component(r, x).is_iso() for x in pos):
+        if not all(self.component(r, x).is_iso() for x in self.page_positions(r)):
             return False
         settled = max(self.source.settled_page(), self.target.settled_page())
         for s in range(r + 1, settled + 1):
-            ps = set(self.source.page(s).objects.positions()) | set(
-                self.target.page(s).objects.positions()
-            )
-            require(all(self.component(s, x).is_iso() for x in ps),
+            require(all(self.component(s, x).is_iso() for x in self.page_positions(s)),
                     "isomorphism does not propagate to the page", s)
         require(all(f.is_iso() for f in self.f_infinity().values()),
                 "isomorphism does not propagate to the limit page")

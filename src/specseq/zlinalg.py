@@ -753,26 +753,19 @@ class Hom:
         if len(matrix) != codomain.ngens or (
             matrix and any(len(r) != domain.ngens for r in matrix)
         ):
-            if not (codomain.ngens == 0 and not matrix):
-                raise ValueError("matrix shape does not match domain/codomain")
+            raise ValueError("matrix shape does not match domain/codomain")
         self.domain = domain
         self.codomain = codomain
-        m = [list(r) for r in matrix]
-        if codomain.ngens == 0:
-            m = []
-        # Reduce columns so equal homs have equal matrices.
-        cols = []
-        for j in range(domain.ngens):
-            col = codomain.reduce(tuple(m[i][j] for i in range(codomain.ngens)))
-            cols.append(col)
+        orders = codomain.orders
+        # Row i is coordinate i of every image: reducing it by that
+        # coordinate's order makes equal homs have equal matrices.
         self.matrix = tuple(
-            tuple(cols[j][i] for j in range(domain.ngens))
-            for i in range(codomain.ngens)
+            tuple(x % d for x in row) if d else tuple(row)
+            for row, d in zip(matrix, orders)
         )
-        for i, d in enumerate(domain.torsion):
-            gen = domain.rank + i
-            img = tuple(d * self.matrix[r][gen] for r in range(codomain.ngens))
-            if codomain.reduce(img) != codomain.zero():
+        for gen, d in enumerate(domain.torsion, domain.rank):
+            if any(d * row[gen] % o if o else row[gen]
+                   for row, o in zip(self.matrix, orders)):
                 raise NotWellDefined(
                     "generator %d of order %d maps to an element of larger order" % (gen, d)
                 )
@@ -939,7 +932,7 @@ class SubquotientData:
     ambient representatives.
     """
 
-    __slots__ = ("Z", "B", "group", "_zbasis", "_proj", "_sect")
+    __slots__ = ("Z", "B", "group", "_proj", "_section")
 
     def __init__(self, Z: Subgroup, B: Subgroup):
         if Z.ambient != B.ambient:
@@ -956,9 +949,11 @@ class SubquotientData:
         self.B = B
         G, proj, sect = group_from_presentation(len(Z.basis), rel)
         self.group = G
-        self._zbasis = Z._matrix()
         self._proj = proj
-        self._sect = sect
+        # Column j of sect holds the Z-basis coordinates of a lift of
+        # canonical generator j.
+        zbasis = Z._matrix()
+        self._section = [Z.ambient.reduce(mat_vec(zbasis, col)) for col in columns_of(sect)]
 
     def project(self, v: Sequence[int]) -> Vector:
         """Class of an element of ``Z`` in the quotient."""
@@ -970,8 +965,9 @@ class SubquotientData:
     def lift(self, q: Sequence[int]) -> Vector:
         """An ambient representative of a quotient element."""
         q = self.group.reduce(q)
-        x = mat_vec(self._sect, q)
-        return self.Z.ambient.reduce(mat_vec(self._zbasis, x))
+        A = self.Z.ambient
+        return A.reduce([sum(c * col[i] for c, col in zip(q, self._section))
+                         for i in range(A.ngens)])
 
     def pull_back(self, S: Subgroup) -> Subgroup:
         """The preimage in ``Z`` of a subgroup ``S`` of the quotient: lifts of
@@ -982,10 +978,7 @@ class SubquotientData:
 
     def section_columns(self) -> list:
         """Ambient representatives of the canonical quotient generators."""
-        return [
-            self.lift(unit_vector(self.group.ngens, j))
-            for j in range(self.group.ngens)
-        ]
+        return list(self._section)
 
 
 def subquotient(Z: Subgroup, B: Subgroup) -> SubquotientData:

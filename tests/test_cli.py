@@ -215,14 +215,25 @@ class TestExitCodes:
         assert info.value.code == 0
         assert "--n" in capsys.readouterr().out
 
-    def test_malformed_option_values_are_parse_errors(self, capsys, couple2_file):
+    def test_malformed_option_values_are_parse_errors(self, capsys, tmp_path, couple2_file):
         for argv in (["classify", couple2_file, "--x", "1,2,3"],
                      ["reindex", couple2_file, "--matrix", "1,0,0"],
                      ["pages", couple2_file, "--to", "0"],
                      ["pages", couple2_file, "--to", "-2"],
-                     ["pages", couple2_file, "--to", "two"]):
+                     ["pages", couple2_file, "--to", "two"],
+                     ["zeeman", "--k", "1"],
+                     ["five-term", "--k", "1"],
+                     ["demo", "cyclic-k", "--k", "1"],
+                     ["demo", "cp-r", "--r", "0"],
+                     ["zeeman", "--N", "0"],
+                     ["demo", "cyclic-k", "--N", "0"]):
             code, rep = run(capsys, *argv)
             assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ArgumentError"
+        for N in (0, -1, 2.5, "3", True):
+            path = tmp_path / "tworow.json"
+            path.write_text(json.dumps({"N": N, "abutment": {}}))
+            code, rep = run(capsys, "solve-two-row", str(path))
+            assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
 
     def test_non_regular_bidegrees_fail_validation(self, capsys, tmp_path, couple2_file):
         data = json.loads(open(couple2_file).read())

@@ -49,6 +49,12 @@ class TestTwoRowSolve:
         res = two_row_solve({}, 6)
         assert all(G.is_trivial() for G in res["H"].values())
 
+    def test_horizon_below_one_is_refused(self):
+        assert set(two_row_solve({}, 1)["H"]) == {0, 1}
+        for N in (0, -3):
+            with pytest.raises(ValueError, match="N should be at least 1"):
+                two_row_solve({}, N)
+
     def test_inconsistent_abutment(self):
         Z2 = FPAbGroup(0, (2,))
         Z3 = FPAbGroup(0, (3,))

@@ -690,6 +690,90 @@ class TestSubgroupsAsSubquotients:
         assert exc.value.args == (((1, 0), (1, 0)),)
 
 
+def hom_matrix_by_columns(domain, codomain, matrix):
+    """``Hom(domain, codomain, matrix).matrix`` by reducing each column with
+    ``codomain.reduce`` and transposing back: the construction before the
+    matrix was reduced row by row."""
+    if len(matrix) != codomain.ngens or (
+        matrix and any(len(r) != domain.ngens for r in matrix)
+    ):
+        if not (codomain.ngens == 0 and not matrix):
+            raise ValueError("matrix shape does not match domain/codomain")
+    m = [list(r) for r in matrix]
+    if codomain.ngens == 0:
+        m = []
+    cols = [codomain.reduce(tuple(m[i][j] for i in range(codomain.ngens)))
+            for j in range(domain.ngens)]
+    out = tuple(tuple(cols[j][i] for j in range(domain.ngens))
+                for i in range(codomain.ngens))
+    for i, d in enumerate(domain.torsion):
+        gen = domain.rank + i
+        img = tuple(d * out[r][gen] for r in range(codomain.ngens))
+        if codomain.reduce(img) != codomain.zero():
+            raise NotWellDefined(
+                "generator %d of order %d maps to an element of larger order" % (gen, d)
+            )
+    return out
+
+
+def lift_by_products(sq, q):
+    """``sq.lift(q)`` through the presentation's section matrix and the
+    Z-basis matrix: the construction before the section columns were kept."""
+    rel = [sq.Z.coordinates(c) for c in sq.B.basis]
+    _, _, sect = group_from_presentation(len(sq.Z.basis), rel)
+    zbasis = matrix_from_columns(list(sq.Z.basis), sq.Z.ambient.ngens)
+    return sq.Z.ambient.reduce(mat_vec(zbasis, mat_vec(sect, sq.group.reduce(q))))
+
+
+def outcome(build):
+    """The value of ``build()``, or the type and message of what it raises."""
+    try:
+        return build()
+    except (ValueError, NotWellDefined) as exc:
+        return type(exc), exc.args
+
+
+class TestCanonicalDataMatchesOldConstructions:
+    def test_hom_matrix_matches_column_reduction(self):
+        rng = seeded(47)
+        groups = TORSION_GROUPS + [FPAbGroup(3)]
+        seen = {"ok": 0, ValueError: 0, NotWellDefined: 0, "trivial": 0}
+        for _ in range(400):
+            G, H = rng.choice(groups), rng.choice(groups)
+            rows, cols = H.ngens, G.ngens
+            if rng.random() < 0.15:
+                if rng.random() < 0.5:
+                    rows = max(0, rows + rng.choice((-1, 1)))
+                else:
+                    cols = max(0, cols + rng.choice((-1, 1)))
+            m = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
+            want = outcome(lambda: hom_matrix_by_columns(G, H, m))
+            got = outcome(lambda: Hom(G, H, m).matrix)
+            assert got == want
+            seen[want[0] if want and isinstance(want[0], type) else "ok"] += 1
+            seen["trivial"] += G.is_trivial() or H.is_trivial()
+        assert all(n >= 20 for n in seen.values()), seen
+
+    def test_section_and_lift_match_the_two_products(self):
+        rng = seeded(53)
+        seen_trivial = seen_torsion = 0
+        for _ in range(200):
+            G = rng.choice(TORSION_GROUPS)
+            Z = random_subgroup(G, rng)
+            B = Subgroup.from_generators(
+                G, [tuple(k * x for x in c) for c in Z.basis for k in [rng.randint(-3, 3)]])
+            sq = subquotient(Z, B)
+            n = sq.group.ngens
+            assert sq.section_columns() == [
+                lift_by_products(sq, tuple(int(i == j) for i in range(n))) for j in range(n)]
+            for _ in range(3):
+                q = tuple(rng.randint(-20, 20) for _ in range(n))
+                assert sq.lift(q) == lift_by_products(sq, q)
+            seen_trivial += sq.group.is_trivial()
+            seen_torsion += bool(sq.group.torsion)
+        assert seen_trivial >= 10 and seen_torsion >= 10
+
+
 class TestHomThrough:
     Z2, Z4 = FPAbGroup(0, (2,)), FPAbGroup(0, (4,))
 
