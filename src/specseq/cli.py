@@ -56,6 +56,7 @@ from .excouple import (
     SetupViolation,
     _group_from_json,
     _homs_from_json,
+    _integer,
     _parse_pos,
     compare_abutments,
     couple_from_json,
@@ -312,7 +313,7 @@ def _load_two_row(args):
     for n, entry in data["abutment"].items():
         A = _group_from_json(entry["group"])
         F = Subgroup.from_generators(
-            A, [tuple(v) for v in entry.get("stage", [])]
+            A, [tuple(_integer(x) for x in v) for v in entry.get("stage", [])]
         )
         abutment[int(n)] = (A, F)
     N = data["N"]

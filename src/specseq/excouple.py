@@ -28,7 +28,7 @@ library is wrong.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from .zlinalg import (
@@ -122,27 +122,27 @@ def _scale(n, u) -> Position:
 
 @dataclass(frozen=True)
 class Bidegrees:
-    """The bidegrees a, b, c of i, j, k; regular by construction."""
+    """The bidegrees a, b, c of i, j, k; regular by construction.
+
+    ``z = b + c`` is the degree of the first differential j composed with
+    k, and ``sigma = det [a | z]`` (+-1); both are derived, so they take no
+    part in equality, hashing or ``repr``.
+    """
 
     a: Position
     b: Position
     c: Position
+    z: Position = field(init=False, repr=False, compare=False)
+    sigma: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
         object.__setattr__(self, "c", tuple(self.c))
-        if det2(self.a, self.z) not in (1, -1):
+        object.__setattr__(self, "z", _add(self.b, self.c))
+        object.__setattr__(self, "sigma", det2(self.a, self.z))
+        if self.sigma not in (1, -1):
             raise NotRegular((self.a, self.b, self.c))
-
-    @property
-    def z(self) -> Position:
-        """b + c, the degree of the first differential j composed with k."""
-        return _add(self.b, self.c)
-
-    @property
-    def sigma(self) -> int:
-        return det2(self.a, self.z)
 
     def differential_bidegree(self, r: int) -> Position:
         """b + c - (r-1)a, the bidegree of the page-r differential."""
@@ -175,11 +175,11 @@ class _CoupleSequence(SpectralSequence):
 
 @dataclass(frozen=True)
 class PositionIndex:
-    """A position resolved against the tower structure: x = x(n) + r*a."""
+    """A position resolved against the tower structure: x = x(n) + r*a,
+    where x(n) = sigma * n * (b + c)."""
 
     x: Position
     n: int
-    anchor: Position  # x(n) = sigma * n * (b + c)
     r: int
 
 
@@ -230,16 +230,10 @@ class ExactCouple:
     # -- tower bookkeeping ---------------------------------------------------
 
     def position_index(self, x: Position) -> PositionIndex:
+        # Cramer's rule for x = sigma*n*z + r*a on the unimodular [a | z]
         bd = self.bidegrees
         x = tuple(x)
-        n = det2(bd.a, x)
-        anchor = _scale(bd.sigma * n, bd.z)
-        dx = _sub(x, anchor)
-        # dx is an integer multiple of a: det [a | dx] = 0 and a is primitive
-        a = bd.a
-        r = dx[0] // a[0] if a[0] else dx[1] // a[1]
-        require(_scale(r, a) == dx, "position is not on the a-line of its diagonal", x)
-        return PositionIndex(x, n, anchor, r)
+        return PositionIndex(x, det2(bd.a, x), bd.sigma * det2(x, bd.z))
 
     def position_on(self, n: int, r: int) -> Position:
         bd = self.bidegrees
@@ -268,11 +262,8 @@ class ExactCouple:
             maps = []
             for r in range(r0, r1):
                 x = self.position_on(n, r)
-                maps.append(
-                    self.i.get(
-                        x, Hom.zero_map(groups[r - r0], groups[r - r0 + 1])
-                    )
-                )
+                maps.append(self.i.get(x)
+                            or Hom.zero_map(groups[r - r0], groups[r - r0 + 1]))
             dia = ZDiagram((r0, r1), groups, tuple(maps), left, right)
         self._diagrams[n] = dia
         return dia
@@ -1410,83 +1401,69 @@ def couple_from_filtered_complex(groups: Dict[int, FPAbGroup],
 
 def _filtered_complex_couple(groups, diffs, filtration) -> ExactCouple:
     groups = {n: G for n, G in groups.items() if not G.is_trivial()}
-
-    def C_at(n):
-        return groups.get(n, _TRIVIAL)
-
-    def d_at(n):
-        f = diffs.get(n)
-        if f is None:
-            return Hom.zero_map(C_at(n), C_at(n - 1))
-        if f.domain != C_at(n) or f.codomain != C_at(n - 1):
+    degrees = sorted(groups) or [0]
+    # the couple's diagonals run over lo..hi; the tables reach one degree
+    # (and one stage) further on each side
+    lo, hi = degrees[0] - 1, degrees[-1] + 1
+    C = {n: groups.get(n, _TRIVIAL) for n in range(lo - 2, hi + 2)}
+    d = {}
+    for n in range(lo - 1, hi + 2):
+        f = diffs.get(n) or Hom.zero_map(C[n], C[n - 1])
+        if f.domain != C[n] or f.codomain != C[n - 1]:
             raise ValueError("differential endpoints disagree in degree %d" % n)
-        return f
-
-    degrees = sorted(groups)
-    if not degrees:
-        degrees = [0]
+        d[n] = f
     for n in degrees:
-        if not d_at(n).compose(d_at(n + 1)).is_zero():
+        if not d[n].compose(d[n + 1]).is_zero():
             raise NotAComplex(n + 1)
     ps = sorted(filtration)
     if not ps:
         raise NotFiltered("at least one filtration stage is required")
     pmin, pmax = ps[0], ps[-1]
 
-    def F_at(p, n):
-        if p < pmin:
-            return Subgroup.zero(C_at(n))
-        if p > pmax:
-            return Subgroup.full(C_at(n))
-        S = filtration[p].get(n)
-        if S is None:
-            return Subgroup.zero(C_at(n))
-        if S.ambient != C_at(n):
-            raise NotFiltered((p, n, "stage not inside its chain group"))
-        return S
-
+    # F[p, n]: zero below the first stage and where a stage leaves degree n
+    # out, the whole group above the last stage
+    F = {}
+    for n in range(lo - 1, hi + 2):
+        F[pmin - 1, n] = Subgroup.zero(C[n])
+        F[pmax + 1, n] = Subgroup.full(C[n])
+    for p in range(pmin, pmax + 1):
+        for n in range(lo - 1, hi + 2):
+            S = filtration[p].get(n) or F[pmin - 1, n]
+            if S.ambient != C[n]:
+                raise NotFiltered((p, n, "stage not inside its chain group"))
+            F[p, n] = S
     for p in range(pmin, pmax + 1):
         for n in degrees:
-            if not F_at(p + 1, n).contains_subgroup(F_at(p, n)):
+            if not F[p + 1, n].contains_subgroup(F[p, n]):
                 raise NotFiltered((p, n, "stages not nested"))
-            moved = d_at(n).image_of_subgroup(F_at(p, n))
-            if not F_at(p, n - 1).contains_subgroup(moved):
+            if not F[p, n - 1].contains_subgroup(d[n].image_of_subgroup(F[p, n])):
                 raise NotFiltered((p, n, "differential leaves the stage"))
 
-    bd = Bidegrees((1, -1), (0, 0), (-1, 0))
+    # H[p, n] = H_n(F_p C) and Q[p, n] = H_n(F_p C / F_{p-1} C)
+    H = {(p, n): subquotient(d[n].kernel().intersection(F[p, n]),
+                             d[n + 1].image_of_subgroup(F[p, n + 1]))
+         for p in range(pmin - 1, pmax + 2) for n in range(lo - 1, hi + 1)}
+    Q = {(p, n): subquotient(d[n].preimage(F[p - 1, n - 1]).intersection(F[p, n]),
+                             d[n + 1].image_of_subgroup(F[p, n + 1]).sum(F[p - 1, n]))
+         for p in range(pmin, pmax + 2) for n in range(lo, hi + 1)}
 
-    def sq_D(p, n):
-        Z = d_at(n).kernel().intersection(F_at(p, n))
-        B = d_at(n + 1).image_of_subgroup(F_at(p, n + 1))
-        return subquotient(Z, B)
-
-    def sq_E(p, n):
-        Z = d_at(n).preimage(F_at(p - 1, n - 1)).intersection(F_at(p, n))
-        B = d_at(n + 1).image_of_subgroup(F_at(p, n + 1)).sum(F_at(p - 1, n))
-        return subquotient(Z, B)
-
-    D, E, i, j, k = {}, {}, {}, {}, {}
-    for n in range(degrees[0] - 1, degrees[-1] + 2):
+    D, E, i, j, k, tails = {}, {}, {}, {}, {}, {}
+    for n in range(lo, hi + 1):
+        ident = Hom.identity(C[n])
         # stage pmax+1 is the whole complex; from there on the tower is
         # constant, matching the default right tail
         for p in range(pmin, pmax + 2):
             pos = (p, n - p)
-            dD = sq_D(p, n)
-            dE = sq_E(p, n)
-            D[pos] = dD.group
-            E[pos] = dE.group
-            ident = Hom.identity(C_at(n))
+            D[pos], E[pos] = H[p, n].group, Q[p, n].group
             if p <= pmax:
-                i[pos] = induced_map(ident, dD, sq_D(p + 1, n))
-            j[pos] = induced_map(ident, dD, dE)
-            k[pos] = induced_map(d_at(n), dE, sq_D(p - 1, n - 1))
-    # towers are constant from stage pmax+1 on; when the total homology of a
-    # degree vanishes, the tower is eventually zero instead
-    tails = {}
-    for n in range(degrees[0] - 1, degrees[-1] + 2):
-        right = Tail.CONSTANT if not sq_D(pmax + 1, n).group.is_trivial() else Tail.ZERO
+                i[pos] = induced_map(ident, H[p, n], H[p + 1, n])
+            j[pos] = induced_map(ident, H[p, n], Q[p, n])
+            k[pos] = induced_map(d[n], Q[p, n], H[p - 1, n - 1])
+        # when the total homology of a degree vanishes, the tower is
+        # eventually zero instead
+        right = Tail.ZERO if H[pmax + 1, n].group.is_trivial() else Tail.CONSTANT
         tails[n] = (Tail.ZERO, right)
-    return ExactCouple(bd, D, E, i, j, k, tails)
+    return ExactCouple(Bidegrees((1, -1), (0, 0), (-1, 0)), D, E, i, j, k, tails)
 
 
 def couple_direct_sum(C1: ExactCouple, C2: ExactCouple) -> ExactCouple:
@@ -1614,9 +1591,24 @@ def _group_to_json(G: FPAbGroup):
     return {"rank": G.rank, "torsion": list(G.torsion)}
 
 
+def _integer(v) -> int:
+    """A JSON integer; floats and booleans are refused."""
+    if type(v) is not int:
+        raise ValueError("expected an integer, got %r" % (v,))
+    return v
+
+
+def _pair(v, item=_integer) -> tuple:
+    """Exactly two entries ``[x, y]``, each read by ``item``."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError("expected a pair, got %r" % (v,))
+    return (item(v[0]), item(v[1]))
+
+
 def _group_from_json(d) -> FPAbGroup:
     """A group ``{"rank": r, "torsion": [...]}``; either key may be left out."""
-    return FPAbGroup(d.get("rank", 0), tuple(d.get("torsion", ())))
+    return FPAbGroup(_integer(d.get("rank", 0)),
+                     tuple(_integer(t) for t in d.get("torsion", ())))
 
 
 def _parse_pos(s) -> Position:
@@ -1629,9 +1621,9 @@ def _homs_from_json(entries, src_at, tgt_at, delta: Position = (0, 0)) -> Dict[P
     """Maps ``{"at": [p, q], "matrix": [...]}`` from ``src_at(x)`` to ``tgt_at(x + delta)``."""
     out = {}
     for entry in entries:
-        x = tuple(entry["at"])
+        x = _pair(entry["at"])
         out[x] = Hom(src_at(x), tgt_at(_add(x, delta)),
-                     [list(row) for row in entry["matrix"]])
+                     [[_integer(v) for v in row] for row in entry["matrix"]])
     return out
 
 
@@ -1659,12 +1651,17 @@ def couple_to_json(C: ExactCouple) -> dict:
 
 
 def couple_from_json(data: dict) -> ExactCouple:
-    bd = Bidegrees(tuple(data["bidegrees"]["a"]), tuple(data["bidegrees"]["b"]),
-                   tuple(data["bidegrees"]["c"]))
+    """The couple of a ``couple_to_json`` dict.
+
+    Positions and bidegrees are pairs of integers, group entries and matrix
+    entries are integers, and each diagonal has a pair of tail names;
+    anything else raises ``ValueError``.
+    """
+    bd = Bidegrees(*(_pair(data["bidegrees"][key]) for key in "abc"))
     D = {_parse_pos(s): _group_from_json(g) for s, g in data.get("D", {}).items()}
     E = {_parse_pos(s): _group_from_json(g) for s, g in data.get("E", {}).items()}
     tails = {
-        int(n): (Tail(t[0]), Tail(t[1]))
+        int(n): _pair(t, Tail)
         for n, t in data.get("diagonal_tails", {}).items()
     }
     stub = ExactCouple(bd, D, E, {}, {}, {}, tails)

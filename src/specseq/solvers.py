@@ -267,7 +267,7 @@ def five_term(ss: SpectralSequence, H1: FPAbGroup, F01: Subgroup,
     # in the first quadrant nothing reaches (2, 0) and nothing leaves (0, 1),
     # so the limit terms there are a subgroup and a quotient of page 2
     to_page = hom_on_generators(sq20.group, E2_20, sq20.section_columns()).compose(onto)
-    boundary = ss.page(2).diffs.get((2, 0), Hom.zero_map(E2_20, E2_01))
+    boundary = ss.page(2).diffs.get((2, 0)) or Hom.zero_map(E2_20, E2_01)
     from_page = F01_incl.compose(iso_low.compose(quotient_group(E2_01, sq01.B)[1]))
     edge = iso_high.compose(proj1)
 

@@ -1007,17 +1007,6 @@ def cokernel(f: Hom):
     return quotient_group(f.codomain, f.image())
 
 
-def hom_kit(f: Hom) -> dict:
-    """Kernel, image and cokernel of a hom in one package."""
-    Q, proj = cokernel(f)
-    return {
-        "kernel": f.kernel(),
-        "image": f.image(),
-        "cokernel": Q,
-        "cokernel_projection": proj,
-    }
-
-
 def induced_map(f: Hom, source: SubquotientData, target: SubquotientData) -> Hom:
     """The map ``source.group -> target.group`` induced by ``f``.
 

@@ -1,6 +1,7 @@
 """Command-line driver: reports, exit codes, round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -176,7 +177,7 @@ class TestExitCodes:
         assert code == 1 and rep["error"] == "parse"
 
     def test_validation_failure_with_witness(self, capsys, tmp_path, couple2_file):
-        data = json.loads(open(couple2_file).read())
+        data = json.loads(Path(couple2_file).read_text())
         data["j"][0]["matrix"] = [[0]]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -236,7 +237,7 @@ class TestExitCodes:
             assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
 
     def test_non_regular_bidegrees_fail_validation(self, capsys, tmp_path, couple2_file):
-        data = json.loads(open(couple2_file).read())
+        data = json.loads(Path(couple2_file).read_text())
         data["bidegrees"]["a"] = [0, 0]
         path = tmp_path / "singular.json"
         path.write_text(json.dumps(data))
@@ -265,6 +266,67 @@ class TestExitCodes:
             code, rep = run(capsys, *argv)
             assert code == 1 and rep["error"] == "parse" and rep["kind"] == kind
         assert called == []
+
+
+def set_in(path, value):
+    """A change to a couple dict: the entry at ``path`` (keys and indices) becomes ``value``."""
+    def change(data):
+        *inner, last = path
+        for key in inner:
+            data = data[key]
+        data[last] = value
+    return change
+
+
+# Couple files that are not integers and pairs only; each is a parse error.
+MALFORMED_COUPLES = {
+    "position with one entry": set_in(["j", 0, "at"], [0]),
+    "position with three entries": set_in(["j", 0, "at"], [0, 0, 5]),
+    "bidegree with one entry": set_in(["bidegrees", "a"], [1]),
+    "bidegree with three entries": set_in(["bidegrees", "a"], [1, -1, 0]),
+    "one tail name": set_in(["diagonal_tails", "0"], ["zero"]),
+    "three tail names": set_in(["diagonal_tails", "0"], ["zero", "constant", "zero"]),
+    "float torsion": set_in(["D", "0,0", "torsion"], [2.0]),
+    "boolean rank": set_in(["E", "0,0", "rank"], False),
+    "float matrix entry": set_in(["k", 0, "matrix"], [[1.0]]),
+    "float bidegree entry": set_in(["bidegrees", "c"], [-1.0, 0]),
+}
+
+
+class TestMalformedFiles:
+    """Couple, morphism and two-row files hold integers and pairs only."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COUPLES))
+    def test_malformed_couple_is_a_parse_error(self, capsys, tmp_path, couple2_file, case):
+        data = json.loads(Path(couple2_file).read_text())
+        MALFORMED_COUPLES[case](data)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code, rep = run(capsys, "validate", str(path))
+        assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
+        assert rep["witness"].startswith("expected")
+
+    def test_malformed_morphism_is_a_parse_error(self, capsys, tmp_path):
+        path = Path(identity_morphism_file(tmp_path, "couple2"))
+        identity = path.read_text()
+        for key, value in (("at", [0, 0, 0]), ("matrix", [[1.0]])):
+            data = json.loads(identity)
+            data["fE"][0][key] = value
+            path.write_text(json.dumps(data))
+            code, rep = run(capsys, "compare", str(path), "--rule", "iso-colim", "--n", "0")
+            assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
+            assert rep["witness"].startswith("expected")
+
+    def test_malformed_two_row_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "tworow.json"
+        for entry in ({"group": {"rank": 1, "torsion": [2.0]}},
+                      {"group": {"rank": 1.0}},
+                      {"group": {"rank": 1}, "stage": [[4.0]]},
+                      {"group": {"rank": 1}, "stage": [[True]]}):
+            path.write_text(json.dumps({"N": 3, "abutment": {"1": entry}}))
+            code, rep = run(capsys, "solve-two-row", str(path))
+            assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
+            assert rep["witness"].startswith("expected")
 
 
 class TestParserReuse:

@@ -5,7 +5,15 @@ from collections import Counter
 import pytest
 
 from specseq import excouple, zlinalg
-from specseq.zlinalg import FPAbGroup, Hom, Subgroup, SubquotientData, direct_sum
+from specseq.zlinalg import (
+    FPAbGroup,
+    Hom,
+    Subgroup,
+    SubquotientData,
+    direct_sum,
+    induced_map,
+    subquotient,
+)
 from specseq.zdiagrams import HypothesisFailed, Tail
 from specseq.spectral import SSMorphism, homological_rule, spectral_sequence_from_page, turn_page
 from specseq.excouple import (
@@ -15,6 +23,8 @@ from specseq.excouple import (
     BidegreeMismatch,
     CoupleMorphism,
     ExactCouple,
+    NotAComplex,
+    NotFiltered,
     NotRegular,
     NotUnimodular,
     SetupViolation,
@@ -49,6 +59,27 @@ class TestBidegrees:
     def test_differential_bidegree(self):
         assert DEMO_BIDEGREES.differential_bidegree(1) == (-1, 0)
         assert DEMO_BIDEGREES.differential_bidegree(3) == (-3, 2)
+
+    def test_derived_fields_leave_equality_hash_and_repr(self):
+        bd = Bidegrees([1, -1], [0, 0], [-1, 0])
+        assert (bd.z, bd.sigma) == ((-1, 0), -1)
+        assert bd == DEMO_BIDEGREES and hash(bd) == hash(DEMO_BIDEGREES)
+        assert repr(bd) == "Bidegrees(a=(1, -1), b=(0, 0), c=(-1, 0))"
+
+    def test_positions_round_trip(self):
+        # x = sigma*n*z + r*a for every integer x, on bidegrees of both signs
+        rng = seeded(1502)
+        signs = Counter()
+        for _ in range(1000):
+            bd = random_regular_bidegrees(rng)
+            signs[bd.sigma] += 1
+            C = ExactCouple(bd, {}, {}, {}, {}, {})
+            for _ in range(5):
+                x = (rng.randint(-40, 40), rng.randint(-40, 40))
+                pi = C.position_index(x)
+                assert pi.x == x and pi.n == excouple.det2(bd.a, x)
+                assert C.position_on(pi.n, pi.r) == x
+        assert min(signs[1], signs[-1]) > 300
 
 
 class TestDemoCouples:
@@ -438,9 +469,190 @@ class TestRandomCouples:
                 cycles = diffs[n].kernel() if n in diffs else Subgroup.full(groups[n])
                 bnds = (diffs[n + 1].image() if n + 1 in diffs
                         else Subgroup.zero(groups[n]))
-                from specseq.zlinalg import subquotient
                 H = subquotient(cycles, bnds).group
                 assert C.abutments(n).colim == H
+
+
+def filtered_complex_couple_by_closures(groups, diffs, filtration):
+    """The filtered-complex couple as it was built before the stage tables:
+    every stage homology is recomputed by the closures for each of its uses."""
+    trivial = FPAbGroup()
+    groups = {n: G for n, G in groups.items() if not G.is_trivial()}
+
+    def C_at(n):
+        return groups.get(n, trivial)
+
+    def d_at(n):
+        f = diffs.get(n)
+        if f is None:
+            return Hom.zero_map(C_at(n), C_at(n - 1))
+        if f.domain != C_at(n) or f.codomain != C_at(n - 1):
+            raise ValueError("differential endpoints disagree in degree %d" % n)
+        return f
+
+    degrees = sorted(groups)
+    if not degrees:
+        degrees = [0]
+    for n in degrees:
+        if not d_at(n).compose(d_at(n + 1)).is_zero():
+            raise NotAComplex(n + 1)
+    ps = sorted(filtration)
+    if not ps:
+        raise NotFiltered("at least one filtration stage is required")
+    pmin, pmax = ps[0], ps[-1]
+
+    def F_at(p, n):
+        if p < pmin:
+            return Subgroup.zero(C_at(n))
+        if p > pmax:
+            return Subgroup.full(C_at(n))
+        S = filtration[p].get(n)
+        if S is None:
+            return Subgroup.zero(C_at(n))
+        if S.ambient != C_at(n):
+            raise NotFiltered((p, n, "stage not inside its chain group"))
+        return S
+
+    for p in range(pmin, pmax + 1):
+        for n in degrees:
+            if not F_at(p + 1, n).contains_subgroup(F_at(p, n)):
+                raise NotFiltered((p, n, "stages not nested"))
+            moved = d_at(n).image_of_subgroup(F_at(p, n))
+            if not F_at(p, n - 1).contains_subgroup(moved):
+                raise NotFiltered((p, n, "differential leaves the stage"))
+
+    def sq_D(p, n):
+        Z = d_at(n).kernel().intersection(F_at(p, n))
+        B = d_at(n + 1).image_of_subgroup(F_at(p, n + 1))
+        return subquotient(Z, B)
+
+    def sq_E(p, n):
+        Z = d_at(n).preimage(F_at(p - 1, n - 1)).intersection(F_at(p, n))
+        B = d_at(n + 1).image_of_subgroup(F_at(p, n + 1)).sum(F_at(p - 1, n))
+        return subquotient(Z, B)
+
+    D, E, i, j, k = {}, {}, {}, {}, {}
+    for n in range(degrees[0] - 1, degrees[-1] + 2):
+        for p in range(pmin, pmax + 2):
+            pos = (p, n - p)
+            dD = sq_D(p, n)
+            dE = sq_E(p, n)
+            D[pos] = dD.group
+            E[pos] = dE.group
+            ident = Hom.identity(C_at(n))
+            if p <= pmax:
+                i[pos] = induced_map(ident, dD, sq_D(p + 1, n))
+            j[pos] = induced_map(ident, dD, dE)
+            k[pos] = induced_map(d_at(n), dE, sq_D(p - 1, n - 1))
+    tails = {}
+    for n in range(degrees[0] - 1, degrees[-1] + 2):
+        right = Tail.CONSTANT if not sq_D(pmax + 1, n).group.is_trivial() else Tail.ZERO
+        tails[n] = (Tail.ZERO, right)
+    return ExactCouple(Bidegrees((1, -1), (0, 0), (-1, 0)), D, E, i, j, k, tails)
+
+
+def varied_filtered_complexes(count):
+    """Seeded filtered complexes of several shapes, some of them refused.
+
+    Besides ``random_filtered_complex``'s shapes (trivial chain groups among
+    them), stages start at a shifted p, one-stage filtrations occur, some
+    differentials are left out (they are zero), some stages leave a degree
+    undeclared (it is zero there, which may break nesting or closure) and
+    some complexes declare trivial chain groups past their top degree.
+    """
+    rng = seeded(1501)
+    settings = [(1, 1), (2, None), (3, 4), (3, 1), (4, 2), (2, 5)]
+    for t in range(count):
+        max_degree, stages = settings[t % len(settings)]
+        groups, diffs, filtration = random_filtered_complex(rng, max_degree, stages)
+        shift = rng.randint(-2, 2)
+        filtration = {p + shift: dict(level) for p, level in filtration.items()}
+        for n in list(diffs):
+            if rng.random() < 0.25:
+                del diffs[n]
+        for level in filtration.values():
+            for n in list(level):
+                if rng.random() < 0.05:
+                    del level[n]
+        if rng.random() < 0.3:
+            groups[max(groups) + rng.randint(1, 2)] = FPAbGroup()
+        yield groups, diffs, filtration
+
+
+def construction_outcome(build, data):
+    """The couple's JSON and tails, or the type and args of the refusal."""
+    try:
+        C = build(*data)
+    except (NotAComplex, NotFiltered, ValueError) as ex:
+        return type(ex), ex.args
+    return couple_to_json(C), C.diagonal_tails
+
+
+# Each refusal of the construction with the exact exception it raises: the
+# inputs are (groups, diffs, filtration).
+REFUSALS = {
+    "no stages": (
+        ({0: Z}, {}, {}),
+        NotFiltered("at least one filtration stage is required")),
+    "d o d != 0": (
+        ({0: Z, 1: Z, 2: Z}, {1: Hom(Z, Z, [[1]]), 2: Hom(Z, Z, [[1]])},
+         {0: {n: Subgroup.full(Z) for n in range(3)}}),
+        NotAComplex(2)),
+    "differential with the wrong domain": (
+        ({0: Z, 1: Z}, {1: Hom(Z2, Z, [[0]])}, {0: {0: Subgroup.full(Z)}}),
+        ValueError("differential endpoints disagree in degree 1")),
+    "stage in another group": (
+        ({0: Z}, {}, {0: {0: Subgroup.full(Z2)}}),
+        NotFiltered((0, 0, "stage not inside its chain group"))),
+    "stages not nested": (
+        ({0: Z}, {}, {0: {0: Subgroup.full(Z)}, 1: {0: Subgroup.zero(Z)}}),
+        NotFiltered((0, 0, "stages not nested"))),
+    "differential leaves the stage": (
+        ({0: Z, 1: Z}, {1: Hom(Z, Z, [[2]])},
+         {0: {0: Subgroup.zero(Z), 1: Subgroup.full(Z)}}),
+        NotFiltered((0, 1, "differential leaves the stage"))),
+}
+
+
+class TestFilteredComplexConstruction:
+    """The couple of a filtered complex, read off one table of stage homologies."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusals_keep_type_and_args(self, case):
+        data, want = REFUSALS[case]
+        for build in (couple_from_filtered_complex, filtered_complex_couple_by_closures):
+            with pytest.raises(type(want)) as exc:
+                build(*data)
+            assert type(exc.value) is type(want) and exc.value.args == want.args
+
+    def test_couples_and_refusals_match_the_closures(self):
+        outcomes = Counter()
+        for data in varied_filtered_complexes(260):
+            got = construction_outcome(couple_from_filtered_complex, data)
+            want = construction_outcome(filtered_complex_couple_by_closures, data)
+            assert got == want
+            outcomes[isinstance(got[0], dict)] += 1
+        # most inputs give couples, and some are refused
+        assert outcomes[True] >= 200 and outcomes[False] > 0
+
+    def test_one_subquotient_per_table_cell(self, monkeypatch):
+        calls = []
+        built = excouple.subquotient
+
+        def counted(Z, B):
+            calls.append((Z, B))
+            return built(Z, B)
+
+        groups, diffs, filtration = random_filtered_complex(seeded(5), max_degree=3, stages=4)
+        monkeypatch.setattr(excouple, "subquotient", counted)
+        couple_from_filtered_complex(groups, diffs, filtration)
+        # H[p, n] for stages pmin-1..pmax+1 and degrees lo-1..hi, Q[p, n]
+        # for stages pmin..pmax+1 and degrees lo..hi, where lo..hi are the
+        # couple's diagonals, one past the chain groups on each side
+        degrees = sorted(n for n, G in groups.items() if not G.is_trivial())
+        stages, diagonals = len(filtration), degrees[-1] - degrees[0] + 3
+        cells = (stages + 2) * (diagonals + 1) + (stages + 1) * diagonals
+        assert 0 < len(calls) <= cells
 
 
 class TestDerivedCouples:
