@@ -54,9 +54,11 @@ from .excouple import (
     NotRegular,
     NotUnimodular,
     SetupViolation,
+    _array,
     _group_from_json,
     _homs_from_json,
     _integer,
+    _object,
     _parse_pos,
     compare_abutments,
     couple_from_json,
@@ -246,6 +248,7 @@ def cmd_reindex(args, C):
 
 
 def _morphism_from_json(data):
+    data = _object(data)
     src = couple_from_json(data["source"])
     tgt = couple_from_json(data["target"])
     fD = _homs_from_json(data.get("fD", []), src.D_at, tgt.D_at)
@@ -308,12 +311,13 @@ def cmd_zeeman(args, _):
 
 def _load_two_row(args):
     with open(args.file) as fh:
-        data = json.load(fh)
+        data = _object(json.load(fh))
     abutment = {}
-    for n, entry in data["abutment"].items():
+    for n, entry in _object(data["abutment"]).items():
+        entry = _object(entry)
         A = _group_from_json(entry["group"])
         F = Subgroup.from_generators(
-            A, [tuple(_integer(x) for x in v) for v in entry.get("stage", [])]
+            A, [tuple(_integer(x) for x in _array(v)) for v in _array(entry.get("stage", []))]
         )
         abutment[int(n)] = (A, F)
     N = data["N"]

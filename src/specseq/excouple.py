@@ -355,21 +355,10 @@ class ExactCouple:
         """Image of the tau-fold composite into tower position r of diagonal n."""
         return self.diagonal(n).composite(r - tau, r).image()
 
-    def _stable_at(self, n: int, r: int, in_window) -> Subgroup:
-        """A stable image subgroup at tower position r of diagonal n.
-
-        ``in_window`` is ``I_omega`` (I^omega) or ``stable_image`` (Ibar, the
-        image of rho_r: lim -> D), read inside the padded window.  Outside
-        it the two agree: the whole group left of the pad, where the tower
-        is constant or zero, and the image of the composite from the bottom
-        pad right of it, which is already stable.
-        """
+    def _stable_at(self, n: int, r: int, tower) -> Subgroup:
+        """``tower`` (``I_omega`` or ``stable_image``) of diagonal n at r."""
         dia = self.diagonal(n)
-        if dia.p0 - 1 <= r <= dia.p1 + 1:
-            return in_window(dia)[r]
-        if r < dia.p0 - 1:
-            return Subgroup.full(dia.group_at(r))
-        return dia.composite(dia.p0 - 1, r).image()
+        return tower(dia)[dia.padded_index(r)]
 
     def cycles_at(self, e: Position, tau: int) -> Subgroup:
         """Z^tau = k^{-1}(image of the tau-fold i) inside E_e."""
@@ -394,12 +383,7 @@ class ExactCouple:
         bd = self.bidegrees
         px = self.position_index(_sub(e, bd.b))
         dia = self.diagonal(px.n)
-        if px.r > dia.p1 + 1:
-            # right of the pad the tower is constant or zero, so the map to
-            # the colimit is injective there
-            K = Subgroup.zero(dia.group_at(px.r))
-        else:
-            K = dia.composite(px.r, dia.p1 + 1).kernel()
+        K = colimit(dia)[1][dia.padded_index(px.r)].kernel()
         return self.j_at(px.x).image_of_subgroup(K)
 
     @_in_own_table
@@ -717,12 +701,9 @@ class ExactCouple:
         )
         require(incl.image() == pulled, "pullback square fails", x)
 
-        # five-term sequence: both lim1 terms vanish under supported tails
-        dns = self.diagonal(pt.n)
-        if dns.p0 - 1 <= pt.r <= dns.p1 + 1:
-            K, _, _ = kernel_diagram(dns, pt.r)
-            _, _, lim1_ker = limit_and_lim1(K)
-            require(lim1_ker.is_trivial(), "lim^1 of the kernel tower does not vanish", x)
+        # five-term sequence: both lim1 terms vanish under supported tails,
+        # which limit_and_lim1 checks
+        limit_and_lim1(kernel_diagram(self.diagonal(pt.n), pt.r)[0])
 
         ab = self.abutments(px.n)
         eps_x = ab.eps.get(x)
@@ -1032,7 +1013,12 @@ class AbutmentData:
 
 
 class CoupleMorphism:
-    """A morphism of exact couples: componentwise maps commuting with i, j, k."""
+    """A morphism of exact couples: componentwise maps commuting with i, j, k.
+
+    On each diagonal the D-components form one tower morphism, built by
+    ``ZDiagramMorphism.on_window`` from the components given there; building
+    it checks the squares with i.
+    """
 
     def __init__(self, source: ExactCouple, target: ExactCouple,
                  fD: Dict[Position, Hom], fE: Dict[Position, Hom]):
@@ -1042,21 +1028,22 @@ class CoupleMorphism:
         self.target = target
         self.fD = {tuple(x): f for x, f in fD.items()}
         self.fE = {tuple(x): f for x, f in fE.items()}
+        self._towers: Dict[int, ZDiagramMorphism] = {}
         bd = source.bidegrees
-        d_pos = list(dict.fromkeys(
-            [*source._d_check_positions(), *target._d_check_positions()]))
-        e_pos = list(dict.fromkeys(
-            [*source._e_check_positions(), *target._e_check_positions()]))
         for x, f in self.fD.items():
             if f.domain != source.D_at(x) or f.codomain != target.D_at(x):
                 raise NotAMorphism(("component endpoints (D)", x))
         for x, f in self.fE.items():
             if f.domain != source.E_at(x) or f.codomain != target.E_at(x):
                 raise NotAMorphism(("component endpoints (E)", x))
+        for n in sorted({*source._content_diagonals(), *target._content_diagonals(),
+                         *(det2(bd.a, x) for x in self.fD)}):
+            self.d_morphism(n)
+        d_pos = list(dict.fromkeys(
+            [*source._d_check_positions(), *target._d_check_positions()]))
+        e_pos = list(dict.fromkeys(
+            [*source._e_check_positions(), *target._e_check_positions()]))
         for x in d_pos:
-            if self.fD_at(_add(x, bd.a)).compose(source.i_at(x)) != \
-                    target.i_at(x).compose(self.fD_at(x)):
-                raise NotAMorphism(("square with i", x))
             if self.fE_at(_add(x, bd.b)).compose(source.j_at(x)) != \
                     target.j_at(x).compose(self.fD_at(x)):
                 raise NotAMorphism(("square with j", x))
@@ -1066,24 +1053,8 @@ class CoupleMorphism:
                 raise NotAMorphism(("square with k", e))
 
     def fD_at(self, x: Position) -> Hom:
-        x = tuple(x)
-        f = self.fD.get(x)
-        if f is not None:
-            return f
-        src, dst = self.source.D_at(x), self.target.D_at(x)
-        if src == dst and self.fD:
-            # tail positions of constant towers reuse the boundary component
-            pi = self.source.position_index(x)
-            dia = self.source.diagonal(pi.n)
-            if pi.r > dia.p1 and dia.right_tail is Tail.CONSTANT:
-                edge = self.fD.get(self.source.position_on(pi.n, dia.p1))
-                if edge is not None and edge.domain == src and edge.codomain == dst:
-                    return edge
-            if pi.r < dia.p0 and dia.left_tail is Tail.CONSTANT:
-                edge = self.fD.get(self.source.position_on(pi.n, dia.p0))
-                if edge is not None and edge.domain == src and edge.codomain == dst:
-                    return edge
-        return Hom.zero_map(src, dst)
+        pi = self.source.position_index(x)
+        return self.d_morphism(pi.n).component(pi.r)
 
     def fE_at(self, x: Position) -> Hom:
         x = tuple(x)
@@ -1093,25 +1064,22 @@ class CoupleMorphism:
         return Hom.zero_map(self.source.E_at(x), self.target.E_at(x))
 
     def d_morphism(self, n: int) -> ZDiagramMorphism:
-        """The induced morphism of D-towers on diagonal n."""
-        s_dia = self.source.diagonal(n)
-        t_dia = self.target.diagonal(n)
-        p0 = min(s_dia.p0, t_dia.p0)
-        p1 = max(s_dia.p1, t_dia.p1)
-        A, B = s_dia.pad_to(p0, p1), t_dia.pad_to(p0, p1)
-        comps = tuple(
-            self.fD_at(self.source.position_on(n, r)) for r in A.padded_range()
-        )
-        return ZDiagramMorphism(A, B, comps)
+        """The induced morphism of D-towers on diagonal n, built once."""
+        if n not in self._towers:
+            comps = {self.source.position_index(x).r: f for x, f in self.fD.items()
+                     if det2(self.source.bidegrees.a, x) == n}
+            try:
+                self._towers[n] = ZDiagramMorphism.on_window(
+                    self.source.diagonal(n), self.target.diagonal(n), comps)
+            except NotAMorphism as ex:
+                raise NotAMorphism(("D-tower", n) + ex.args) from None
+        return self._towers[n]
 
     def f_infinity(self, n: int) -> Dict[Position, Hom]:
         """Induced maps on the limit pages over the E-positions of diagonal n."""
         bd = self.source.bidegrees
-        s_dia = self.source.diagonal(n)
-        t_dia = self.target.diagonal(n)
         out = {}
-        for r in range(min(s_dia.p0, t_dia.p0) - 1,
-                       max(s_dia.p1, t_dia.p1) + 2):
+        for r in self.d_morphism(n).source.padded_range():
             x = self.source.position_on(n, r)
             e = _add(x, bd.b)
             sq_s = subquotient(self.source.omega_cycles_at(e),
@@ -1598,6 +1566,20 @@ def _integer(v) -> int:
     return v
 
 
+def _object(v) -> dict:
+    """A JSON object; anything else is refused."""
+    if not isinstance(v, dict):
+        raise ValueError("expected an object, got %r" % (v,))
+    return v
+
+
+def _array(v) -> list:
+    """A JSON array; anything else is refused."""
+    if not isinstance(v, list):
+        raise ValueError("expected an array, got %r" % (v,))
+    return v
+
+
 def _pair(v, item=_integer) -> tuple:
     """Exactly two entries ``[x, y]``, each read by ``item``."""
     if not isinstance(v, (list, tuple)) or len(v) != 2:
@@ -1607,8 +1589,9 @@ def _pair(v, item=_integer) -> tuple:
 
 def _group_from_json(d) -> FPAbGroup:
     """A group ``{"rank": r, "torsion": [...]}``; either key may be left out."""
+    d = _object(d)
     return FPAbGroup(_integer(d.get("rank", 0)),
-                     tuple(_integer(t) for t in d.get("torsion", ())))
+                     tuple(_integer(t) for t in _array(d.get("torsion", []))))
 
 
 def _parse_pos(s) -> Position:
@@ -1620,10 +1603,11 @@ def _parse_pos(s) -> Position:
 def _homs_from_json(entries, src_at, tgt_at, delta: Position = (0, 0)) -> Dict[Position, Hom]:
     """Maps ``{"at": [p, q], "matrix": [...]}`` from ``src_at(x)`` to ``tgt_at(x + delta)``."""
     out = {}
-    for entry in entries:
+    for entry in _array(entries):
+        entry = _object(entry)
         x = _pair(entry["at"])
         out[x] = Hom(src_at(x), tgt_at(_add(x, delta)),
-                     [[_integer(v) for v in row] for row in entry["matrix"]])
+                     [[_integer(v) for v in _array(row)] for row in _array(entry["matrix"])])
     return out
 
 
@@ -1653,16 +1637,18 @@ def couple_to_json(C: ExactCouple) -> dict:
 def couple_from_json(data: dict) -> ExactCouple:
     """The couple of a ``couple_to_json`` dict.
 
-    Positions and bidegrees are pairs of integers, group entries and matrix
-    entries are integers, and each diagonal has a pair of tail names;
-    anything else raises ``ValueError``.
+    Groups, bidegrees and tail tables are objects, map lists and matrices
+    arrays; positions and bidegrees are pairs of integers, group entries
+    and matrix entries are integers, and each diagonal has a pair of tail
+    names; anything else raises ``ValueError``.
     """
-    bd = Bidegrees(*(_pair(data["bidegrees"][key]) for key in "abc"))
-    D = {_parse_pos(s): _group_from_json(g) for s, g in data.get("D", {}).items()}
-    E = {_parse_pos(s): _group_from_json(g) for s, g in data.get("E", {}).items()}
+    data = _object(data)
+    bd = Bidegrees(*(_pair(_object(data["bidegrees"])[key]) for key in "abc"))
+    D = {_parse_pos(s): _group_from_json(g) for s, g in _object(data.get("D", {})).items()}
+    E = {_parse_pos(s): _group_from_json(g) for s, g in _object(data.get("E", {})).items()}
     tails = {
         int(n): _pair(t, Tail)
-        for n, t in data.get("diagonal_tails", {}).items()
+        for n, t in _object(data.get("diagonal_tails", {})).items()
     }
     stub = ExactCouple(bd, D, E, {}, {}, {}, tails)
     i = _homs_from_json(data.get("i", []), stub.D_at, stub.D_at, bd.a)

@@ -40,7 +40,7 @@ class NotADifferential(Exception):
     """d did not square to zero, or endpoints mismatch; carries a witness."""
 
 
-class NotAMorphism(Exception):
+class NotAMorphism(ValueError):
     """A claimed morphism fails a commuting square; carries a witness."""
 
 

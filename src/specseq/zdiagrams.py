@@ -7,6 +7,12 @@ image towers, filtrations -- reduces to a finite computation on the window
 padded by one step, and lim^1 always vanishes (the truncated tower satisfies
 the Mittag-Leffler condition by fiat).
 
+The tail rule lives here and nowhere else: every value tied to one index
+p -- the group, I^omega_p, the stable image, a (co)cone map, the kernel
+diagram, a morphism's component -- equals its value at ``padded_index(p)``,
+which clamps p into the padded window [p0-1, p1+1], and the composite
+A_p -> A_q equals the one between the clamped indices.
+
 Towers that genuinely need lim^1 (the doubling tower with uncountable lim^1,
 colimits like Z[1/2]) are deliberately not representable here: soundness of
 the exact computations takes priority over generality.
@@ -27,6 +33,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict
 
+from .spectral import NotAMorphism
 from .zlinalg import (
     ContainmentViolation,
     FPAbGroup,
@@ -116,6 +123,10 @@ class ZDiagram:
         """Indices [p0-1, p1+1]; every computation lives inside this range."""
         return range(self.p0 - 1, self.p1 + 2)
 
+    def padded_index(self, p: int) -> int:
+        """p clamped into [p0-1, p1+1], where the tails have the same values."""
+        return min(max(p, self.p0 - 1), self.p1 + 1)
+
     def group_at(self, p: int) -> FPAbGroup:
         if p < self.p0:
             return self.groups[0] if self.left_tail is Tail.CONSTANT else _TRIVIAL
@@ -140,11 +151,13 @@ class ZDiagram:
     def composite(self, p: int, q: int) -> Hom:
         """The composite A_p -> A_q for p <= q (identity when p == q).
 
-        The composites out of A_p are kept as one chain per p; a call
-        extends the chain by one ``compose`` per missing step.
+        It is read between the clamped indices.  The composites out of A_p
+        are kept as one chain per p; a call extends the chain by one
+        ``compose`` per missing step, so chains stay in the padded window.
         """
         if q < p:
             raise ValueError("composite runs forward only")
+        p, q = self.padded_index(p), self.padded_index(q)
         chain = self._memo.get(("composite", p))
         if chain is None:
             chain = self._memo[("composite", p)] = [Hom.identity(self.group_at(p))]
@@ -174,7 +187,10 @@ class ZDiagram:
 
 @dataclass(frozen=True)
 class ZDiagramMorphism:
-    """A natural transformation between two ZDiagrams on a common window."""
+    """A natural transformation between two ZDiagrams on a common window.
+
+    A component or naturality square that fails raises ``NotAMorphism``.
+    """
 
     source: ZDiagram
     target: ZDiagram
@@ -184,44 +200,49 @@ class ZDiagramMorphism:
         if self.source.window != self.target.window:
             raise ValueError("align the windows with pad_to before building a morphism")
         A, B = self.source, self.target
-        if len(self.components) != len(list(A.padded_range())):
+        if len(self.components) != len(A.padded_range()):
             raise ValueError("one component per padded index expected")
         for p in A.padded_range():
             f = self.component(p)
             if f.domain != A.group_at(p) or f.codomain != B.group_at(p):
-                raise ValueError("component endpoints disagree at index %d" % p)
+                raise NotAMorphism(("component endpoints", p))
         for p in range(A.p0 - 1, A.p1 + 1):
             lhs = self.component(p + 1).compose(A.map_at(p))
             rhs = B.map_at(p).compose(self.component(p))
             if lhs != rhs:
-                raise ValueError("naturality square fails at index %d" % p)
+                raise NotAMorphism(("naturality square", p))
 
     def component(self, p: int) -> Hom:
-        return self.components[p - (self.source.p0 - 1)]
+        """f_p, read at ``padded_index(p)``."""
+        return self.components[self.source.padded_index(p) - (self.source.p0 - 1)]
 
     @staticmethod
     def on_window(source: ZDiagram, target: ZDiagram, comps: Dict[int, Hom]) -> "ZDiagramMorphism":
-        """Build a morphism from per-index components, filling tail positions.
+        """Build a morphism from per-index components on the common window.
 
-        Missing components at padded positions are inferred from the tails
-        (zero maps into/out of trivial groups, boundary components for
-        constant tails).
+        The common window runs from the smaller p0 to the larger p1.  A
+        missing component is zero inside it; past it, it is the component
+        at the nearest window end if that one's endpoints fit, else zero.  A
+        component given outside the padded window must equal the one at
+        ``padded_index``, else ``NotAMorphism``.
         """
         p0 = min(source.p0, target.p0)
         p1 = max(source.p1, target.p1)
         A, B = source.pad_to(p0, p1), target.pad_to(p0, p1)
         full = []
         for p in A.padded_range():
-            if p in comps:
-                full.append(comps[p])
-                continue
-            src, dst = A.group_at(p), B.group_at(p)
-            boundary = comps.get(p0 if p < p0 else p1)
-            if boundary is not None and boundary.domain == src and boundary.codomain == dst:
-                full.append(boundary)
-            else:
-                full.append(Hom.zero_map(src, dst))
-        return ZDiagramMorphism(A, B, tuple(full))
+            f = comps.get(p)
+            if f is None:
+                src, dst = A.group_at(p), B.group_at(p)
+                end = None if p0 <= p <= p1 else comps.get(p0 if p < p0 else p1)
+                fits = end is not None and (end.domain, end.codomain) == (src, dst)
+                f = end if fits else Hom.zero_map(src, dst)
+            full.append(f)
+        out = ZDiagramMorphism(A, B, tuple(full))
+        for p, f in comps.items():
+            if f != out.component(p):
+                raise NotAMorphism(("component outside the padded window", p))
+        return out
 
     @staticmethod
     def identity(A: ZDiagram) -> "ZDiagramMorphism":
@@ -555,33 +576,29 @@ def F_p_as_colimit_of_images(A: ZDiagram, p: int) -> Subgroup:
 # ---------------------------------------------------------------------------
 
 
+@_per_diagram
 def kernel_diagram(A: ZDiagram, p: int):
     """The diagram K^p with (K^p)_{p-r} = Ker(A_{p-r} -> A_p), r >= 0.
 
-    Returns ``(K, inclusion, report)``: ``K`` is a ZDiagram on the window
-    [p0-1, p] with zero right tail (the kernel vanishes at p and beyond),
-    ``inclusion`` maps each kernel into A, and the report verifies the
-    lemma's identifications lim K^p = F^p and lim I_p = I^omega_p.
+    p is read at ``padded_index(p)``.  Returns ``(K, inclusion, report)``:
+    ``K`` is a ZDiagram on the window [p0-1, p] with zero right tail (the
+    kernel vanishes at p and beyond), ``inclusion`` maps each kernel into A,
+    and the report verifies the lemma's identifications lim K^p = F^p and
+    lim I_p = I^omega_p.  The result is memoized on ``A`` and shared by
+    every p with the same padded index.
     """
-    if p not in A.padded_range():
-        raise ValueError("p must lie in the padded window")
+    if p != A.padded_index(p):
+        return kernel_diagram(A, A.padded_index(p))
     lo = A.p0 - 1
     subs = {q: A.composite(q, p).kernel() for q in range(lo, p + 1)}
     pieces = {q: subs[q].as_group() for q in range(lo, p + 1)}
-    maps = []
-    for q in range(lo, p):
-        maps.append(A.map_at(q).restrict(subs[q], subs[q + 1]))
-    left = Tail.ZERO if A.left_tail is Tail.ZERO else Tail.CONSTANT
-    if p == lo:
-        K = ZDiagram((lo, lo), (pieces[lo][0],), (), left, Tail.ZERO)
-    else:
-        K = ZDiagram(
-            (lo, p),
-            tuple(pieces[q][0] for q in range(lo, p + 1)),
-            tuple(maps),
-            left,
-            Tail.ZERO,
-        )
+    K = ZDiagram(
+        (lo, p),
+        tuple(pieces[q][0] for q in range(lo, p + 1)),
+        tuple(A.map_at(q).restrict(subs[q], subs[q + 1]) for q in range(lo, p)),
+        A.left_tail,
+        Tail.ZERO,
+    )
     inclusion = {q: pieces[q][1] for q in range(lo, p + 1)}
     # lim K^p is realized at the bottom pad; under a constant left tail that
     # is the same subgroup of A_{lo} as F^p = Ker(rho_p), and under a zero

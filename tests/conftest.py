@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from specseq.excouple import ExactCouple
+from specseq.excouple import ExactCouple, couple_from_filtered_complex
 from specseq.zlinalg import FPAbGroup, Hom, NotWellDefined, Subgroup
 from specseq.zdiagrams import HypothesisFailed, Tail, ZDiagram
 
@@ -113,6 +113,24 @@ def random_filtered_complex(rng, max_degree=3, stages=None):
         filtration[p] = level
         below = level
     return groups, diffs, filtration
+
+
+def doubling_morphism_data():
+    """Multiplication by 2 from Z filtered by Z at stage 0 to Z filtered by 2Z
+    at stages 0 and 1: ``(source, target, fD, fE)``, the two couples and the
+    matrices of the induced couple morphism by position.
+
+    On diagonal 0 the target's D-tower reaches one stage further right than
+    the source's, and the component there, 2, differs from the one at the
+    end of the source's window, 1.
+    """
+    Z = FPAbGroup(1)
+    twoZ = Subgroup.from_generators(Z, [(2,)])
+    source = couple_from_filtered_complex({0: Z}, {}, {0: {0: Subgroup.full(Z)}})
+    target = couple_from_filtered_complex({0: Z}, {}, {0: {0: twoZ}, 1: {0: twoZ}})
+    fD = {(0, 0): [[1]], (1, -1): [[1]], (2, -2): [[2]]}
+    fE = {(0, 0): [[1]]}
+    return source, target, fD, fE
 
 
 def expected_outcome(clauses, verdict, fails_at):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import doubling_morphism_data
 from specseq import cli, zlinalg
 from specseq.cli import main
 from specseq.excouple import (
@@ -138,6 +139,18 @@ class TestCompare:
         assert rep["witness"] == repr(((
             "iso-lim-1", "both sides match the limit abutment",
             [("both sides match the limit abutment", False)]),))
+
+    def test_tail_component_from_the_common_window(self, capsys, tmp_path):
+        src, tgt, fD, fE = doubling_morphism_data()
+
+        def entries(table):
+            return [{"at": list(x), "matrix": m} for x, m in table.items()]
+
+        path = tmp_path / "doubling.json"
+        path.write_text(json.dumps({"source": couple_to_json(src), "target": couple_to_json(tgt),
+                                    "fD": entries(fD), "fE": entries(fE)}))
+        code, rep = run(capsys, "compare", str(path), "--rule", "mono-colim-1", "--n", "0")
+        assert code == 0 and rep["ok"]
 
     def test_unknown_rule_is_a_parse_error(self, capsys, tmp_path):
         path = identity_morphism_file(tmp_path, "couple3")
@@ -290,6 +303,14 @@ MALFORMED_COUPLES = {
     "boolean rank": set_in(["E", "0,0", "rank"], False),
     "float matrix entry": set_in(["k", 0, "matrix"], [[1.0]]),
     "float bidegree entry": set_in(["bidegrees", "c"], [-1.0, 0]),
+    "D groups in an array": set_in(["D"], []),
+    "E groups in an array": set_in(["E"], []),
+    "tails in an array": set_in(["diagonal_tails"], []),
+    "group given as a number": set_in(["D", "0,0"], 5),
+    "torsion given as an object": set_in(["D", "0,0", "torsion"], {}),
+    "i maps in an object": set_in(["i"], {}),
+    "map entry given as an array": set_in(["k", 0], [[0, 0], [[1]]]),
+    "matrix given as an object": set_in(["k", 0, "matrix"], {}),
 }
 
 
@@ -309,9 +330,10 @@ class TestMalformedFiles:
     def test_malformed_morphism_is_a_parse_error(self, capsys, tmp_path):
         path = Path(identity_morphism_file(tmp_path, "couple2"))
         identity = path.read_text()
-        for key, value in (("at", [0, 0, 0]), ("matrix", [[1.0]])):
+        for change in (set_in(["fE", 0, "at"], [0, 0, 0]), set_in(["fE", 0, "matrix"], [[1.0]]),
+                       set_in(["fD"], {}), set_in(["source"], [])):
             data = json.loads(identity)
-            data["fE"][0][key] = value
+            change(data)
             path.write_text(json.dumps(data))
             code, rep = run(capsys, "compare", str(path), "--rule", "iso-colim", "--n", "0")
             assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
@@ -319,11 +341,15 @@ class TestMalformedFiles:
 
     def test_malformed_two_row_file_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "tworow.json"
-        for entry in ({"group": {"rank": 1, "torsion": [2.0]}},
-                      {"group": {"rank": 1.0}},
-                      {"group": {"rank": 1}, "stage": [[4.0]]},
-                      {"group": {"rank": 1}, "stage": [[True]]}):
-            path.write_text(json.dumps({"N": 3, "abutment": {"1": entry}}))
+        for abutment in ({"1": {"group": {"rank": 1, "torsion": [2.0]}}},
+                         {"1": {"group": {"rank": 1.0}}},
+                         {"1": {"group": {"rank": 1}, "stage": [[4.0]]}},
+                         {"1": {"group": {"rank": 1}, "stage": [[True]]}},
+                         [],
+                         {"1": {"group": [1]}},
+                         {"1": []},
+                         {"1": {"group": {"rank": 1}, "stage": {}}}):
+            path.write_text(json.dumps({"N": 3, "abutment": abutment}))
             code, rep = run(capsys, "solve-two-row", str(path))
             assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
             assert rep["witness"].startswith("expected")

@@ -15,7 +15,13 @@ from specseq.zlinalg import (
     subquotient,
 )
 from specseq.zdiagrams import HypothesisFailed, Tail
-from specseq.spectral import SSMorphism, homological_rule, spectral_sequence_from_page, turn_page
+from specseq.spectral import (
+    NotAMorphism,
+    SSMorphism,
+    homological_rule,
+    spectral_sequence_from_page,
+    turn_page,
+)
 from specseq.excouple import (
     COMPARE_RULES,
     DEMO_BIDEGREES,
@@ -39,7 +45,13 @@ from specseq.excouple import (
 )
 from specseq.zdiagrams import NotExact
 
-from conftest import assert_outcome, expected_outcome, random_filtered_complex, seeded
+from conftest import (
+    assert_outcome,
+    doubling_morphism_data,
+    expected_outcome,
+    random_filtered_complex,
+    seeded,
+)
 
 Z = FPAbGroup(1)
 Z2 = FPAbGroup(0, (2,))
@@ -897,6 +909,46 @@ class TestComparison:
                     assert compare_abutments(f, rule, 0)["ok"]
                 except HypothesisFailed:
                     pass
+
+
+def doubling_morphism():
+    src, tgt, fD, fE = doubling_morphism_data()
+    return CoupleMorphism(
+        src, tgt,
+        {x: Hom(src.D_at(x), tgt.D_at(x), m) for x, m in fD.items()},
+        {x: Hom(src.E_at(x), tgt.E_at(x), m) for x, m in fE.items()},
+    )
+
+
+class TestTowerMorphisms:
+    """A couple morphism's D-components are one tower morphism per diagonal,
+    filled past the common window from its end."""
+
+    def test_tail_reads_the_common_window_end(self):
+        f = doubling_morphism()
+        dm = f.d_morphism(0)
+        assert dm.source.window == dm.target.window == (0, 2)
+        for r in (3, 4):
+            assert dm.component(r).matrix == ((2,),), r
+            assert f.fD_at(f.source.position_on(0, r)) == dm.component(r)
+        assert compare_abutments(f, "mono-colim-1", 0)["ok"]
+
+    def test_i_square_failure_names_the_tower(self):
+        C = ExactCouple(DEMO_BIDEGREES, {(0, 0): Z}, {}, {}, {}, {},
+                        {0: (Tail.CONSTANT, Tail.CONSTANT)})
+        with pytest.raises(NotAMorphism) as exc:
+            CoupleMorphism(C, C, {(0, 0): Hom(Z, Z, [[2]]), (1, -1): Hom(Z, Z, [[3]])}, {})
+        assert exc.value.args == (("D-tower", 0, ("naturality square", 0)),)
+
+    def test_component_outside_the_padded_window_must_match(self):
+        C = ExactCouple(DEMO_BIDEGREES, {(0, 0): Z}, {}, {}, {}, {},
+                        {0: (Tail.CONSTANT, Tail.CONSTANT)})
+        twice = Hom(Z, Z, [[2]])
+        f = CoupleMorphism(C, C, {(0, 0): twice, (5, -5): twice}, {})
+        assert f.fD_at((-3, 3)) == f.fD_at((7, -7)) == twice
+        with pytest.raises(NotAMorphism) as exc:
+            CoupleMorphism(C, C, {(0, 0): twice, (5, -5): Hom(Z, Z, [[3]])}, {})
+        assert exc.value.args == (("D-tower", 0, ("component outside the padded window", 5)),)
 
 
 def two_row_morphism():

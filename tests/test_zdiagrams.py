@@ -52,6 +52,7 @@ from specseq.zdiagrams import (
     zcompare,
 )
 from specseq.zdiagrams import _difference_columns, _lim1_by_difference_map
+from specseq.spectral import NotAMorphism
 
 Z = FPAbGroup(1)
 Z4 = FPAbGroup(0, (4,))
@@ -662,6 +663,53 @@ class TestZCompare:
         A = ZDiagram.constant(Z)
         with pytest.raises(ValueError):
             zcompare(ZDiagramMorphism.identity(A), "no-such-rule")
+
+
+class TestPaddedIndex:
+    """Values read at ``padded_index(p)`` against the same diagram on a
+    window five steps wider on each side (``pad_to``)."""
+
+    def test_values_match_a_wider_window(self):
+        for t in range(30):
+            A = random_diagram(seeded(12_000 + t))
+            W = A.pad_to(A.p0 - 5, A.p1 + 5)
+            idx = range(W.p0, W.p1 + 1)
+            tables = {
+                "I_omega": (I_omega(A), I_omega(W)),
+                "stable_image": (stable_image(A), stable_image(W)),
+                "cocone": (colimit(A)[1], colimit(W)[1]),
+                "cone": (limit_and_lim1(A)[1], limit_and_lim1(W)[1]),
+            }
+            for p in idx:
+                for name, (at_A, at_W) in tables.items():
+                    assert at_A[A.padded_index(p)] == at_W[p], (t, name, p)
+                for q in range(p, W.p1 + 1):
+                    assert A.composite(p, q) == W.composite(p, q), (t, p, q)
+
+    def test_components_match_a_wider_window(self):
+        for t in range(15):
+            A = random_diagram(seeded(12_100 + t))
+            for f in (*make_ses(seeded(12_200 + t)), q_factor_diagram(A)[1], i_factor_diagram(A)[1]):
+                S, T = f.source, f.target
+                lo, hi = S.p0 - 5, S.p1 + 5
+                # endpoints and naturality on the wide window pin down every
+                # tail component
+                wide = ZDiagramMorphism(S.pad_to(lo, hi), T.pad_to(lo, hi),
+                                        tuple(f.component(p) for p in range(lo - 1, hi + 2)))
+                assert colimit_map(wide) == colimit_map(f), t
+                assert limit_map(wide) == limit_map(f), t
+
+    def test_on_window_fills_only_past_the_common_window(self):
+        Z0 = ZDiagram.from_maps(0, [times(0), times(0)], Tail.CONSTANT, Tail.CONSTANT)
+        f = ZDiagramMorphism.on_window(Z0, Z0, {0: times(2), 2: times(3)})
+        assert [f.component(p) for p in (-1, 0, 1, 2, 3)] == \
+            [times(2), times(2), times(0), times(3), times(3)]
+        A = ZDiagram.from_maps(0, [times(1), times(1)], Tail.CONSTANT, Tail.CONSTANT)
+        with pytest.raises(NotAMorphism) as exc:
+            ZDiagramMorphism.on_window(A, A, {0: times(2), 1: times(2), 2: times(2), 5: times(3)})
+        assert exc.value.args == (("component outside the padded window", 5),)
+        g = ZDiagramMorphism.on_window(A, A, {0: times(2), 1: times(2), 2: times(2), 5: times(2)})
+        assert g.component(-4) == g.component(9) == times(2)
 
 
 class TestValidation:
