@@ -9,9 +9,10 @@ the Mittag-Leffler condition by fiat).
 
 The tail rule lives here and nowhere else: every value tied to one index
 p -- the group, I^omega_p, the stable image, a (co)cone map, the kernel
-diagram, a morphism's component -- equals its value at ``padded_index(p)``,
-which clamps p into the padded window [p0-1, p1+1], and the composite
-A_p -> A_q equals the one between the clamped indices.
+diagram, the mono-condition, a morphism's component -- equals its value
+at ``padded_index(p)``, which clamps p into the padded window
+[p0-1, p1+1], and the composite A_p -> A_q equals the one between the
+clamped indices.
 
 Towers that genuinely need lim^1 (the doubling tower with uncountable lim^1,
 colimits like Z[1/2]) are deliberately not representable here: soundness of
@@ -624,11 +625,12 @@ def k_mono_condition(A: ZDiagram, p: int) -> dict:
     lim1 K^p -> lim1 K^{p+1} is injective; under the supported tails both
     lim1 terms vanish, but the subgroup equality itself is still meaningful
     and is evaluated exactly.  Sufficient conditions (a_p mono, omega-ML) are
-    cross-checked: each one, when true, must force the condition.
+    cross-checked: each one, when true, must force the condition.  Like
+    every per-index value it is read at ``padded_index(p)``.
     """
-    if p not in A.padded_range() or p == A.p1 + 1:
-        raise ValueError("p must lie in the padded window with a successor")
-    ker = A.map_at(p).kernel()
+    p = A.padded_index(p)
+    a = A.map_at(p)
+    ker = a.kernel()
     iw = I_omega(A)[p]
     ibar = stable_image(A)[p]
     lhs = ker.intersection(iw)
@@ -637,7 +639,7 @@ def k_mono_condition(A: ZDiagram, p: int) -> dict:
     witness = None
     if not holds:
         witness = next(c for c in lhs.basis if not rhs.contains(c))
-    a_mono = A.map_at(p).is_mono()
+    a_mono = a.is_mono()
     omega_ml = ml_conditions(A)["omega_ml"]
     require(holds or not (a_mono or omega_ml),
             "sufficient condition held but the criterion failed", p)

@@ -6,13 +6,17 @@ This module provides:
 * Smith normal form with unimodular transform witnesses ``D = U * M * V``.
 * A column-style Hermite form used as the canonical basis of a sublattice.
 * ``FPAbGroup`` -- a finitely generated abelian group in canonical invariant
-  factor form (free part first, then torsion in divisibility order).
+  factor form (free part first, then torsion in divisibility order).  Its
+  ``ngens``, ``orders`` and relation columns are computed once, at
+  construction.
 * ``Subgroup`` -- a subgroup of an ``FPAbGroup`` stored as the canonical
   Hermite basis of its preimage lattice, so equality of subgroups is a
   tuple comparison.  Membership and coordinates in that basis come by
   forward substitution down its pivot rows.  As a group it is the
   subquotient ``S / 0``, so ``as_group`` and ``Hom.restrict`` project to
-  it and solve nothing.
+  it and solve nothing.  ``Subgroup.zero`` and ``Subgroup.full`` are in
+  closed form, and no normal form runs for them: the relation columns
+  ``d_i * e_i`` and the unit columns ``e_i`` are already Hermite bases.
 * ``Hom`` -- a homomorphism given by an integer matrix on canonical
   generators, with well-definedness checked at construction.
 * Derived constructions: kernels, images, cokernels, preimages, subquotients
@@ -51,7 +55,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 Vector = tuple  # tuple of ints
@@ -457,29 +461,38 @@ class FPAbGroup:
     are equal as dataclasses.
 
     Elements are integer tuples of length ``ngens``; ``reduce`` normalizes the
-    torsion coordinates.
+    torsion coordinates.  ``torsion`` is stored as a tuple; a rank or torsion
+    entry that is not an ``int`` is a ``TypeError``.
     """
 
     rank: int = 0
     torsion: tuple = ()
+    # Derived once in __post_init__ and left out of equality, hashing and
+    # repr, so a group is still its (rank, torsion).
+    ngens: int = field(init=False, repr=False, compare=False)
+    orders: tuple = field(init=False, repr=False, compare=False)
+    _relations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        torsion = tuple(self.torsion)
+        if type(self.rank) is not int or any(type(d) is not int for d in torsion):
+            raise TypeError("rank and torsion coefficients must be ints")
         if self.rank < 0:
             raise ValueError("negative rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-        if any(d < 2 for d in self.torsion):
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion coefficients must be >= 2")
-
-    @property
-    def ngens(self) -> int:
-        return self.rank + len(self.torsion)
-
-    @property
-    def orders(self) -> tuple:
-        """Per-generator order: 0 for free generators, d for torsion ones."""
-        return (0,) * self.rank + self.torsion
+        n = self.rank + len(torsion)
+        # Per-generator order: 0 for free generators, d for torsion ones.
+        orders = (0,) * self.rank + torsion
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "ngens", n)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "_relations", tuple(
+            (0,) * i + (d,) + (0,) * (n - i - 1) for i, d in enumerate(orders) if d
+        ))
 
     def is_trivial(self) -> bool:
         return self.ngens == 0
@@ -508,13 +521,7 @@ class FPAbGroup:
 
     def relation_columns(self) -> list:
         """Columns spanning the relation lattice: ``d_i * e_i`` per torsion gen."""
-        n = self.ngens
-        cols = []
-        for i, d in enumerate(self.torsion):
-            col = [0] * n
-            col[self.rank + i] = d
-            cols.append(tuple(col))
-        return cols
+        return list(self._relations)
 
     def elements(self) -> Iterator[Vector]:
         """Iterate over all elements (finite groups only)."""
@@ -626,12 +633,17 @@ class Subgroup:
 
     @staticmethod
     def zero(ambient: FPAbGroup) -> "Subgroup":
-        return Subgroup.from_generators(ambient, [])
+        """The trivial subgroup: its basis is the ambient relation columns,
+        already in Hermite form (one positive entry per column, on rows that
+        increase)."""
+        return Subgroup(ambient, ambient._relations)
 
     @staticmethod
     def full(ambient: FPAbGroup) -> "Subgroup":
+        """The whole group: its basis is the unit columns, already in
+        Hermite form."""
         n = ambient.ngens
-        return Subgroup.from_generators(ambient, columns_of(identity_matrix(n)))
+        return Subgroup(ambient, tuple(unit_vector(n, j) for j in range(n)))
 
     def _matrix(self) -> Matrix:
         return matrix_from_columns(list(self.basis), self.ambient.ngens)

@@ -452,6 +452,21 @@ class TestKMonoCondition:
                 if r["a_p_mono"] or r["omega_ml"]:
                     assert r["holds"]
 
+    def test_answers_at_every_index(self):
+        # x2 on Z with constant tails: the identity past the window
+        A = ZDiagram.from_maps(0, [times(2)], Tail.CONSTANT, Tail.CONSTANT)
+        assert (A.p0, A.p1) == (0, 1)
+        for p in (A.p0 - 3, A.p1 + 1, A.p1 + 4):
+            assert k_mono_condition(A, p) == k_mono_condition(A, A.padded_index(p)), p
+        assert k_mono_condition(A, 5)["a_p_mono"]
+
+    def test_matches_a_wider_window(self):
+        for t in range(15):
+            A = random_diagram(seeded(9100 + t))
+            W = A.pad_to(A.p0 - 5, A.p1 + 5)
+            for p in (A.p0 - 3, A.p1 + 1, A.p1 + 4):
+                assert k_mono_condition(A, p) == k_mono_condition(W, p), (t, p)
+
 
 class TestImageFactorization:
     def test_both_factorizations_induce_isos(self):

@@ -6,8 +6,10 @@ unimodularity, and random unimodular recombinations for canonicality of the
 Hermite basis.
 """
 
+import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,44 @@ class TestKernelAndSolve:
     def test_no_rational_solutions_accepted(self):
         assert solve_matrix([[2]], (1,)) is None
 
+    def test_kernel_basis_spans_the_kernel(self):
+        """The basis has ``cols - rank(M)`` vectors, and every kernel vector
+        in a box around 0 is an integer combination of them (tested against
+        their Hermite basis, not through a Smith form)."""
+        rng = random.Random(31)
+        for t in range(80):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+            if t % 2:
+                M = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            else:  # M = A C has the kernel of C, which has small vectors
+                k = rng.randint(0, cols)
+                A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+                C = [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(k)]
+                M = mat_mul(A, C) if k else [[0] * cols for _ in range(rows)]
+            basis = kernel_basis(M)
+            assert len(basis) == cols - rational_rank(M), (t, M)
+            span = Subgroup.from_generators(FPAbGroup(cols), basis)
+            box = 2 if cols == 4 else 3
+            for x in itertools.product(range(-box, box + 1), repeat=cols):
+                if not any(mat_vec(M, x)):
+                    assert span.contains(x), (t, M, x)
+
+
+def rational_rank(M):
+    """Rank of ``M`` over the rationals, by Gaussian elimination on fractions."""
+    A = [[Fraction(x) for x in row] for row in M]
+    rank = 0
+    for j in range(len(A[0]) if A else 0):
+        pivot = next((i for i in range(rank, len(A)) if A[i][j]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        for i in range(rank + 1, len(A)):
+            f = A[i][j] / A[rank][j]
+            A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
 
 def full_rank_matrix(n, rng):
     while True:
@@ -344,6 +384,42 @@ class TestFPAbGroup:
                 assert G.rank == n - len(factors)
                 assert list(G.torsion) == sorted(d for d in factors if d > 1)
 
+    def test_inputs_are_checked_at_construction(self):
+        G = FPAbGroup(0, [2])
+        assert G.torsion == (2,) and G == FPAbGroup(0, (2,))
+        assert hash(G) == hash(FPAbGroup(0, (2,)))
+        for rank, torsion in ((1.0, ()), (0, (2.0,)), ("1", ()), (True, ()), (0, (2, 4.0))):
+            with pytest.raises(TypeError):
+                FPAbGroup(rank, torsion)
+
+    def test_stored_invariants_leave_the_value_unchanged(self):
+        """Equality, hashing and ``repr`` see only ``(rank, torsion)``, and
+        the stored invariants are those of the per-call formulas."""
+        for G in seeded_groups(60, 41):
+            twin = FPAbGroup(rank=G.rank, torsion=tuple(G.torsion))
+            assert G == twin
+            assert hash(G) == hash(twin) == hash((G.rank, G.torsion))
+            assert repr(G) == "FPAbGroup(rank=%r, torsion=%r)" % (G.rank, G.torsion)
+            assert G.ngens == G.rank + len(G.torsion)
+            assert G.orders == (0,) * G.rank + G.torsion
+            old_relations = []
+            for i, d in enumerate(G.torsion):
+                col = [0] * G.ngens
+                col[G.rank + i] = d
+                old_relations.append(tuple(col))
+            assert G.relation_columns() == old_relations
+        assert FPAbGroup(1) != FPAbGroup(0, (2,)) and FPAbGroup(1) != (1, ())
+
+    def test_relation_columns_is_a_fresh_list(self):
+        G = FPAbGroup(1, (2, 4))
+        rel = G.relation_columns()
+        zero = Subgroup.zero(G)
+        rel.append((1, 1, 1))
+        rel[0] = (0, 0, 0)
+        assert G.relation_columns() == [(0, 2, 0), (0, 0, 4)]
+        assert Subgroup.zero(G) == zero == Subgroup.from_generators(G, [])
+        assert G == FPAbGroup(1, (2, 4)) and G.ngens == 3
+
     def test_order_and_describe(self):
         G = FPAbGroup(1, (2, 6))
         assert G.order() is None
@@ -393,7 +469,33 @@ def subgroups_with_vectors(draw):
     return Subgroup.from_generators(G, gens), members, draw(st.lists(vector, max_size=4))
 
 
+def seeded_groups(count, seed):
+    """``count`` canonical groups in turn trivial, free only, torsion only,
+    mixed, and with a long divisibility chain."""
+    rng = random.Random(seed)
+    for t in range(count):
+        rank = (0, rng.randint(1, 4), 0, rng.randint(1, 4), rng.randint(0, 2))[t % 5]
+        length = (0, 0, rng.randint(1, 3), rng.randint(1, 3), rng.randint(4, 7))[t % 5]
+        torsion, d = [], 1
+        for _ in range(length):
+            d *= rng.randint(2, 5)
+            torsion.append(d)
+        yield FPAbGroup(rank, tuple(torsion))
+
+
 class TestSubgroups:
+    def test_zero_and_full_in_closed_form(self):
+        """The closed forms equal the Hermite forms of their generators."""
+        for G in seeded_groups(320, 43):
+            n = G.ngens
+            zero, full = Subgroup.zero(G), Subgroup.full(G)
+            assert zero == Subgroup.from_generators(G, []), G
+            assert full == Subgroup.from_generators(G, columns_of(identity_matrix(n))), G
+            for S in (zero, full):
+                assert S.basis == hermite_column_form(S.basis, n), G
+            assert zero.is_zero() and (full.is_zero() == (G.order() == 1))
+            assert all(full.contains(c) for c in columns_of(identity_matrix(n)))
+
     @given(subgroups_with_vectors())
     @settings(max_examples=150, deadline=None)
     def test_coordinates_agree_with_solve(self, case):
