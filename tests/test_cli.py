@@ -177,9 +177,11 @@ class TestSolverCommands:
         assert rep["groups"] == ["0", "0", "Z", "Z", "Z/6"]
 
     def test_zeeman_both_setups(self, capsys):
-        for setup in ("I", "II"):
+        # the horizons are pinned: a change to settled_page() shows here
+        for setup, horizon in (("I", 11), ("II", 4)):
             code, rep = run(capsys, "zeeman", "--setup", setup)
             assert code == 0 and rep["ok"]
+            assert rep["horizon"] == horizon
 
 
 class TestExitCodes:

@@ -201,8 +201,12 @@ class TestSpectralSequenceReuse:
             ss = C.internal_spectral_sequence()
             assert built == [1]
             C.e_infinity()
-            # each page is computed once, when the sequence first turns to it
-            assert built == list(range(1, ss.settled_page() + 1))
+            # each page up to the support-settled one is computed once, when
+            # the sequence first turns to it; later pages are turned without it
+            assert built == list(range(1, ss.support_settled_page() + 1))
+            assert ss.top_r == ss.settled_page() and ss.differentials is None
+            assert not any(ss.page(r).diffs
+                           for r in range(ss.support_settled_page() + 1, ss.top_r + 1))
             built.clear()
             C.e_infinity()
             assert built == []
@@ -231,11 +235,29 @@ class TestSpectralSequenceReuse:
             built.clear()
             assert C.internal_spectral_sequence() is ss
             C.e_infinity()
-            assert built == list(range(3, ss.settled_page() + 1))
+            assert built == list(range(3, ss.support_settled_page() + 1))
             built.clear()
             ss.page(ss.settled_page() + 2)
-            # past the settled page the source is gone: zero differentials
+            # past the support-settled page the source is gone: zero differentials
             assert built == [] and ss.differentials is None
+
+    def test_pages_past_the_source_agree_with_the_couple(self):
+        """On the criterion-05 couples, every page the source is no longer
+        asked for has no differential from the couple, and its cycles and
+        boundaries are the ones the engine turned."""
+        rng = seeded(20260823)
+        unasked = 0
+        for _ in range(200):
+            C = couple_from_filtered_complex(*random_filtered_complex(rng))
+            ss = C.internal_spectral_sequence()
+            ss.e_infinity()
+            for r in range(ss.support_settled_page() + 1, ss.settled_page() + 1):
+                ip = C.internal_page(r)
+                assert ip["d"] == {}
+                for e in C.E:
+                    assert (ip["Z"][e], ip["B"][e]) == (ss.anchored(r, e).Z, ss.anchored(r, e).B)
+                unasked += 1
+        assert unasked > 0
 
 
 def seeded_couple(s):

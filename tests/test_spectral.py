@@ -145,6 +145,50 @@ class TestEInfinity:
             ss.stabilization_horizon()
 
 
+def recording_sequence(support, diffs_by_page, r0=1, rule=homological_rule):
+    """A sequence whose source hands out ``diffs_by_page[r]`` and records
+    every page it is asked for."""
+    asked = []
+
+    def source(r, anchored):
+        asked.append(r)
+        return diffs_by_page.get(r, {})
+
+    ps = [x[0] for x in support]
+    qs = [x[1] for x in support]
+    bounds = ((min(ps), max(ps)), (min(qs), max(qs)))
+    first = Page(BigradedGroup(bounds, support), rule(r0), {})
+    return SpectralSequence(r0, first, rule, source), asked
+
+
+class TestSupportSettledPage:
+    def test_source_asked_up_to_the_last_support_pair(self):
+        # v_3 = (-3, 2) joins the two positions; no later v_r does
+        support = {(0, 0): Z, (-3, 2): Z}
+        ss, asked = recording_sequence(support, {3: {(0, 0): Hom(Z, Z, [[2]])}})
+        assert ss.support_settled_page() == 4 < ss.settled_page() == 7
+        Einf, stab, _ = ss.e_infinity()
+        assert asked == [2, 3, 4] and ss.differentials is None
+        assert ss.top_r == ss.settled_page()
+        assert not any(ss.page(r).diffs for r in range(5, 8))
+        assert Einf.at((0, 0)).is_trivial() and Einf.at((-3, 2)) == Z2
+        assert stab == {(0, 0): 4, (-3, 2): 4}
+        assert ss.collapse_page() == 4 and ss.stabilization_horizon() == 7
+
+    def test_without_a_support_pair_only_the_next_page_is_asked(self):
+        ss, asked = recording_sequence({(0, 0): Z, (1, 0): Z4}, {})
+        assert ss.support_settled_page() == 2
+        ss.e_infinity()
+        assert asked == [2] and ss.top_r == ss.settled_page() == 5
+
+    def test_explicit_rules_keep_the_settled_page(self):
+        rule = explicit_rule(1, [(-1, 0), (5, 5), (7, 7)])
+        ss, asked = recording_sequence({(0, 0): Z, (1, 0): Z4}, {}, rule=rule)
+        assert ss.support_settled_page() == ss.settled_page() == 5
+        ss.e_infinity()
+        assert asked == [2, 3, 4, 5]
+
+
 def random_two_column_morphism(rng):
     """A random morphism between random two-column first pages."""
     A1, A0 = rng.choice(FINITE_GROUPS), rng.choice(FINITE_GROUPS)
@@ -203,6 +247,21 @@ class TestMorphisms:
             finf_gf = gf.f_infinity()
             for x, h in finf_gf.items():
                 assert h == finf_g[x].compose(finf_f[x])
+
+    def test_square_checked_on_the_first_read_of_a_later_page(self):
+        # no differentials in the source; d^2 = 2 from (2, 0) to (0, 1) in the
+        # target: page r0 commutes, page 2 does not
+        bounds = ((0, 2), (0, 1))
+        objs = {(2, 0): Z, (0, 1): Z}
+        src = spectral_sequence_from_page(1, bounds, objs, {}, homological_rule)
+        tgt, _ = recording_sequence(objs, {2: {(2, 0): Hom(Z, Z, [[2]])}})
+        m = SSMorphism(src, tgt, {x: Hom.identity(G) for x, G in objs.items()})
+        assert m.component(1, (2, 0)).is_iso()
+        with pytest.raises(NotAMorphism) as exc:
+            m.iso_propagation(1)
+        assert exc.value.args == (("square", 2, (2, 0)),)
+        with pytest.raises(NotAMorphism):
+            m.component(2, (0, 1))
 
     def test_mono_does_not_propagate_alone(self):
         found = find_mono_nonpropagation(max_order=8)
