@@ -284,14 +284,22 @@ class ExactCouple:
         f = self.j.get(x)
         if f is not None:
             return f
-        return Hom.zero_map(self.D_at(x), self.E_at(_add(x, self.bidegrees.b)))
+        return self._zero_map(("j0", x), self.D_at(x), self.E_at(_add(x, self.bidegrees.b)))
 
     def k_at(self, x: Position) -> Hom:
         x = tuple(x)
         f = self.k.get(x)
         if f is not None:
             return f
-        return Hom.zero_map(self.E_at(x), self.D_at(_add(x, self.bidegrees.c)))
+        return self._zero_map(("k0", x), self.E_at(x), self.D_at(_add(x, self.bidegrees.c)))
+
+    def _zero_map(self, key, domain: FPAbGroup, codomain: FPAbGroup) -> Hom:
+        """The zero map of ``j_at``/``k_at`` at one position, built once and
+        kept in the couple's result table."""
+        f = self._results.get(key)
+        if f is None:
+            f = self._results[key] = Hom.zero_map(domain, codomain)
+        return f
 
     # -- validation ----------------------------------------------------------
 

@@ -220,8 +220,13 @@ class SpectralSequence:
         sq_next = {}
         for x in ambient.positions():
             sq = self.subquotients[-1][x]
+            x_in = (x[0] - v[0], x[1] - v[1])
+            if x not in cur.diffs and x_in not in cur.diffs:
+                # no differential in or out: E^{r+1}_x = E^r_x
+                sq_next[x] = sq
+                continue
             K = cur.d_at(x).kernel()
-            I = cur.d_at((x[0] - v[0], x[1] - v[1])).image()
+            I = cur.d_at(x_in).image()
             sq_next[x] = subquotient(sq.pull_back(K), sq.pull_back(I))
         support = {
             x: sq_next[x].group
@@ -447,7 +452,12 @@ class SSMorphism:
         self._verified.add(r)
 
     def f_infinity(self) -> Dict[Position, Hom]:
-        """The induced map on the limit pages, via restriction to Z-inf/B-inf."""
+        """The induced map on the limit pages, via restriction to Z-inf/B-inf,
+        once the squares of every page up to the later settled page commute."""
+        settled = max(self.source.settled_page(), self.target.settled_page())
+        for r in range(self.source.r0, settled + 1):
+            if r not in self._verified:
+                self.verify_page(r)
         _, _, data_s = self.source.e_infinity()
         _, _, data_t = self.target.e_infinity()
         out = {}
@@ -456,7 +466,10 @@ class SSMorphism:
         for x in set(data_s) | set(data_t):
             sq_s = data_s.get(x) or whole(amb_s.at(x))
             sq_t = data_t.get(x) or whole(amb_t.at(x))
-            out[x] = induced_map(self._first_component(x), sq_s, sq_t)
+            try:
+                out[x] = induced_map(self._first_component(x), sq_s, sq_t)
+            except NotWellDefined as e:
+                raise NotAMorphism(("not well defined on the limit page", x, e.args)) from e
         return out
 
     def propagation_report(self, r: int) -> dict:

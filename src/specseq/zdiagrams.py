@@ -136,18 +136,22 @@ class ZDiagram:
         return self.groups[p - self.p0]
 
     def map_at(self, p: int) -> Hom:
-        """The structure map A_p -> A_{p+1}, extended by the declared tails."""
-        src, dst = self.group_at(p), self.group_at(p + 1)
+        """The structure map A_p -> A_{p+1}, extended by the declared tails.
+
+        A tail map is built once and kept in ``_memo``.  Its key clamps p
+        into [p0-2, p1+1], not the padded window: under a ZERO left tail the
+        map at p0-1 is 0 -> A_{p0}, while every map before it is 0 -> 0.
+        """
         if self.p0 <= p < self.p1:
             return self.maps[p - self.p0]
-        if p < self.p0:
-            if self.left_tail is Tail.CONSTANT:
-                return Hom.identity(src)
-            return Hom.zero_map(src, dst)
-        # p >= p1
-        if self.right_tail is Tail.CONSTANT:
-            return Hom.identity(src)
-        return Hom.zero_map(src, dst)
+        key = ("map_at", min(max(p, self.p0 - 2), self.p1 + 1))
+        f = self._memo.get(key)
+        if f is None:
+            src, dst = self.group_at(p), self.group_at(p + 1)
+            tail = self.left_tail if p < self.p0 else self.right_tail
+            f = Hom.identity(src) if tail is Tail.CONSTANT else Hom.zero_map(src, dst)
+            self._memo[key] = f
+        return f
 
     def composite(self, p: int, q: int) -> Hom:
         """The composite A_p -> A_q for p <= q (identity when p == q).

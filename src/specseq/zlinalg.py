@@ -983,7 +983,22 @@ class SubquotientData:
 
     def pull_back(self, S: Subgroup) -> Subgroup:
         """The preimage in ``Z`` of a subgroup ``S`` of the quotient: lifts of
-        its basis together with ``B``."""
+        its basis together with ``B``.
+
+        The preimages of the zero and the whole quotient are ``B`` and ``Z``
+        themselves, with no lift or Hermite form.
+
+        >>> G = FPAbGroup(0, (8,))
+        >>> sq = subquotient(Subgroup.full(G), Subgroup.from_generators(G, [(4,)]))
+        >>> sq.pull_back(Subgroup.zero(sq.group)) is sq.B
+        True
+        >>> sq.pull_back(Subgroup.from_generators(sq.group, [(2,)])).basis
+        ((2,),)
+        """
+        if S == Subgroup.zero(self.group):
+            return self.B
+        if S == Subgroup.full(self.group):
+            return self.Z
         return Subgroup.from_generators(
             self.Z.ambient, [self.lift(c) for c in S.basis] + list(self.B.basis)
         )

@@ -58,6 +58,14 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def lift_and_hermite(sq, S):
+    """The generic pull-back of a subgroup ``S`` of ``sq.group`` to the
+    ambient group: the Hermite form of the lifts of its basis together
+    with ``sq.B``, with no closed form for the zero or the whole ``S``."""
+    return Subgroup.from_generators(
+        sq.Z.ambient, [sq.lift(c) for c in S.basis] + list(sq.B.basis))
+
+
 COMPLEX_GROUPS = [
     FPAbGroup(),
     FPAbGroup(0, (2,)),

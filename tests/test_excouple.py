@@ -16,7 +16,10 @@ from specseq.zlinalg import (
 )
 from specseq.zdiagrams import HypothesisFailed, Tail
 from specseq.spectral import (
+    BigradedGroup,
     NotAMorphism,
+    Page,
+    SpectralSequence,
     SSMorphism,
     homological_rule,
     spectral_sequence_from_page,
@@ -49,6 +52,7 @@ from conftest import (
     assert_outcome,
     doubling_morphism_data,
     expected_outcome,
+    lift_and_hermite,
     random_filtered_complex,
     seeded,
 )
@@ -140,6 +144,18 @@ class TestDemoCouples:
                              C.diagonal_tails)
         with pytest.raises(NotExact):
             broken.validate()
+
+    def test_default_maps_are_built_once(self):
+        for name in ("couple1", "couple2", "couple3"):
+            C = demo_couple(name)
+            C.validate()
+            xs = [*C._d_check_positions(), (40, -40)]
+            for x in xs:
+                for at in (C.i_at, C.j_at, C.k_at):
+                    f = at(x)
+                    assert at(x) is f and at(list(x)) is f, (name, x, at.__name__)
+            assert any(C.j_at(x).is_zero() for x in xs)
+            assert any(C.k_at(x).is_zero() for x in xs)
 
 
 class TestExtensions:
@@ -258,6 +274,57 @@ class TestSpectralSequenceReuse:
                     assert (ip["Z"][e], ip["B"][e]) == (ss.anchored(r, e).Z, ss.anchored(r, e).B)
                 unasked += 1
         assert unasked > 0
+
+
+class TurnEveryPosition(SpectralSequence):
+    """Reference engine: every position is turned through the kernel, the
+    image and the lift-and-Hermite pull-back, also where no differential
+    enters or leaves, and the source is asked for every page."""
+
+    def advance(self):
+        cur = self.pages[-1]
+        v = cur.bidegree
+        r_next = self.top_r + 1
+        ambient = self.pages[0].objects
+        sq_next = {}
+        for x in ambient.positions():
+            sq = self.subquotients[-1][x]
+            K = cur.d_at(x).kernel()
+            I = cur.d_at((x[0] - v[0], x[1] - v[1])).image()
+            sq_next[x] = subquotient(lift_and_hermite(sq, K), lift_and_hermite(sq, I))
+        support = {x: sq.group for x, sq in sq_next.items() if not sq.group.is_trivial()}
+        diffs = self.differentials(r_next, sq_next)
+        self.pages.append(Page(BigradedGroup(ambient.bounds, support), self.rule(r_next), diffs))
+        self.subquotients.append(sq_next)
+        return self.pages[-1]
+
+
+class TestUntouchedPositions:
+    def test_limit_pages_match_turning_every_position(self):
+        """On the criterion-05 couples, keeping the subquotient of a position
+        that no differential touches changes neither E-infinity (Z and B),
+        nor the stabilization pages, nor the collapse page."""
+        rng = seeded(20260823)
+        kept = 0
+        for _ in range(200):
+            C = couple_from_filtered_complex(*random_filtered_complex(rng))
+            ss = C.internal_spectral_sequence()
+            einf, stab, data = ss.e_infinity()
+            ref = TurnEveryPosition(ss.r0, ss.pages[0], ss.rule, C._checked_differentials)
+            ref_einf, ref_stab, ref_data = ref.e_infinity()
+            assert ref.top_r == ss.top_r
+            assert einf == ref_einf and stab == ref_stab
+            assert {x: (sq.Z, sq.B) for x, sq in data.items()} == \
+                {x: (sq.Z, sq.B) for x, sq in ref_data.items()}
+            assert ss.collapse_page() == ref.collapse_page()
+            for r in range(ss.r0, ss.top_r):
+                v = ss.pages[r - ss.r0].bidegree
+                for x in C.E:
+                    touched = {x, (x[0] - v[0], x[1] - v[1])} & set(ss.pages[r - ss.r0].diffs)
+                    if not touched:
+                        assert ss.anchored(r + 1, x) is ss.anchored(r, x)
+                        kept += 1
+        assert kept > 0
 
 
 def seeded_couple(s):

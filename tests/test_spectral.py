@@ -181,6 +181,19 @@ class TestSupportSettledPage:
         ss.e_infinity()
         assert asked == [2] and ss.top_r == ss.settled_page() == 5
 
+    def test_untouched_positions_keep_their_subquotient(self):
+        # d^3 joins (0, 0) and (-3, 2); no differential ever enters or
+        # leaves (1, 0), and none touches any position before page 3
+        support = {(0, 0): Z, (-3, 2): Z, (1, 0): Z4}
+        ss, _ = recording_sequence(support, {3: {(0, 0): Hom(Z, Z, [[2]])}})
+        ss.e_infinity()
+        for r in range(2, ss.top_r + 1):
+            assert ss.anchored(r, (1, 0)) is ss.anchored(1, (1, 0))
+        for x in ((0, 0), (-3, 2)):
+            assert ss.anchored(3, x) is ss.anchored(1, x)
+            assert ss.anchored(4, x) is not ss.anchored(3, x)
+            assert ss.anchored(ss.top_r, x) is ss.anchored(4, x)
+
     def test_explicit_rules_keep_the_settled_page(self):
         rule = explicit_rule(1, [(-1, 0), (5, 5), (7, 7)])
         ss, asked = recording_sequence({(0, 0): Z, (1, 0): Z4}, {}, rule=rule)
@@ -203,6 +216,17 @@ def random_two_column_morphism(rng):
         if f0.compose(dS) == dT.compose(f1):
             return SSMorphism(src, tgt, {(1, 0): f1, (0, 0): f0})
     return SSMorphism(src, tgt, {})
+
+
+def broken_square_morphism():
+    """The identity on page r0 from a source with no differentials to a
+    target with d^2 = 2 from (2, 0) to (0, 1): page r0 commutes, page 2
+    does not."""
+    bounds = ((0, 2), (0, 1))
+    objs = {(2, 0): Z, (0, 1): Z}
+    src = spectral_sequence_from_page(1, bounds, objs, {}, homological_rule)
+    tgt, _ = recording_sequence(objs, {2: {(2, 0): Hom(Z, Z, [[2]])}})
+    return SSMorphism(src, tgt, {x: Hom.identity(G) for x, G in objs.items()})
 
 
 class TestMorphisms:
@@ -249,19 +273,30 @@ class TestMorphisms:
                 assert h == finf_g[x].compose(finf_f[x])
 
     def test_square_checked_on_the_first_read_of_a_later_page(self):
-        # no differentials in the source; d^2 = 2 from (2, 0) to (0, 1) in the
-        # target: page r0 commutes, page 2 does not
-        bounds = ((0, 2), (0, 1))
-        objs = {(2, 0): Z, (0, 1): Z}
-        src = spectral_sequence_from_page(1, bounds, objs, {}, homological_rule)
-        tgt, _ = recording_sequence(objs, {2: {(2, 0): Hom(Z, Z, [[2]])}})
-        m = SSMorphism(src, tgt, {x: Hom.identity(G) for x, G in objs.items()})
+        m = broken_square_morphism()
         assert m.component(1, (2, 0)).is_iso()
         with pytest.raises(NotAMorphism) as exc:
             m.iso_propagation(1)
         assert exc.value.args == (("square", 2, (2, 0)),)
         with pytest.raises(NotAMorphism):
             m.component(2, (0, 1))
+
+    def test_square_checked_on_the_first_read_of_the_limit_page(self):
+        # f_infinity checks page 2's squares first
+        m = broken_square_morphism()
+        with pytest.raises(NotAMorphism) as exc:
+            m.f_infinity()
+        assert exc.value.args == (("square", 2, (2, 0)),)
+
+    def test_limit_page_failure_is_not_a_morphism(self, monkeypatch):
+        # with the page checks switched off, the limit page's own induced
+        # map still refuses, as NotAMorphism
+        m = broken_square_morphism()
+        monkeypatch.setattr(SSMorphism, "verify_page", lambda self, r: None)
+        with pytest.raises(NotAMorphism) as exc:
+            m.f_infinity()
+        assert exc.value.args[0][:2] == ("not well defined on the limit page", (2, 0))
+        assert isinstance(exc.value.__cause__, NotWellDefined)
 
     def test_mono_does_not_propagate_alone(self):
         found = find_mono_nonpropagation(max_order=8)

@@ -46,7 +46,7 @@ from specseq.zlinalg import (
 from specseq.zlinalg import _snf_with_inverses
 from specseq.spectral import whole
 
-from conftest import SMALL_GROUPS, random_hom, seeded
+from conftest import SMALL_GROUPS, lift_and_hermite, random_hom, seeded
 
 
 def bareiss_det(M):
@@ -683,6 +683,64 @@ class TestSubquotient:
         )
         with pytest.raises(NotWellDefined):
             induced_map(Hom.identity(G), top, small)
+
+
+@st.composite
+def subquotients_with_subgroups(draw):
+    """A random subquotient ``Z/B`` and a subgroup of ``Z/B`` spanned by at
+    most two random vectors (so it may be zero, proper or the whole)."""
+    Z, _, _ = draw(subgroups_with_vectors())
+    ks = draw(st.lists(st.integers(-3, 3), min_size=len(Z.basis), max_size=len(Z.basis)))
+    B = Subgroup.from_generators(
+        Z.ambient, [tuple(k * x for x in c) for k, c in zip(ks, Z.basis)])
+    sq = subquotient(Z, B)
+    n = sq.group.ngens
+    vector = st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(tuple)
+    return sq, Subgroup.from_generators(sq.group, draw(st.lists(vector, max_size=2)))
+
+
+class TestPullBack:
+    @given(subquotients_with_subgroups())
+    @settings(max_examples=150, deadline=None)
+    def test_closed_forms_match_the_generic_path(self, case):
+        """The zero and the whole quotient pull back to B and Z themselves,
+        which is what lifting and a Hermite form give; any S agrees."""
+        sq, S = case
+        zero, full = Subgroup.zero(sq.group), Subgroup.full(sq.group)
+        assert sq.pull_back(zero) is sq.B
+        # over a trivial quotient the zero and the whole coincide, and Z == B
+        assert sq.pull_back(full) is (sq.B if zero == full else sq.Z)
+        assert lift_and_hermite(sq, zero) == sq.B
+        assert lift_and_hermite(sq, full) == sq.Z
+        assert sq.pull_back(S) == lift_and_hermite(sq, S)
+
+    def test_proper_subgroups_take_the_generic_path(self, monkeypatch):
+        rng = seeded(61)
+        cases = []
+        while len(cases) < 20:
+            G = rng.choice([FPAbGroup(0, (8,)), FPAbGroup(0, (2, 4)), FPAbGroup(1, (4,))])
+            Z = random_subgroup(G, rng)
+            sq = subquotient(Z, Subgroup.from_generators(G, [tuple(3 * x for x in Z.basis[-1])]))
+            if sq.group.is_trivial():
+                continue
+            S = Subgroup.from_generators(sq.group, [tuple(rng.randint(-4, 4) for _ in
+                                                          range(sq.group.ngens))])
+            if S not in (Subgroup.zero(sq.group), Subgroup.full(sq.group)):
+                cases.append((sq, S, lift_and_hermite(sq, S)))
+        calls = []
+        generic = Subgroup.from_generators
+
+        def counted(ambient, gens):
+            calls.append(ambient)
+            return generic(ambient, gens)
+
+        monkeypatch.setattr(Subgroup, "from_generators", staticmethod(counted))
+        for sq, S, want in cases:
+            calls.clear()
+            sq.pull_back(Subgroup.zero(sq.group))
+            sq.pull_back(Subgroup.full(sq.group))
+            assert calls == []
+            assert sq.pull_back(S) == want and calls == [sq.Z.ambient]
 
 
 def nested_triple(G, rng):
