@@ -11,9 +11,11 @@ or a two-row instance); a malformed command line, an unreadable or
 undecodable input file and an unwritable ``--out`` are parse errors there.
 The compute phase runs the command on the loaded input; a ``ValueError``,
 ``KeyError`` or ``TypeError`` raised there is a fault of the program, not
-of its input, and reports as an internal error.  Validation failures and
-theorem-check failures give 2 and 3 in either phase.  Exit 3 covers
-``THEOREM_ERRORS``: every ``TheoremViolation`` (each check of
+of its input, and reports as an internal error.  Exit codes 2 and 3 come
+from the two base classes of every exception of the package, in either
+phase: a ``zlinalg.ValidationFailure`` (the input is not an exact couple,
+a morphism, a complex, ...) gives 2, and a ``zlinalg.CheckFailure`` gives
+3.  The latter covers every ``TheoremViolation`` (each check of
 ``zlinalg.require``, among them the four of ``zlinalg.hom_through``, which
 builds the page differentials), a failed rule hypothesis, a violated
 comparison setup, an inconsistent or underdetermined two-row instance, and
@@ -27,33 +29,21 @@ import json
 import sys
 
 from .zlinalg import (
-    AmbientMismatch,
-    ContainmentViolation,
+    CheckFailure,
     FPAbGroup,
     Hom,
-    NotWellDefined,
     Subgroup,
-    TheoremViolation,
+    ValidationFailure,
     quotient_group,
 )
-from .zdiagrams import HypothesisFailed, NotExact, BudgetExceeded
 from .spectral import (
-    NotADifferential,
-    NotAMorphism,
     SSMorphism,
-    UnboundedSupport,
     cohomological_rule,
     spectral_sequence_from_page,
 )
 from .excouple import (
     COMPARE_RULES,
-    BidegreeMismatch,
     CoupleMorphism,
-    NotAComplex,
-    NotFiltered,
-    NotRegular,
-    NotUnimodular,
-    SetupViolation,
     _array,
     _group_from_json,
     _homs_from_json,
@@ -67,8 +57,6 @@ from .excouple import (
     zeeman_check,
 )
 from .solvers import (
-    Inconsistent,
-    Underdetermined,
     cyclic_group_sequence,
     five_term,
     projective_space_sequence,
@@ -92,28 +80,7 @@ PARSE_ERRORS = (
     ValueError,
 )
 INTERNAL_ERRORS = (KeyError, TypeError, ValueError)
-VALIDATION_ERRORS = (
-    NotExact,
-    NotRegular,
-    NotUnimodular,
-    NotADifferential,
-    NotAMorphism,
-    NotAComplex,
-    NotFiltered,
-    BidegreeMismatch,
-    AmbientMismatch,
-    ContainmentViolation,
-    NotWellDefined,
-    UnboundedSupport,
-)
-THEOREM_ERRORS = (
-    TheoremViolation,
-    HypothesisFailed,
-    SetupViolation,
-    Inconsistent,
-    Underdetermined,
-    BudgetExceeded,
-)
+FAILURES = (ValidationFailure, CheckFailure)
 
 
 def _position(text):
@@ -476,10 +443,10 @@ def _shared_parser():
 
 def _failure(ex, loading):
     """Exit code and report for ``ex``, raised in the load phase if ``loading``."""
-    if isinstance(ex, VALIDATION_ERRORS):
+    if isinstance(ex, ValidationFailure):
         return 2, {"error": "validation", "kind": type(ex).__name__,
                    "witness": repr(ex.args)}
-    if isinstance(ex, THEOREM_ERRORS):
+    if isinstance(ex, CheckFailure):
         return 3, {"error": "theorem-check", "kind": type(ex).__name__,
                    "witness": repr(ex.args)}
     if loading:
@@ -495,12 +462,12 @@ def main(argv=None) -> int:
             if args.out:
                 out = open(args.out, "w")
             loaded = args.load(args) if args.load else None
-        except VALIDATION_ERRORS + THEOREM_ERRORS + PARSE_ERRORS as ex:
+        except FAILURES + PARSE_ERRORS as ex:
             code, report = _failure(ex, loading=True)
         else:
             try:
                 code, report = 0, args.fn(args, loaded)
-            except VALIDATION_ERRORS + THEOREM_ERRORS + INTERNAL_ERRORS as ex:
+            except FAILURES + INTERNAL_ERRORS as ex:
                 code, report = _failure(ex, loading=False)
         text = json.dumps(report, indent=2, sort_keys=True, default=str)
         print(text, file=out or sys.stdout)

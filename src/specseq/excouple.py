@@ -32,12 +32,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from .zlinalg import (
+    CheckFailure,
     FPAbGroup,
     Hom,
     NotWellDefined,
     Subgroup,
     SubquotientData,
     TheoremViolation,
+    ValidationFailure,
     direct_sum,
     hom_through,
     induced_map,
@@ -80,27 +82,27 @@ Position = Tuple[int, int]
 _TRIVIAL = FPAbGroup()
 
 
-class NotRegular(Exception):
+class NotRegular(ValidationFailure):
     """det [a | b+c] is not a unit; the couple has no tower structure."""
 
 
-class NotUnimodular(Exception):
+class NotUnimodular(ValidationFailure):
     """A reindexing matrix must have determinant +-1."""
 
 
-class BidegreeMismatch(Exception):
+class BidegreeMismatch(ValidationFailure):
     """Two couples can only be combined when their bidegrees agree."""
 
 
-class SetupViolation(Exception):
+class SetupViolation(CheckFailure):
     """First-quadrant comparison data violates its declared setup."""
 
 
-class NotAComplex(Exception):
+class NotAComplex(ValidationFailure):
     """The differential of a chain complex does not square to zero."""
 
 
-class NotFiltered(Exception):
+class NotFiltered(ValidationFailure):
     """A filtration is not nested or not preserved by the differential."""
 
 
@@ -553,8 +555,6 @@ class ExactCouple:
         dns = self.diagonal(n + bd.sigma)
         filt_n = filtrations(dn)
         filt_s = filtrations(dns)
-        require(filt_n["exhaustive"], "image filtration must exhaust the colimit", n)
-        require(filt_s["complete"], "kernel filtration must be complete", n + bd.sigma)
 
         def by_pos(table, m):
             return {self.position_on(m, r): v for r, v in table.items()}
@@ -578,9 +578,6 @@ class ExactCouple:
             F_upper=Fu,
             eps=eps,
             eps_upper=eps_u,
-            cocone=by_pos(filt_n["cocone"], n),
-            cone=by_pos(filt_s["cone"], n + bd.sigma),
-            R=filt_s["R"],
         )
 
     # -- extensions and classification ---------------------------------------
@@ -1002,9 +999,7 @@ class AbutmentData:
     ``F`` is the image filtration of the colimit abutment (keyed by the
     positions of diagonal n), ``F_upper`` the kernel filtration of the limit
     abutment (keyed by the positions of diagonal n + sigma); ``eps[x]`` is
-    F_x / F_{x-a} and ``eps_upper[x]`` is F^{x+a} / F^x.  ``cocone`` and
-    ``cone`` are the structure maps into the colimit and out of the limit,
-    and ``R`` the composite limit -> colimit of the upper tower.
+    F_x / F_{x-a} and ``eps_upper[x]`` is F^{x+a} / F^x.
     """
 
     n: int
@@ -1015,9 +1010,6 @@ class AbutmentData:
     F_upper: dict
     eps: dict
     eps_upper: dict
-    cocone: dict
-    cone: dict
-    R: Hom
 
 
 class CoupleMorphism:

@@ -22,6 +22,7 @@ data for its abutment in total degrees 1 and 2.
 from math import gcd
 
 from .zlinalg import (
+    CheckFailure,
     FPAbGroup,
     Hom,
     Subgroup,
@@ -45,11 +46,11 @@ __all__ = [
 _TRIVIAL = FPAbGroup()
 
 
-class Inconsistent(Exception):
+class Inconsistent(CheckFailure):
     """The abutment admits no two-row spectral sequence."""
 
 
-class Underdetermined(Exception):
+class Underdetermined(CheckFailure):
     """The first total degree where the deduction is not forced."""
 
 
@@ -114,7 +115,8 @@ def two_row_solve(abutment: dict, N: int) -> dict:
         spectral sequence ``ss`` used to re-verify the abutment.
 
     Raises:
-        Inconsistent: the exactness constraints cannot be met.
+        Inconsistent: the exactness constraints cannot be met, or the
+            abutment is nontrivial in a degree below 0.
         Underdetermined: a group or extension is not forced; the
             argument is the first ambiguous total degree.
         ValueError: ``N < 1``.
@@ -127,6 +129,10 @@ def two_row_solve(abutment: dict, N: int) -> dict:
             return abutment[n]
         return (_TRIVIAL, Subgroup.zero(_TRIVIAL))
 
+    for n in sorted(abutment):
+        if n < 0 and not abutment[n][0].is_trivial():
+            # a first-quadrant sequence has nothing in negative total degree
+            raise Inconsistent((n, "abutment below degree 0"))
     Q, K = {}, {}
     for n in range(N + 1):
         A, F = at(n)

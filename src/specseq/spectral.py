@@ -32,6 +32,7 @@ from .zlinalg import (
     NotWellDefined,
     Subgroup,
     SubquotientData,
+    ValidationFailure,
     induced_map,
     require,
     subquotient,
@@ -40,15 +41,15 @@ from .zlinalg import (
 Position = Tuple[int, int]
 
 
-class NotADifferential(Exception):
+class NotADifferential(ValidationFailure):
     """d did not square to zero, or endpoints mismatch; carries a witness."""
 
 
-class NotAMorphism(ValueError):
+class NotAMorphism(ValidationFailure, ValueError):
     """A claimed morphism fails a commuting square; carries a witness."""
 
 
-class UnboundedSupport(Exception):
+class UnboundedSupport(ValidationFailure):
     """Stabilization cannot be certified for the given bidegree rule."""
 
 
@@ -472,16 +473,19 @@ class SSMorphism:
                 raise NotAMorphism(("not well defined on the limit page", x, e.args)) from e
         return out
 
-    def propagation_report(self, r: int) -> dict:
+    def propagation_report(self, r: int) -> list:
         """Check the epi/mono/iso propagation clauses from page r to r+1.
 
         Clause (i): f^r epi at x-v and mono at x  =>  f^{r+1} mono at x.
         Clause (ii): f^r epi at x and mono at x+v  =>  f^{r+1} epi at x.
         Clause (iii): epi at x-v, iso at x, mono at x+v  =>  f^{r+1} iso at x.
 
-        These are theorems; any reported violation is a bug.  The report also
-        records that a *componentwise mono* hypothesis alone does not
-        propagate (see the search utility below).
+        These are theorems, checked with ``zlinalg.require``: a violation
+        raises ``TheoremViolation`` and is a bug.  Returns the verdicts, one
+        ``(x, checks)`` pair per position, where ``checks`` maps each clause
+        whose hypotheses held to its (true) conclusion.  A *componentwise
+        mono* hypothesis alone does not propagate (see the search utility
+        below).
         """
         v = self.source.page(r).bidegree
         verdicts = []
@@ -497,9 +501,10 @@ class SSMorphism:
                 checks["epi"] = nxt.is_epi()
             if fm.is_epi() and f.is_iso() and fp.is_mono():
                 checks["iso"] = nxt.is_iso()
+            for clause, holds in checks.items():
+                require(holds, "propagation clause fails", clause, x, r)
             verdicts.append((x, checks))
-        ok = all(all(c.values()) for _, c in verdicts)
-        return {"page": r, "verdicts": verdicts, "ok": ok}
+        return verdicts
 
     def iso_propagation(self, r: int) -> bool:
         """If f^r is a positionwise iso, all later pages and f-infinity are too."""

@@ -14,6 +14,14 @@ at ``padded_index(p)``, which clamps p into the padded window
 [p0-1, p1+1], and the composite A_p -> A_q equals the one between the
 clamped indices.
 
+The lemmas about these constructions are checks, not flags: ``filtrations``
+requires that its filtrations are exhaustive and complete and that the
+four-term sequence through ``R: lim -> colim`` is exact, ``kernel_diagram``
+that lim K^p = F^p and lim I_p = I^omega_p, and ``six_term_check`` that the
+limit and colimit sequences are exact.  Each raises ``TheoremViolation``
+through ``zlinalg.require`` when it fails.  The image towers are the I
+chain, I^1, I^2, ... up to its first repeat, I^omega.
+
 Towers that genuinely need lim^1 (the doubling tower with uncountable lim^1,
 colimits like Z[1/2]) are deliberately not representable here: soundness of
 the exact computations takes priority over generality.
@@ -36,10 +44,12 @@ from typing import Dict
 
 from .spectral import NotAMorphism
 from .zlinalg import (
+    CheckFailure,
     ContainmentViolation,
     FPAbGroup,
     Hom,
     Subgroup,
+    ValidationFailure,
     columns_of,
     group_from_presentation,
     hom_on_generators,
@@ -49,15 +59,15 @@ from .zlinalg import (
 )
 
 
-class NotExact(Exception):
+class NotExact(ValidationFailure):
     """A sequence required to be exact is not; carries a position witness."""
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(CheckFailure):
     """A stabilization search ran past its budget."""
 
 
-class HypothesisFailed(Exception):
+class HypothesisFailed(CheckFailure):
     """A comparison rule's hypotheses do not hold; carries the failing clause."""
 
 
@@ -362,22 +372,23 @@ def limit_map(f: ZDiagramMorphism) -> Hom:
     return f.component(f.source.p0 - 1)
 
 
-def six_term_check(f: ZDiagramMorphism, g: ZDiagramMorphism) -> dict:
+def six_term_check(f: ZDiagramMorphism, g: ZDiagramMorphism) -> None:
     """Check a componentwise SES of diagrams and its limit/colimit sequences.
 
     ``f: A -> B`` and ``g: B -> C`` must form a short exact sequence at every
     padded index (kernel/image equality as canonical subgroups, not mere
-    isomorphism).  Returns a report asserting the six-term sequence
+    isomorphism).  Then the six-term sequence
     0 -> lim A -> lim B -> lim C -> lim1 A -> lim1 B -> lim1 C -> 0, whose
-    lim1 terms all vanish here, and short exactness of the colim sequence.
+    lim1 terms ``limit_and_lim1`` requires to vanish, and the colim sequence
+    must be short exact; ``zlinalg.require`` checks both.
 
     Raises:
         NotExact: with a position witness if the input sequence is not SES.
+        TheoremViolation: if a limit or colimit sequence is not exact.
     """
     if f.target is not g.source and f.target != g.source:
         raise ValueError("morphisms do not compose")
-    A, B, C = f.source, f.target, g.target
-    for p in A.padded_range():
+    for p in f.source.padded_range():
         fp, gp = f.component(p), g.component(p)
         if not fp.is_mono():
             raise NotExact(("mono fails", p))
@@ -385,24 +396,14 @@ def six_term_check(f: ZDiagramMorphism, g: ZDiagramMorphism) -> dict:
             raise NotExact(("epi fails", p))
         if fp.image() != gp.kernel():
             raise NotExact(("middle exactness fails", p))
-    limA, _, l1A = limit_and_lim1(A)
-    limB, _, l1B = limit_and_lim1(B)
-    limC, _, l1C = limit_and_lim1(C)
+    for A in (f.source, f.target, g.target):
+        limit_and_lim1(A)  # checks that the three lim^1 terms vanish
     lf, lg = limit_map(f), limit_map(g)
-    report = {
-        "lim_left_exact": lf.is_mono() and lf.image() == lg.kernel(),
-        "lim_right_exact": lg.is_epi(),
-        "lim1_terms": (l1A, l1B, l1C),
-        "lim1_all_zero": l1A.is_trivial() and l1B.is_trivial() and l1C.is_trivial(),
-    }
+    require(lf.is_mono() and lf.image() == lg.kernel(), "lim sequence is not left exact")
+    require(lg.is_epi(), "lim sequence is not right exact")
     cf, cg = colimit_map(f), colimit_map(g)
-    report["colim_exact"] = (
-        cf.is_mono() and cg.is_epi() and cf.image() == cg.kernel()
-    )
-    report["ok"] = all(
-        report[k] for k in ("lim_left_exact", "lim_right_exact", "lim1_all_zero", "colim_exact")
-    )
-    return report
+    require(cf.is_mono() and cg.is_epi() and cf.image() == cg.kernel(),
+            "colim sequence is not short exact")
 
 
 # ---------------------------------------------------------------------------
@@ -415,56 +416,31 @@ def I_tower(A: ZDiagram, r: int) -> dict:
     return {p: A.composite(p - r, p).image() for p in A.padded_range()}
 
 
-def Q_tower(A: ZDiagram, r: int) -> dict:
-    """Q^r_p = image(A_p -> A_{p+r}) as a subgroup of A_{p+r}, per padded index."""
-    return {p: A.composite(p, p + r).image() for p in A.padded_range()}
+@_per_diagram
+def image_towers(A: ZDiagram) -> list:
+    """The towers I^r for r = 1, 2, ... up to the first r with I^{r+1} == I^r.
 
+    Each tower is built once the one before it is known to change, and the
+    last one is I^omega.  The list is memoized on ``A`` and shared between
+    callers: do not mutate it.
 
-def _chain_until_repeat(A: ZDiagram, tower, budget: int) -> list:
-    """Towers r = 1, 2, ... up to the first r with tower(r + 1) == tower(r).
-
-    Raises ``BudgetExceeded`` when no repeat occurs by r + 1 = budget.
+    Raises:
+        BudgetExceeded: if no repeat occurs by r + 1 =
+            ``stabilization_budget(A.width)`` (impossible for the supported
+            tails, so this can only signal a bug).
     """
-    chain = [tower(A, 1)]
+    budget = stabilization_budget(A.width)
+    chain = [I_tower(A, 1)]
     for r in range(2, budget + 1):
-        nxt = tower(A, r)
+        nxt = I_tower(A, r)
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
     raise BudgetExceeded(budget)
 
 
-@_per_diagram
-def image_towers(A: ZDiagram) -> dict:
-    """All finite image towers plus their stable (omega) versions.
-
-    Returns a dict with ``I`` and ``Q`` (lists of towers for r = 1..r_stab),
-    ``I_omega`` (stabilized intersection, per index), ``Q_omega`` (image in
-    the colimit, per index), and a stabilization report.  Each chain is
-    built one tower at a time and stops at its first repeat.  The result is
-    memoized on ``A`` and shared between callers: do not mutate it.
-
-    Raises:
-        BudgetExceeded: if the I- or Q-chains fail to stabilize within
-            ``stabilization_budget(A.width)`` (impossible for the supported
-            tails, so this can only signal a bug).
-    """
-    budget = stabilization_budget(A.width)
-    Is = _chain_until_repeat(A, I_tower, budget)
-    Qs = _chain_until_repeat(A, Q_tower, budget)
-    G, cocone = colimit(A)
-    q_omega = {p: cocone[p].image() for p in A.padded_range()}
-    return {
-        "I": Is,
-        "Q": Qs,
-        "I_omega": Is[-1],
-        "Q_omega": q_omega,
-        "stabilization": {"I_at": len(Is), "Q_at": len(Qs), "budget": budget},
-    }
-
-
 def I_omega(A: ZDiagram) -> dict:
-    return image_towers(A)["I_omega"]
+    return image_towers(A)[-1]
 
 
 @_per_diagram
@@ -478,25 +454,16 @@ def ml_conditions(A: ZDiagram) -> dict:
     """Mittag-Leffler style conditions, decided by stabilization.
 
     ``mittag_leffler`` -- the descending chains I^r_p stabilize positionwise;
-    ``co_mittag_leffler`` -- the Q^r chains stabilize; ``omega_ml`` -- one
-    more application of I to the stable subdiagram I^omega changes nothing.
-    Both chains always stabilize under the supported tails; ``image_towers``
-    raises ``BudgetExceeded`` otherwise.
+    ``omega_ml`` -- one more application of I to the stable subdiagram
+    I^omega changes nothing.  The I chain always stabilizes under the
+    supported tails; ``image_towers`` raises ``BudgetExceeded`` otherwise.
     """
-    iw = image_towers(A)["I_omega"]
+    iw = I_omega(A)
     # Apply I once more to the I^omega subdiagram: the image of I^omega_{p-1}
     # under a_{p-1} inside A_p, compared against I^omega_p.
-    omega_ml = True
-    for p in range(A.p0, A.p1 + 2):
-        moved = A.map_at(p - 1).image_of_subgroup(iw[p - 1])
-        if moved != iw[p]:
-            omega_ml = False
-            break
-    return {
-        "mittag_leffler": True,
-        "co_mittag_leffler": True,
-        "omega_ml": omega_ml,
-    }
+    omega_ml = all(A.map_at(p - 1).image_of_subgroup(iw[p - 1]) == iw[p]
+                   for p in range(A.p0, A.p1 + 2))
+    return {"mittag_leffler": True, "omega_ml": omega_ml}
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +475,16 @@ def ml_conditions(A: ZDiagram) -> dict:
 def filtrations(A: ZDiagram) -> dict:
     """Image filtration of the colimit and kernel filtration of the limit.
 
-    Returns ``F`` (F_p = image(pi_p), increasing and exhaustive), ``F_upper``
+    Returns ``F`` (F_p = image(pi_p), increasing), ``F_upper``
     (F^p = kernel(rho_p), increasing in p), the epsilon quotients
     ``eps[p] = F_p/F_{p-1}`` and ``eps_upper[p] = F^{p+1}/F^p``, the natural
-    map ``R: lim -> colim``, and verification flags:
+    map ``R: lim -> colim``, and the groups ``colim`` and ``lim``.  It
+    requires, through ``zlinalg.require``, that
 
-    * ``complete``: lim F^ = 0 = lim1 F^ (the kernel filtration is complete);
-    * ``exhaustive``: F at the top padded index is everything;
-    * ``four_term_exact``: exactness of
-      colim F^ >-> lim A -R-> colim A ->> colim coker(rho), with
-      image(R) = colim(Ibar);
-    * ``kernel_filtration_exhaustive`` iff R == 0.
+    * F is exhaustive: F at the top padded index is everything;
+    * F^ is complete: lim F^ = 0 = lim1 F^;
+    * colim F^ >-> lim A -R-> colim A ->> colim coker(rho) is exact, with
+      image(R) = colim(Ibar).
 
     The result is memoized on ``A`` and shared between callers: do not
     mutate it or the dicts inside it.
@@ -538,27 +504,22 @@ def filtrations(A: ZDiagram) -> dict:
     # The kernel filtration F^p is increasing and stabilizes at the top pad;
     # its union ("colim F^") is the top subgroup, and its limit is the bottom
     # one (which is 0: rho at the bottom pad is the identity).
-    colim_Fu = Fu[idx[-1]]
-    lim_Fu = Fu[idx[0]]
-    ibar = stable_image(A)
-    four_term = (
-        R.kernel() == colim_Fu
-        and R.image() == ibar[idx[-1]]  # colim Ibar, realized at the top pad
-    )
+    require(F[idx[-1]] == Subgroup.full(C), "image filtration must exhaust the colimit",
+            A.p0, A.p1)
+    require(Fu[idx[0]].is_zero(), "kernel filtration must be complete", A.p0, A.p1)
+    require(R.kernel() == Fu[idx[-1]], "ker R must be the union of the kernel filtration",
+            A.p0, A.p1)
+    # colim Ibar, realized at the top pad
+    require(R.image() == stable_image(A)[idx[-1]],
+            "im R must be the colimit of the stable image", A.p0, A.p1)
     return {
         "F": F,
         "F_upper": Fu,
         "eps": eps,
         "eps_upper": eps_u,
         "R": R,
-        "complete": lim_Fu.is_zero(),
-        "exhaustive": F[idx[-1]] == Subgroup.full(C),
-        "four_term_exact": four_term,
-        "kernel_filtration_exhaustive": R.is_zero(),
         "colim": C,
         "lim": L,
-        "cocone": cocone,
-        "cone": cone,
     }
 
 
@@ -585,12 +546,12 @@ def F_p_as_colimit_of_images(A: ZDiagram, p: int) -> Subgroup:
 def kernel_diagram(A: ZDiagram, p: int):
     """The diagram K^p with (K^p)_{p-r} = Ker(A_{p-r} -> A_p), r >= 0.
 
-    p is read at ``padded_index(p)``.  Returns ``(K, inclusion, report)``:
-    ``K`` is a ZDiagram on the window [p0-1, p] with zero right tail (the
-    kernel vanishes at p and beyond), ``inclusion`` maps each kernel into A,
-    and the report verifies the lemma's identifications lim K^p = F^p and
-    lim I_p = I^omega_p.  The result is memoized on ``A`` and shared by
-    every p with the same padded index.
+    p is read at ``padded_index(p)``.  Returns ``(K, inclusion)``: ``K`` is
+    a ZDiagram on the window [p0-1, p] with zero right tail (the kernel
+    vanishes at p and beyond), and ``inclusion`` maps each kernel into A.
+    The lemma's identifications lim K^p = F^p and lim I_p = I^omega_p are
+    checked with ``zlinalg.require``.  The result is memoized on ``A`` and
+    shared by every p with the same padded index.
     """
     if p != A.padded_index(p):
         return kernel_diagram(A, A.padded_index(p))
@@ -608,18 +569,12 @@ def kernel_diagram(A: ZDiagram, p: int):
     # lim K^p is realized at the bottom pad; under a constant left tail that
     # is the same subgroup of A_{lo} as F^p = Ker(rho_p), and under a zero
     # left tail both sides vanish.
-    limK = subs[lo]
     _, cone, _ = limit_and_lim1(A)
-    Fp = cone[p].kernel()
+    require(subs[lo] == cone[p].kernel(), "lim K^p must be F^p", p)
     # lim I_p: the intersection of the increasing-in-q images Im(A_q -> A_p)
     # as q -> -infinity, which stabilizes at the bottom pad.
-    lim_Ip = A.composite(lo, p).image()
-    towers = image_towers(A)
-    report = {
-        "lim_K_equals_F_upper": limK == Fp,
-        "lim_I_equals_I_omega": lim_Ip == towers["I_omega"][p],
-    }
-    return K, inclusion, report
+    require(A.composite(lo, p).image() == I_omega(A)[p], "lim I_p must be I^omega_p", p)
+    return K, inclusion
 
 
 def k_mono_condition(A: ZDiagram, p: int) -> dict:

@@ -39,6 +39,8 @@ that need not be injective.
   and computed only once; with none open they are computed on every call.
 * ``require`` -- the one way every module of the package fails a theorem
   check: it raises ``TheoremViolation(check, witness)``.
+* ``ValidationFailure`` and ``CheckFailure`` -- the two bases of every
+  exception class of the package: rejected input, and a failed check.
 
 All arithmetic uses Python's arbitrary precision integers; no floating point
 is involved anywhere.
@@ -62,19 +64,35 @@ Vector = tuple  # tuple of ints
 Matrix = list  # list of rows, each a list of ints
 
 
-class AmbientMismatch(Exception):
+class ValidationFailure(Exception):
+    """The input is not what an operation needs (the CLI's exit 2).
+
+    Every exception class of the package that rejects its input derives
+    from this one.
+    """
+
+
+class CheckFailure(Exception):
+    """A check of the package failed on valid input (the CLI's exit 3).
+
+    Every exception class of the package for a failed theorem check, rule
+    hypothesis, setup or deduction derives from this one.
+    """
+
+
+class AmbientMismatch(ValidationFailure):
     """Raised when an operation mixes subgroups of different ambient groups."""
 
 
-class ContainmentViolation(Exception):
+class ContainmentViolation(ValidationFailure):
     """Raised when a required subgroup containment fails; carries a witness."""
 
 
-class NotWellDefined(Exception):
+class NotWellDefined(ValidationFailure):
     """Raised when a map fails to descend to a quotient; carries a witness."""
 
 
-class TheoremViolation(AssertionError):
+class TheoremViolation(CheckFailure, AssertionError):
     """A theorem re-proved on the input failed: the library is wrong.
 
     ``args`` is ``(check, witness)``: ``check`` names the identity, and

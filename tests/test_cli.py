@@ -1,11 +1,15 @@
 """Command-line driver: reports, exit codes, round-trips."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 from conftest import doubling_morphism_data
+import specseq
 from specseq import cli, zlinalg
 from specseq.cli import main
 from specseq.excouple import (
@@ -171,6 +175,20 @@ class TestSolverCommands:
         assert rep["H"] == {"0": "Z", "1": "Z/4", "2": "0", "3": "Z/4",
                             "4": "0", "5": "Z/4"}
 
+    def test_solve_two_row_below_degree_0(self, capsys, tmp_path):
+        path = tmp_path / "tworow.json"
+        for group, want in (({"rank": 1}, 3), ({"rank": 0, "torsion": []}, 0)):
+            inst = {"N": 3, "abutment": {"-1": {"group": group},
+                                         "0": {"group": {"rank": 1}}}}
+            path.write_text(json.dumps(inst))
+            code, rep = run(capsys, "solve-two-row", str(path))
+            assert code == want, rep
+        assert rep["H"]["0"] == "Z"
+        path.write_text(json.dumps({"N": 3, "abutment": {"-1": {"group": {"rank": 1}}}}))
+        code, rep = run(capsys, "solve-two-row", str(path))
+        assert rep == {"error": "theorem-check", "kind": "Inconsistent",
+                       "witness": repr(((-1, "abutment below degree 0"),))}
+
     def test_five_term(self, capsys):
         code, rep = run(capsys, "five-term", "--k", "6")
         assert code == 0
@@ -185,6 +203,22 @@ class TestSolverCommands:
 
 
 class TestExitCodes:
+    def test_every_exception_class_has_one_exit_kind(self):
+        bases = (zlinalg.ValidationFailure, zlinalg.CheckFailure)
+        found = []
+        for info in pkgutil.iter_modules(specseq.__path__):
+            module = importlib.import_module("specseq." + info.name)
+            for _, cls in inspect.getmembers(module, inspect.isclass):
+                if (cls.__module__ != module.__name__ or cls in bases
+                        or not issubclass(cls, BaseException)):
+                    continue
+                found.append(cls)
+                kinds = [base for base in bases if issubclass(cls, base)]
+                assert len(kinds) == 1, (cls, kinds)
+        assert len(found) >= 18
+        assert issubclass(zlinalg.TheoremViolation, AssertionError)
+        assert issubclass(specseq.spectral.NotAMorphism, ValueError)
+
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")

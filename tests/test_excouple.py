@@ -779,6 +779,31 @@ class TestDerivedCouples:
             C = couple_from_filtered_complex(*random_filtered_complex(rng, max_degree=2))
             assert C.derivation_abutment_check()["ok"]
 
+    def test_derived_pages_are_the_next_pages(self):
+        # page r of either derived couple is page r + 1 of the couple, and
+        # both have the couple's E-infinity
+        couples = [demo_couple(name) for name in ("couple1", "couple2", "couple3")]
+        rng = seeded(139)
+        couples += [couple_from_filtered_complex(*random_filtered_complex(rng))
+                    for _ in range(25)]
+        compared = 0
+        for t, C in enumerate(couples):
+            ss = C.internal_spectral_sequence()
+            einf = {e: v["sq"].group for e, v in C.e_infinity().items()}
+            for variant in ("Q", "I"):
+                D = C.derive(variant)
+                dss = D.internal_spectral_sequence()
+                for r in range(1, ss.settled_page()):
+                    want, got = ss.page(r + 1).objects, dss.page(r).objects
+                    for x in {*want.positions(), *got.positions()}:
+                        assert got.at(x) == want.at(x), (t, variant, r, x)
+                        compared += 1
+                dinf = {e: v["sq"].group for e, v in D.e_infinity().items()}
+                for e in {*einf, *dinf}:
+                    assert dinf.get(e, FPAbGroup()) == einf.get(e, FPAbGroup()), (t, variant, e)
+                    compared += 1
+        assert compared >= 500
+
     def test_lim1_couples_collapse_and_match_colimit(self):
         for name in ("couple1", "couple2", "couple3"):
             C = demo_couple(name)

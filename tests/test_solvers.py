@@ -65,6 +65,17 @@ class TestTwoRowSolve:
         with pytest.raises(Inconsistent):
             two_row_solve(abutment, 4)
 
+    def test_abutment_below_degree_0(self):
+        # a first-quadrant sequence has nothing in negative total degree
+        abutment = {-1: (Z, Subgroup.zero(Z)), 0: (Z, Subgroup.zero(Z))}
+        with pytest.raises(Inconsistent) as exc:
+            two_row_solve(abutment, 4)
+        assert exc.value.args[0] == (-1, "abutment below degree 0")
+        # a trivial group there is no content
+        T = FPAbGroup()
+        res = two_row_solve({-1: (T, Subgroup.zero(T)), 0: (Z, Subgroup.zero(Z))}, 4)
+        assert res["H"] == two_row_solve({0: (Z, Subgroup.zero(Z))}, 4)["H"]
+
     def test_ambiguous_extension_reported(self):
         # H_0 = Z/2 (+) Z/4 has two non-isomorphic subgroups with quotient Z/2
         A0 = FPAbGroup(0, (2, 4))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from specseq.zlinalg import FPAbGroup, Hom, NotWellDefined
+from specseq.zlinalg import FPAbGroup, Hom, NotWellDefined, TheoremViolation
 from specseq.spectral import (
     BigradedGroup,
     NotADifferential,
@@ -252,7 +252,24 @@ class TestMorphisms:
         for _ in range(60):
             m = random_two_column_morphism(rng)
             for r in (1, 2, 3):
-                assert m.propagation_report(r)["ok"]
+                m.propagation_report(r)
+
+    def test_propagation_clause_failure_raises(self, monkeypatch):
+        ss = two_column_ss(Z4, Z2, Hom.zero_map(Z4, Z2))
+        m = SSMorphism(ss, ss, {(1, 0): Hom.identity(Z4), (0, 0): Hom.identity(Z2)})
+        verdicts = m.propagation_report(1)
+        assert dict(verdicts)[(1, 0)] == {"mono": True, "epi": True, "iso": True}
+        component = SSMorphism.component
+
+        def zero_on_page_2(self, r, x):
+            f = component(self, r, x)
+            return Hom.zero_map(f.domain, f.codomain) if r == 2 else f
+
+        monkeypatch.setattr(SSMorphism, "component", zero_on_page_2)
+        with pytest.raises(TheoremViolation) as info:
+            m.propagation_report(1)
+        assert info.value.check == "propagation clause fails"
+        assert info.value.witness == ("mono", (0, 0), 1)
 
     def test_f_infinity_functorial(self):
         rng = seeded(91)
