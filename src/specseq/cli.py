@@ -148,9 +148,9 @@ def _page_report(ss, r):
 
 
 def cmd_validate(args, C):
-    report = C.validate()
+    d_positions, e_positions = C.validate()
     return {"ok": True, "sigma": C.bidegrees.sigma,
-            "positions_checked": report["d_positions"] + report["e_positions"]}
+            "positions_checked": d_positions + e_positions}
 
 
 def cmd_pages(args, C):

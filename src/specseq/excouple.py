@@ -11,10 +11,12 @@ The module computes the associated spectral sequence twice -- once through
 the internal cycle/boundary subgroup construction, once by the generic
 page-turning engine of ``spectral`` -- and checks the two agree as
 canonical subquotients of E, page by page, as the engine turns each page
-on demand.  Extension data
-(stable-E and limit-page short exact sequences, the comparison monomorphism
-between them) is built explicitly and verified, and each position is
-classified by how the limit page relates to the two abutments.
+on demand.  ``extension_report`` is the one place the stable E-object
+Ebar = k^-1(Ibar) / B^infinity is built: it checks the stable-E and
+limit-page short exact sequences and the comparison monomorphism between
+them, and ``classify`` labels each position by how the limit page relates
+to the two abutments.  The theorem methods return only what their callers
+read; every fact they prove on the way is a check.
 
 Maps out of subquotients of E are induced.  By a hom (k onto an image of
 i, the k of a filtered complex), they come from ``zlinalg.induced_map``.
@@ -49,7 +51,6 @@ from .zlinalg import (
     subquotient,
 )
 from .zdiagrams import (
-    BudgetExceeded,
     I_omega,
     NotExact,
     Tail,
@@ -66,7 +67,6 @@ from .zdiagrams import (
     limit_map,
     colimit_map,
     ml_conditions,
-    stabilization_budget,
     stable_image,
 )
 from .spectral import (
@@ -332,8 +332,9 @@ class ExactCouple:
         ))
 
     @_in_own_table
-    def validate(self) -> dict:
-        """Exactness at every corner of the (tail-padded) support.
+    def validate(self) -> Tuple[int, int]:
+        """Exactness at every corner of the (tail-padded) support; returns the
+        numbers of D- and E-positions checked.
 
         Raises:
             NotExact: ``(position, corner)`` at the first failure, where the
@@ -351,13 +352,7 @@ class ExactCouple:
         for e in e_pos:
             if self.j_at(_sub(e, bd.b)).image() != self.k_at(e).kernel():
                 raise NotExact((e, "jk"))
-        return {
-            "ok": True,
-            "regular": True,
-            "sigma": bd.sigma,
-            "d_positions": len(d_pos),
-            "e_positions": len(e_pos),
-        }
+        return len(d_pos), len(e_pos)
 
     # -- internal spectral sequence ------------------------------------------
 
@@ -401,9 +396,9 @@ class ExactCouple:
         """Page r from the cycle/boundary construction, with its differentials.
 
         Returns a dict with the per-position cycle and boundary subgroups of
-        ambient E (at level r-1, the ones presenting E^r), the subquotient
-        data, the page groups, and the differentials; checks the
-        identities relating Z^r, B^r to the kernel and image of d^r.
+        ambient E (``Z``, ``B``: at level r-1, the ones presenting E^r), the
+        page groups ``E`` and the differentials ``d``; checks the identities
+        relating Z^r, B^r to the kernel and image of d^r.
         """
         if r < 1:
             raise ValueError("pages start at 1")
@@ -434,8 +429,7 @@ class ExactCouple:
             img = d[e_prev].image() if e_prev in d else Subgroup.zero(sq[e].group)
             require(sq[e].pull_back(img) == self.boundaries_at(e, r), "boundary identity", e, r)
         groups = {e: sq[e].group for e in self.E if not sq[e].group.is_trivial()}
-        return {"r": r, "bidegree": v, "Z": Z, "B": B, "sq": sq,
-                "E": groups, "d": d}
+        return {"Z": Z, "B": B, "E": groups, "d": d}
 
     def page_bounds(self):
         """Bounding rectangle of the E-support (a single cell if empty)."""
@@ -492,39 +486,6 @@ class ExactCouple:
             require((data[e].Z, data[e].B) == (out[e]["Z"], out[e]["B"]),
                     "limit page disagrees", e)
         return out
-
-    @_in_own_table
-    def stable_E(self, e: Position):
-        """The stable E-object at e with a stabilization certificate.
-
-        Iterates the cycle subgroups Z^tau until stationary, computes the
-        stable cycles k^{-1}(image of rho) directly, and checks they agree
-        (supported tails stabilize at a finite stage).  Returns
-        ``(subquotient data of Ebar_e, certificate)``.
-        """
-        e = tuple(e)
-        bd = self.bidegrees
-        pt = self.position_index(_add(_sub(e, bd.b), bd.z))
-        budget = stabilization_budget(self.diagonal(pt.n).width)
-        prev = self.cycles_at(e, 0)
-        stage = 0
-        for tau in range(1, budget + 1):
-            cur = self.cycles_at(e, tau)
-            if cur == prev:
-                stage = tau - 1
-                break
-            prev = cur
-        else:
-            raise BudgetExceeded(budget)
-        Zbar = self.k_at(e).preimage(self._stable_at(pt.n, pt.r, stable_image))
-        require(Zbar == prev, "stable cycles disagree with the iteration", e)
-        Bw = self.omega_boundaries_at(e)
-        sq = subquotient(Zbar, Bw)
-        # Ebar embeds in E-infinity: same boundaries, smaller-or-equal cycles
-        require(self.omega_cycles_at(e).contains_subgroup(Zbar),
-                "stable cycles escape the omega-cycles", e)
-        certificate = {"stage": stage, "budget": budget, "position": e}
-        return sq, certificate
 
     # -- abutments -----------------------------------------------------------
 
@@ -583,7 +544,7 @@ class ExactCouple:
     # -- extensions and classification ---------------------------------------
 
     @_in_own_table
-    def er_extension_check(self, x: Position, r: int) -> dict:
+    def er_extension_check(self, x: Position, r: int) -> Tuple[FPAbGroup, FPAbGroup, FPAbGroup]:
         """The page-(r+1) term at x+b as an extension of i-iteration data.
 
         The kernel of k modulo page-r boundaries is identified with the
@@ -594,7 +555,7 @@ class ExactCouple:
 
             Ker k / B^r  >->  Z^r / B^r  -->>  Z^r / Ker k
 
-        are verified.
+        are verified.  Returns the groups ``(left, middle, right)``.
         """
         bd = self.bidegrees
         x = tuple(x)
@@ -615,7 +576,7 @@ class ExactCouple:
         jr1 = dia_w.composite(pw.r, pw.r + r + 1)
         sq_ker = subquotient(jr1.kernel(), jr.kernel())
 
-        sq_kb, sq_mid, sq_q, mono, epi = short_exact(
+        sq_kb, sq_mid, sq_q, _, _ = short_exact(
             self.boundaries_at(e, r), self.k_at(e).kernel(), self.cycles_at(e, r), x, r)
 
         # left identification: pull Ker k = Im j back through j, push by
@@ -634,29 +595,21 @@ class ExactCouple:
         ):
             require(sq_mid.group.order() == sq_im.group.order() * sq_ker.group.order(),
                     "page term order is not the product of its ends", x, r)
-        return {
-            "position": x,
-            "r": r,
-            "left": sq_im.group,
-            "middle": sq_mid.group,
-            "right": sq_ker.group,
-            "alpha": alpha,
-            "beta": beta,
-            "mono": mono,
-            "epi": epi,
-        }
+        return sq_im.group, sq_mid.group, sq_ker.group
 
     @_in_own_table
     def extension_report(self, x: Position) -> dict:
         """Build and verify the extension data tied to D-position x.
 
-        Produces the stable-E short exact sequence (colimit filtration
-        quotient at x into the stable E-object at x+b onto the limit
+        Builds the stable E-object Ebar = k^-1(Ibar) / B^infinity at x+b,
+        the one place it is built, and checks the stable-E short exact
+        sequence (colimit filtration quotient at x into Ebar onto the limit
         filtration quotient at x+b+c), the limit-page short exact sequence,
         the comparison monomorphism M between their right-hand terms, the
         commuting (pullback) square relating the two sequences, and the
-        stability verdict via the intersection criterion, cross-checked
-        against the subgroup computations.
+        stability verdict of the intersection criterion against the cycle
+        subgroups.  Returns the stability verdict and the groups of both
+        sequences.
         """
         bd = self.bidegrees
         x = tuple(x)
@@ -723,17 +676,12 @@ class ExactCouple:
         return {
             "position": x,
             "stable": stable,
-            "criterion": {"stable_side": crit_lhs, "omega_side": crit_rhs},
             "eps": sq_eps.group,
             "eps_upper": sq_cok_bar.group,
             "stable_e": sq_bar.group,
             "e_infinity": sq_inf.group,
             "limit_term": sq_cok_inf.group,
-            "M": M,
             "M_iso": M.is_iso(),
-            "stable_ses": (mono_bar, epi_bar),
-            "infinity_ses": (mono_inf, epi_inf),
-            "inclusion": incl,
             "lim1_zero": True,
         }
 
@@ -752,7 +700,7 @@ class ExactCouple:
         quotient), ``MatchesLimit`` (stable with vanishing lower quotient),
         ``StableProperExtension``, or ``Unstable``.  Sufficient conditions
         that fired are reported, and each one that did is checked to imply
-        the verdict it supports.
+        the verdict it supports.  Returns ``label`` and ``sufficient``.
         """
         bd = self.bidegrees
         x = tuple(x)
@@ -796,7 +744,7 @@ class ExactCouple:
                     "lower quotient survives its sufficient condition", x)
         if sufficient["i_epi_below"]:
             require(rep["eps"].is_trivial(), "lower quotient survives i epi below", x)
-        return {"label": label, "report": rep, "sufficient": sufficient}
+        return {"label": label, "sufficient": sufficient}
 
     # -- derived couples -----------------------------------------------------
 
@@ -856,54 +804,51 @@ class ExactCouple:
         return out
 
     @_in_own_table
-    def derivation_abutment_check(self) -> dict:
+    def derivation_abutment_check(self) -> None:
         """Derived couples keep the abutments, with the stated index shifts.
 
         For the Q-derivation the image filtration is index-preserving and
         the kernel filtration shifts by -a; for the I-derivation the image
         filtration shifts by -a and the kernel filtration is preserved.
-        Verified by recomputing both sides.
+        Verified by recomputing both sides: a changed abutment raises
+        ``TheoremViolation(check, (n,))``, a changed stage x
+        ``TheoremViolation(check, (n, x))``.
         """
         a = self.bidegrees.a
-        QC = self.derive("Q")
-        IC = self.derive("I")
 
-        def same_stages(base, derived, shift):
-            """Stage x of ``base`` against stage x + shift of ``derived``,
-            wherever both exist."""
-            return all(base[x].as_group()[0] == derived[_add(x, shift)].as_group()[0]
-                       for x in base if _add(x, shift) in derived)
+        def stage(derived, table, y):
+            """The stage at y of ``table``, a filtration of ``derived``'s
+            abutments, read at the padded index of y's diagonal."""
+            py = derived.position_index(y)
+            r = derived.diagonal(py.n).padded_index(py.r)
+            return table[derived.position_on(py.n, r)].as_group()[0]
 
-        report = {"diagonals": {}, "ok": True}
-        for n in self._content_diagonals():
-            ab = self.abutments(n)
-            abQ = QC.abutments(n)
-            abI = IC.abutments(n)
-            checks = {
-                "colim_Q": ab.colim == abQ.colim,
-                "colim_I": ab.colim == abI.colim,
-                "lim_Q": ab.lim == abQ.lim,
-                "lim_I": ab.lim == abI.lim,
-                "image_filtration_Q": same_stages(ab.F, abQ.F, (0, 0)),
-                "image_filtration_I": same_stages(ab.F, abI.F, a),
-                "kernel_filtration_Q": same_stages(ab.F_upper, abQ.F_upper, _scale(-1, a)),
-                "kernel_filtration_I": same_stages(ab.F_upper, abI.F_upper, (0, 0)),
-            }
-            report["diagonals"][n] = checks
-            report["ok"] = report["ok"] and all(checks.values())
-        require(report["ok"], "derived couples change the abutments", report)
-        return report
+        for variant, image_shift, kernel_shift in (("Q", (0, 0), _scale(-1, a)),
+                                                   ("I", a, (0, 0))):
+            derived = self.derive(variant)
+            for n in self._content_diagonals():
+                ab, abd = self.abutments(n), derived.abutments(n)
+                require(ab.colim == abd.colim,
+                        variant + "-derivation changes the colimit abutment", n)
+                require(ab.lim == abd.lim,
+                        variant + "-derivation changes the limit abutment", n)
+                pairs = (("image", ab.F, abd.F, image_shift),
+                         ("kernel", ab.F_upper, abd.F_upper, kernel_shift))
+                for name, base, other, shift in pairs:
+                    for x, S in base.items():
+                        require(S.as_group()[0] == stage(derived, other, _add(x, shift)),
+                                "%s-derivation changes the %s filtration" % (variant, name),
+                                n, x)
 
     @_in_own_table
-    def lim1_couple(self, n: int):
+    def lim1_couple(self, n: int) -> "ExactCouple":
         """The couple assembled from the kernel filtration of diagonal n.
 
         Its lower D-tower is the kernel filtration of the limit abutment,
         its upper tower the lim-1 terms of the kernel diagrams (all zero
         under the supported tails), and its E-objects the limit-page
-        cokernels (omega-cycles over the image of j).  The report verifies
-        that it is exact, collapses on page 1, and matches its colimit
-        abutment.
+        cokernels (omega-cycles over the image of j).  It is checked to be
+        exact, to collapse on page 1, and to match its colimit abutment.
         """
         bd = self.bidegrees
         dns = self.diagonal(n + bd.sigma)
@@ -937,21 +882,12 @@ class ExactCouple:
         out = ExactCouple(Bidegrees(bd.a, bd.b, bd.c), newD, newE, newi, newj,
                           {}, tails)
         out.validate()
-        ss = out.internal_spectral_sequence()
-        report = {
-            "lim1_terms_zero": True,
-            "collapses_on_page_1": ss.collapse_page() == 1,
-        }
-        if newD:
-            labels = {
-                out.classify(x)["label"] for x in newD
-            }
-            report["matches_colimit"] = labels <= {"MatchesColimit"}
-        else:
-            report["matches_colimit"] = True
-        require(report["collapses_on_page_1"] and report["matches_colimit"],
-                "lim^1 couple does not collapse onto its colimit", n, report)
-        return out, report
+        require(out.internal_spectral_sequence().collapse_page() == 1,
+                "lim^1 couple does not collapse on page 1", n)
+        for x in newD:
+            require(out.classify(x)["label"] == "MatchesColimit",
+                    "lim^1 couple does not match its colimit", n, x)
+        return out
 
     # -- reindexing ----------------------------------------------------------
 
@@ -1600,15 +1536,23 @@ def _parse_pos(s) -> Position:
     return (int(p), int(q))
 
 
+def _keyed(pairs) -> dict:
+    """The dict of ``(key, value)`` pairs; a key given twice is refused."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError("expected one entry per position or diagonal, got two at %r"
+                             % (key,))
+        out[key] = value
+    return out
+
+
 def _homs_from_json(entries, src_at, tgt_at, delta: Position = (0, 0)) -> Dict[Position, Hom]:
     """Maps ``{"at": [p, q], "matrix": [...]}`` from ``src_at(x)`` to ``tgt_at(x + delta)``."""
-    out = {}
-    for entry in _array(entries):
-        entry = _object(entry)
-        x = _pair(entry["at"])
-        out[x] = Hom(src_at(x), tgt_at(_add(x, delta)),
-                     [[_integer(v) for v in _array(row)] for row in _array(entry["matrix"])])
-    return out
+    entries = _keyed((_pair(entry["at"]), entry) for entry in map(_object, _array(entries)))
+    return {x: Hom(src_at(x), tgt_at(_add(x, delta)),
+                   [[_integer(v) for v in _array(row)] for row in _array(entry["matrix"])])
+            for x, entry in entries.items()}
 
 
 def couple_to_json(C: ExactCouple) -> dict:
@@ -1640,16 +1584,16 @@ def couple_from_json(data: dict) -> ExactCouple:
     Groups, bidegrees and tail tables are objects, map lists and matrices
     arrays; positions and bidegrees are pairs of integers, group entries
     and matrix entries are integers, and each diagonal has a pair of tail
-    names; anything else raises ``ValueError``.
+    names; anything else raises ``ValueError``, and so does a position or
+    diagonal given twice.
     """
     data = _object(data)
     bd = Bidegrees(*(_pair(_object(data["bidegrees"])[key]) for key in "abc"))
-    D = {_parse_pos(s): _group_from_json(g) for s, g in _object(data.get("D", {})).items()}
-    E = {_parse_pos(s): _group_from_json(g) for s, g in _object(data.get("E", {})).items()}
-    tails = {
-        int(n): _pair(t, Tail)
-        for n, t in _object(data.get("diagonal_tails", {})).items()
-    }
+    D, E = (_keyed((_parse_pos(s), _group_from_json(g))
+                   for s, g in _object(data.get(key, {})).items())
+            for key in "DE")
+    tails = _keyed((int(n), _pair(t, Tail))
+                   for n, t in _object(data.get("diagonal_tails", {})).items())
     stub = ExactCouple(bd, D, E, {}, {}, {}, tails)
     i = _homs_from_json(data.get("i", []), stub.D_at, stub.D_at, bd.a)
     j = _homs_from_json(data.get("j", []), stub.D_at, stub.E_at, bd.b)

@@ -69,18 +69,6 @@ def cohomological_rule(r: int) -> Position:
     return (r, -r + 1)
 
 
-def explicit_rule(r0: int, bidegrees) -> Callable[[int], Position]:
-    """Bidegree rule from a finite list; past the list the differentials are
-    declared zero and the reported bidegree is irrelevant."""
-    table = {r0 + i: tuple(v) for i, v in enumerate(bidegrees)}
-
-    def rule(r: int) -> Position:
-        return table.get(r, (0, 0))
-
-    rule.explicit_up_to = r0 + len(table)  # type: ignore[attr-defined]
-    return rule
-
-
 class BigradedGroup:
     """Finitely supported bigraded family of groups inside a bounds rectangle."""
 
@@ -278,16 +266,11 @@ class SpectralSequence:
 
         For the homological/cohomological rules the bidegree grows linearly,
         so every differential past the rectangle diameter leaves the bounds.
-        For explicit rules the declared list is exhausted and later
-        differentials are zero by convention.  The bound uses the rectangle,
-        not the support, so a source is asked for fewer pages (see
-        ``support_settled_page``); moving this page to the support bound
-        would change ``stabilization_horizon`` and so the ``zeeman`` reports,
-        and waits for the benchmark's digest re-record.
+        The bound uses the rectangle, not the support, so a source is asked
+        for fewer pages (see ``support_settled_page``); moving this page to
+        the support bound would change ``stabilization_horizon`` and so the
+        ``zeeman`` reports, and waits for the benchmark's digest re-record.
         """
-        explicit = getattr(self.rule, "explicit_up_to", None)
-        if explicit is not None:
-            return explicit + 1
         (pmin, pmax), (qmin, qmax) = self.pages[0].objects.bounds
         diam = max(pmax - pmin, qmax - qmin) + 2
         horizon = self.r0 + diam
@@ -308,18 +291,14 @@ class SpectralSequence:
         position, so past the last such r no differential can join two
         nonzero objects: those pages are turned with zero differentials.
         Page S itself is still asked for, so the source's own checks of
-        page S see the last differential that can be nonzero.  Explicit
-        rules keep the settled page.
+        page S see the last differential that can be nonzero.
         """
         if self._support_settled is None:
             settled = self.settled_page()
-            if getattr(self.rule, "explicit_up_to", None) is not None:
-                self._support_settled = settled
-            else:
-                support = self.pages[0].objects.positions()
-                gaps = {(y[0] - x[0], y[1] - x[1]) for x in support for y in support}
-                joined = [r for r in range(self.r0 + 1, settled) if tuple(self.rule(r)) in gaps]
-                self._support_settled = max(joined, default=self.r0) + 1
+            support = self.pages[0].objects.positions()
+            gaps = {(y[0] - x[0], y[1] - x[1]) for x in support for y in support}
+            joined = [r for r in range(self.r0 + 1, settled) if tuple(self.rule(r)) in gaps]
+            self._support_settled = max(joined, default=self.r0) + 1
         return self._support_settled
 
     def stabilization_horizon(self) -> int:

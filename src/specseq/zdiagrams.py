@@ -585,31 +585,20 @@ def k_mono_condition(A: ZDiagram, p: int) -> dict:
     lim1 terms vanish, but the subgroup equality itself is still meaningful
     and is evaluated exactly.  Sufficient conditions (a_p mono, omega-ML) are
     cross-checked: each one, when true, must force the condition.  Like
-    every per-index value it is read at ``padded_index(p)``.
+    every per-index value it is read at ``padded_index(p)``.  Returns
+    ``holds`` and the two sufficient conditions.
     """
     p = A.padded_index(p)
     a = A.map_at(p)
     ker = a.kernel()
     iw = I_omega(A)[p]
     ibar = stable_image(A)[p]
-    lhs = ker.intersection(iw)
-    rhs = ker.intersection(ibar)
-    holds = lhs == rhs
-    witness = None
-    if not holds:
-        witness = next(c for c in lhs.basis if not rhs.contains(c))
+    holds = ker.intersection(iw) == ker.intersection(ibar)
     a_mono = a.is_mono()
     omega_ml = ml_conditions(A)["omega_ml"]
     require(holds or not (a_mono or omega_ml),
             "sufficient condition held but the criterion failed", p)
-    return {
-        "holds": holds,
-        "witness": witness,
-        "a_p_mono": a_mono,
-        "omega_ml": omega_ml,
-        "lhs": lhs,
-        "rhs": rhs,
-    }
+    return {"holds": holds, "a_p_mono": a_mono, "omega_ml": omega_ml}
 
 
 # ---------------------------------------------------------------------------

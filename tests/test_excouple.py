@@ -10,6 +10,7 @@ from specseq.zlinalg import (
     Hom,
     Subgroup,
     SubquotientData,
+    TheoremViolation,
     direct_sum,
     induced_map,
     subquotient,
@@ -160,15 +161,12 @@ class TestDemoCouples:
 
 class TestExtensions:
     def test_couple2_page_extension(self):
-        rep = demo_couple("couple2").er_extension_check((0, 0), 1)
-        assert rep["left"] == Z2
-        assert rep["middle"] == Z6
-        assert rep["right"] == Z3
+        assert demo_couple("couple2").er_extension_check((0, 0), 1) == (Z2, Z6, Z3)
 
     def test_extension_of_zeros(self):
-        rep = demo_couple("couple1").er_extension_check((7, -7), 2)
-        assert rep["left"].is_trivial() and rep["right"].is_trivial()
-        assert rep["middle"].is_trivial()
+        left, middle, right = demo_couple("couple1").er_extension_check((7, -7), 2)
+        assert left.is_trivial() and right.is_trivial()
+        assert middle.is_trivial()
 
     def test_order_counting_on_random_couples(self):
         rng = seeded(31)
@@ -178,12 +176,6 @@ class TestExtensions:
                 for r in (1, 2):
                     # internal asserts include |middle| = |left| * |right|
                     C.er_extension_check(x, r)
-
-    def test_stable_E_certificate(self):
-        C = demo_couple("couple2")
-        sq, cert = C.stable_E((0, 0))
-        assert sq.group == Z6
-        assert cert["position"] == (0, 0)
 
     def test_extension_report_couple2(self):
         rep = demo_couple("couple2").extension_report((0, 0))
@@ -471,7 +463,6 @@ class TestSharedResults:
             full_analysis(C)
             assert zlinalg._results.get() is None
             x = min(C.D, default=(0, 0))
-            C.stable_E((x[0] + C.bidegrees.b[0], x[1] + C.bidegrees.b[1]))
             C.er_extension_check(x, 1)
             C.extension_report(x)
             C.internal_page(2)
@@ -756,6 +747,15 @@ class TestFilteredComplexConstruction:
         assert 0 < len(calls) <= cells
 
 
+def late_differential_couple(m, s):
+    """The couple of Z --m--> Z, degree 0 entering at stage 0 and degree 1
+    at stage s: its one nonzero differential is d^s, and E-infinity is Z/m
+    at (0, 0)."""
+    filtration = {p: {0: Subgroup.full(Z)} for p in range(s)}
+    filtration[s] = {0: Subgroup.full(Z), 1: Subgroup.full(Z)}
+    return couple_from_filtered_complex({0: Z, 1: Z}, {1: Hom(Z, Z, [[m]])}, filtration)
+
+
 class TestDerivedCouples:
     def test_demo_derivations_validate(self):
         for name in ("couple1", "couple2", "couple3"):
@@ -763,7 +763,7 @@ class TestDerivedCouples:
             for variant in ("Q", "I"):
                 D = C.derive(variant)
                 D.validate()
-            assert C.derivation_abutment_check()["ok"]
+            C.derivation_abutment_check()
 
     def test_derived_bidegrees(self):
         C = demo_couple("couple1")
@@ -777,7 +777,42 @@ class TestDerivedCouples:
         rng = seeded(47)
         for _ in range(6):
             C = couple_from_filtered_complex(*random_filtered_complex(rng, max_degree=2))
-            assert C.derivation_abutment_check()["ok"]
+            C.derivation_abutment_check()
+
+    def test_derivation_check_compares_every_stage(self, monkeypatch):
+        # every stage of both filtrations is compared, also where the shifted
+        # position lies outside the derived couple's window
+        seen = Counter()
+        require = excouple.require
+
+        def recorded(holds, check, *witness):
+            seen[check, witness] += 1
+            require(holds, check, *witness)
+
+        monkeypatch.setattr(excouple, "require", recorded)
+        rng = seeded(47)
+        couples = [demo_couple(name) for name in ("couple1", "couple2", "couple3")]
+        couples += [couple_from_filtered_complex(*random_filtered_complex(rng, max_degree=2))
+                    for _ in range(6)]
+        outside = 0
+        for C in couples:
+            seen.clear()
+            C.derivation_abutment_check()
+            derived = {v: C.derive(v) for v in "QI"}
+            a = C.bidegrees.a
+            for n in C._content_diagonals():
+                ab = C.abutments(n)
+                for v, filt, stages, shift in (
+                        ("Q", "image", ab.F, (0, 0)), ("I", "image", ab.F, a),
+                        ("Q", "kernel", ab.F_upper, (-a[0], -a[1])),
+                        ("I", "kernel", ab.F_upper, (0, 0))):
+                    other = derived[v].abutments(n)
+                    other = other.F if filt == "image" else other.F_upper
+                    for x in stages:
+                        check = "%s-derivation changes the %s filtration" % (v, filt)
+                        assert seen[check, (n, x)] == 1, (check, n, x)
+                        outside += (x[0] + shift[0], x[1] + shift[1]) not in other
+        assert outside > 0
 
     def test_derived_pages_are_the_next_pages(self):
         # page r of either derived couple is page r + 1 of the couple, and
@@ -786,10 +821,15 @@ class TestDerivedCouples:
         rng = seeded(139)
         couples += [couple_from_filtered_complex(*random_filtered_complex(rng))
                     for _ in range(25)]
+        # hand-built couples with one nonzero higher differential each
+        late = [(m, s) for s in (2, 3) for m in (1, 2, 3)]
+        couples += [late_differential_couple(m, s) for m, s in late]
         compared = 0
+        higher = False
         for t, C in enumerate(couples):
             ss = C.internal_spectral_sequence()
             einf = {e: v["sq"].group for e, v in C.e_infinity().items()}
+            higher |= any(ss.page(r).diffs for r in range(2, ss.settled_page() + 1))
             for variant in ("Q", "I"):
                 D = C.derive(variant)
                 dss = D.internal_spectral_sequence()
@@ -803,18 +843,33 @@ class TestDerivedCouples:
                     assert dinf.get(e, FPAbGroup()) == einf.get(e, FPAbGroup()), (t, variant, e)
                     compared += 1
         assert compared >= 500
+        assert higher
+        for (m, s), C in zip(late, couples[-len(late):]):
+            assert C.e_infinity()[(0, 0)]["sq"].group == FPAbGroup(0, (m,) if m > 1 else ())
 
     def test_lim1_couples_collapse_and_match_colimit(self):
         for name in ("couple1", "couple2", "couple3"):
             C = demo_couple(name)
-            L, rep = C.lim1_couple(0)
-            assert rep["lim1_terms_zero"]
-            assert rep["collapses_on_page_1"]
-            assert rep["matches_colimit"]
+            L = C.lim1_couple(0)
+            assert L.internal_spectral_sequence().collapse_page() == 1
+            assert all(L.classify(x)["label"] == "MatchesColimit" for x in L.D)
+
+    def test_lim1_couple_checks_raise(self, monkeypatch):
+        # a later collapse, or another label, is caught where it is proved
+        for owner, name, broken, check in (
+                (SpectralSequence, "collapse_page", lambda self: 2,
+                 "lim^1 couple does not collapse on page 1"),
+                (ExactCouple, "classify", lambda self, x: {"label": "MatchesLimit"},
+                 "lim^1 couple does not match its colimit")):
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, broken)
+                with pytest.raises(TheoremViolation) as info:
+                    demo_couple("couple3").lim1_couple(0)
+            assert info.value.check == check and info.value.witness[0] == 0
 
     def test_lim1_couple_abuts_the_limit(self):
         C = demo_couple("couple3")
-        L, _ = C.lim1_couple(0)
+        L = C.lim1_couple(0)
         # its colimit abutment is the limit abutment of the original couple
         positions = sorted(L.D)
         assert positions and L.D[positions[-1]] == Z6

@@ -12,7 +12,6 @@ from specseq.spectral import (
     SSMorphism,
     UnboundedSupport,
     cohomological_rule,
-    explicit_rule,
     find_mono_nonpropagation,
     homological_rule,
     spectral_sequence_from_page,
@@ -133,19 +132,13 @@ class TestEInfinity:
         assert Einf.at((0, 0)).is_trivial()
         assert Einf.at((2, -1)) == FPAbGroup(0, (3,))
 
-    def test_explicit_rule(self):
-        rule = explicit_rule(1, [(-1, 0)])
-        ss = two_column_ss(Z, Z, Hom(Z, Z, [[2]]), rule=rule)
-        Einf, _, _ = ss.e_infinity()
-        assert Einf.at((0, 0)) == Z2
-
     def test_unbounded_rule_rejected(self):
         ss = two_column_ss(Z4, Z2, Hom.zero_map(Z4, Z2), rule=lambda r: (-1, 0))
         with pytest.raises(UnboundedSupport):
             ss.stabilization_horizon()
 
 
-def recording_sequence(support, diffs_by_page, r0=1, rule=homological_rule):
+def recording_sequence(support, diffs_by_page, r0=1):
     """A sequence whose source hands out ``diffs_by_page[r]`` and records
     every page it is asked for."""
     asked = []
@@ -157,8 +150,8 @@ def recording_sequence(support, diffs_by_page, r0=1, rule=homological_rule):
     ps = [x[0] for x in support]
     qs = [x[1] for x in support]
     bounds = ((min(ps), max(ps)), (min(qs), max(qs)))
-    first = Page(BigradedGroup(bounds, support), rule(r0), {})
-    return SpectralSequence(r0, first, rule, source), asked
+    first = Page(BigradedGroup(bounds, support), homological_rule(r0), {})
+    return SpectralSequence(r0, first, homological_rule, source), asked
 
 
 class TestSupportSettledPage:
@@ -193,13 +186,6 @@ class TestSupportSettledPage:
             assert ss.anchored(3, x) is ss.anchored(1, x)
             assert ss.anchored(4, x) is not ss.anchored(3, x)
             assert ss.anchored(ss.top_r, x) is ss.anchored(4, x)
-
-    def test_explicit_rules_keep_the_settled_page(self):
-        rule = explicit_rule(1, [(-1, 0), (5, 5), (7, 7)])
-        ss, asked = recording_sequence({(0, 0): Z, (1, 0): Z4}, {}, rule=rule)
-        assert ss.support_settled_page() == ss.settled_page() == 5
-        ss.e_infinity()
-        assert asked == [2, 3, 4, 5]
 
 
 def random_two_column_morphism(rng):
