@@ -8,7 +8,8 @@ error, 2 validation failure, 3 theorem-check failure, 4 internal error.
 ``main`` runs a command in two phases.  The load phase parses the command
 line, opens ``--out`` and reads and builds the input (a couple, a morphism
 or a two-row instance); a malformed command line, an unreadable or
-undecodable input file and an unwritable ``--out`` are parse errors there.
+undecodable input file (a key written twice in one JSON object among them)
+and an unwritable ``--out`` are parse errors there.
 The compute phase runs the command on the loaded input; a ``ValueError``,
 ``KeyError`` or ``TypeError`` raised there is a fault of the program, not
 of its input, and reports as an internal error.  Exit codes 2 and 3 come
@@ -48,6 +49,7 @@ from .excouple import (
     _group_from_json,
     _homs_from_json,
     _integer,
+    _keyed,
     _object,
     _parse_pos,
     compare_abutments,
@@ -109,9 +111,15 @@ def _at_least(lo):
     return parse
 
 
+def _read_json(path):
+    """The JSON value in ``path``; a key given twice in one object is a
+    ``ValueError``, not a silently dropped value."""
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_keyed)
+
+
 def _load_couple(args):
-    with open(args.file) as fh:
-        return couple_from_json(json.load(fh))
+    return couple_from_json(_read_json(args.file))
 
 
 def _pos_key(x):
@@ -226,8 +234,7 @@ def _morphism_from_json(data):
 def _load_morphism(args):
     if args.rule not in COMPARE_RULES:
         raise ValueError("unknown rule %r" % (args.rule,))
-    with open(args.file) as fh:
-        return _morphism_from_json(json.load(fh))
+    return _morphism_from_json(_read_json(args.file))
 
 
 def cmd_compare(args, f):
@@ -277,8 +284,7 @@ def cmd_zeeman(args, _):
 
 
 def _load_two_row(args):
-    with open(args.file) as fh:
-        data = _object(json.load(fh))
+    data = _object(_read_json(args.file))
     abutment = {}
     for n, entry in _object(data["abutment"]).items():
         entry = _object(entry)

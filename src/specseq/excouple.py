@@ -1537,11 +1537,15 @@ def _parse_pos(s) -> Position:
 
 
 def _keyed(pairs) -> dict:
-    """The dict of ``(key, value)`` pairs; a key given twice is refused."""
+    """The dict of ``(key, value)`` pairs; a key given twice is refused.
+
+    Also ``json.load``'s ``object_pairs_hook`` in the CLI, so a key written
+    twice in one JSON object of an input file is refused too.
+    """
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError("expected one entry per position or diagonal, got two at %r"
+            raise ValueError("expected each key, position or diagonal once, got two at %r"
                              % (key,))
         out[key] = value
     return out

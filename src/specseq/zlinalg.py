@@ -4,7 +4,8 @@ Everything in this package ultimately reduces to integer matrix normal forms.
 This module provides:
 
 * Smith normal form with unimodular transform witnesses ``D = U * M * V``.
-* A column-style Hermite form used as the canonical basis of a sublattice.
+* A column-style Hermite form used as the canonical basis of a sublattice,
+  and of the graph of a matrix for its kernel and for solving.
 * ``FPAbGroup`` -- a finitely generated abelian group in canonical invariant
   factor form (free part first, then torsion in divisibility order).  Its
   ``ngens``, ``orders`` and relation columns are computed once, at
@@ -27,12 +28,15 @@ This module provides:
   ``short_exact``, the checked sequence ``K/B >-> Z/B ->> Z/K`` of nested
   subgroups ``B <= K <= Z``.
 
-A Smith normal form runs only where a transform is needed: on the Hermite
-basis of the relations in a presentation (``group_from_presentation``,
-under every subquotient), and on the raw matrix for kernels,
-intersections, preimages and ``Hom.solve_element``.  Within the package,
-elements are solved for only in ``hom_through``, through a ``back`` map
-that need not be injective.
+A Smith normal form runs only in a presentation, on the Hermite basis of
+its relations (``group_from_presentation``, under every subquotient).
+Kernels and solving read one Hermite form of ``[M; I]``, the graph of
+``M``: its columns with zero top part are the kernel, already in Hermite
+form, and ``solve_matrix`` forward-substitutes down the others, which
+carry a preimage each; kernels give intersections and preimages, and
+solving gives ``Hom.solve_element``.  Within the package, elements are
+solved for only in ``hom_through``, through a ``back`` map that need not
+be injective.
 * ``shared_results`` -- a context-scoped result table.  While one is open,
   images, preimages (and so kernels), images of subgroups, intersections,
   ``as_group`` and subquotients are looked up by the value of their inputs
@@ -242,6 +246,10 @@ def smith_normal_form(M: Matrix):
         Tuple ``(U, D, V)`` of integer matrices with ``D = U * M * V``,
         ``U`` and ``V`` unimodular, and ``D`` diagonal with nonnegative
         entries satisfying ``D[0][0] | D[1][1] | ...``.
+
+    Within the package a Smith form runs only in ``group_from_presentation``
+    (through ``_snf_with_inverses``); kernels and solving read a Hermite
+    form of ``[M; I]`` instead.
     """
     return _smith(M, inverses=False)[:3]
 
@@ -423,45 +431,94 @@ def hermite_column_form(cols: Sequence[Sequence[int]], nrows: int) -> tuple:
     return tuple(tuple(c) for c in kept)
 
 
-def kernel_basis(M: Matrix) -> list:
-    """Basis (list of column tuples) for the integer kernel of ``M``."""
+def _echelon_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[Vector]:
+    """Integer coordinates of ``v`` in ``basis``, or ``None`` if it has none.
+
+    ``basis`` is in column echelon form on the first ``len(v)`` rows (pivot
+    rows strictly increase and nothing sits above a pivot), and its columns
+    may run longer: only those rows are read.  Forward substitution down
+    the pivot rows finds the coordinates in O(len(v) * len(basis)) steps;
+    they are unique because echelon columns are independent there.
+    """
+    n = len(v)
+    r = list(v)
+    x = []
+    row = 0
+    for col in basis:
+        # No remaining column reaches a row above this column's pivot, so
+        # the residual must already vanish there.
+        while col[row] == 0:
+            if r[row]:
+                return None
+            row += 1
+        q, rem = divmod(r[row], col[row])
+        if rem:
+            return None
+        if q:
+            for i in range(row, n):
+                r[i] -= q * col[i]
+        x.append(q)
+        row += 1
+    if any(r[row:]):
+        return None
+    return tuple(x)
+
+
+def _graph_hermite(M: Matrix) -> tuple:
+    """Hermite basis of the columns ``(M e_j, e_j)`` of ``[M; I]``.
+
+    They span the graph ``{(M x, x)}`` of ``M``.  The basis columns whose
+    first ``len(M)`` entries vanish come last and give the kernel; the
+    others span the image in echelon form, each with a preimage below it.
+    """
     rows = len(M)
     cols = len(M[0]) if M else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return columns_of(identity_matrix(cols))
-    _, D, V = smith_normal_form(M)
-    n = min(rows, cols)
-    basis = []
+    if not cols:
+        return ()
+    # Lists, not tuples: hermite_column_form works on lists of its own, and
+    # short-lived tuples of the ladder's sizes stay on the tuple free lists.
+    stacked = []
     for j in range(cols):
-        if j >= n or D[j][j] == 0:
-            basis.append(tuple(V[i][j] for i in range(cols)))
-    return basis
+        col = [row[j] for row in M] + [0] * cols
+        col[rows + j] = 1
+        stacked.append(col)
+    return hermite_column_form(stacked, rows + cols)
+
+
+def kernel_basis(M: Matrix) -> list:
+    """The canonical Hermite basis (list of column tuples) of the integer
+    kernel of ``M``: the bottom parts of the graph basis columns of
+    ``[M; I]`` that ``M`` sends to zero.
+
+    >>> kernel_basis([[2, 4, 6]])
+    [(1, 1, -1), (0, 3, -2)]
+    """
+    rows = len(M)
+    return [c[rows:] for c in _graph_hermite(M) if not any(c[:rows])]
 
 
 def solve_matrix(M: Matrix, y: Sequence[int]) -> Optional[Vector]:
-    """One integer solution ``x`` of ``M x = y``, or ``None`` if there is none."""
+    """One integer solution ``x`` of ``M x = y``, or ``None`` if there is none.
+
+    ``y`` is written in the echelon image columns of the graph basis of
+    ``[M; I]`` by forward substitution, and ``x`` is the same combination
+    of their bottom parts.
+
+    >>> M = [[2, 4, 6]]
+    >>> mat_vec(M, solve_matrix(M, (10,)))
+    (10,)
+    >>> solve_matrix(M, (3,)) is None
+    True
+    """
     rows = len(M)
     cols = len(M[0]) if M else 0
     if rows != len(y):
         raise ValueError("dimension mismatch in solve")
-    if cols == 0:
-        return () if all(v == 0 for v in y) else None
-    U, D, V = smith_normal_form(M)
-    w = mat_vec(U, y)
-    z = [0] * cols
-    n = min(rows, cols)
-    for i in range(rows):
-        d = D[i][i] if i < n else 0
-        if d == 0:
-            if w[i] != 0:
-                return None
-        else:
-            if w[i] % d != 0:
-                return None
-            z[i] = w[i] // d
-    return mat_vec(V, z)
+    image = [c for c in _graph_hermite(M) if any(c[:rows])]
+    q = _echelon_coordinates(image, y)
+    if q is None:
+        return None
+    return tuple(sum(a * c[rows + i] for a, c in zip(q, image)) for i in range(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +728,9 @@ class Subgroup:
         is not in the subgroup.
 
         The basis is in column Hermite form, so forward substitution down its
-        pivot rows finds them in O(ngens * len(basis)) steps.  The basis is
-        linearly independent, so the coordinates are unique.
+        pivot rows (``_echelon_coordinates``, which ``solve_matrix`` shares)
+        finds them in O(ngens * len(basis)) steps.  The basis is linearly
+        independent, so the coordinates are unique.
 
         >>> G = FPAbGroup(rank=1, torsion=(4,))
         >>> S = Subgroup.from_generators(G, [(2, 1)])
@@ -683,30 +741,9 @@ class Subgroup:
         >>> S.coordinates((2, 3)) is None
         True
         """
-        n = self.ambient.ngens
-        r = list(v)
-        if len(r) != n:
+        if len(v) != self.ambient.ngens:
             raise ValueError("element has wrong length for ambient group")
-        x = []
-        row = 0
-        for col in self.basis:
-            # No remaining column reaches a row above this column's pivot,
-            # so the residual must already vanish there.
-            while col[row] == 0:
-                if r[row]:
-                    return None
-                row += 1
-            q, rem = divmod(r[row], col[row])
-            if rem:
-                return None
-            if q:
-                for i in range(row, n):
-                    r[i] -= q * col[i]
-            x.append(q)
-            row += 1
-        if any(r[row:]):
-            return None
-        return tuple(x)
+        return _echelon_coordinates(self.basis, v)
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coordinates(v) is not None

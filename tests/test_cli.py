@@ -364,8 +364,8 @@ MALFORMED_COUPLES = {
 
 
 class TestMalformedFiles:
-    """Couple, morphism and two-row files hold integers and pairs only, and
-    give each position once."""
+    """Couple, morphism and two-row files hold integers and pairs only,
+    give each position once and write each JSON key once per object."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_COUPLES))
     def test_malformed_couple_is_a_parse_error(self, capsys, tmp_path, couple2_file, case):
@@ -395,6 +395,31 @@ class TestMalformedFiles:
         append_to(["fE"], {"at": [0, 0], "matrix": [[1]]})(data)
         path.write_text(json.dumps(data))
         code, rep = run(capsys, "compare", str(path), "--rule", "iso-colim", "--n", "0")
+        assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
+        assert rep["witness"].startswith("expected")
+
+    def test_couple_key_written_twice_is_a_parse_error(self, capsys, couple2_file):
+        """Without the check, the second ``"0,0"`` replaced the first."""
+        path = Path(couple2_file)
+        text = path.read_text()
+        assert '"E": {"0,0": ' in text
+        path.write_text(text.replace('"E": {', '"E": {"0,0": {"rank": 0, "torsion": [6]}, ', 1))
+        code, rep = run(capsys, "validate", str(path))
+        assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
+        assert rep["witness"].startswith("expected")
+
+    def test_morphism_key_written_twice_is_a_parse_error(self, capsys, tmp_path):
+        path = Path(identity_morphism_file(tmp_path, "couple2"))
+        path.write_text('{"fE": [], ' + path.read_text()[1:])
+        code, rep = run(capsys, "compare", str(path), "--rule", "iso-colim", "--n", "0")
+        assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
+        assert rep["witness"].startswith("expected")
+
+    def test_two_row_key_written_twice_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "tworow.json"
+        path.write_text('{"N": 3, "abutment": {"0": {"group": {"rank": 2}}, '
+                        '"0": {"group": {"rank": 1}}}}')
+        code, rep = run(capsys, "solve-two-row", str(path))
         assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
         assert rep["witness"].startswith("expected")
 

@@ -43,6 +43,7 @@ from specseq.zlinalg import (
     solve_matrix,
     subquotient,
 )
+from specseq import zlinalg
 from specseq.zlinalg import _snf_with_inverses
 from specseq.spectral import whole
 
@@ -232,7 +233,86 @@ class TestHermiteForm:
         assert pivots == sorted(set(pivots))
 
 
+@st.composite
+def rank_deficient_systems(draw):
+    """``(M, y)``: ``M`` has up to 3 columns with entries up to 10^6 in size
+    and 1 to 3 more columns that are small combinations of them, in some
+    order; ``y`` is ``M x`` for a small ``x``, maybe moved by a unit vector."""
+    rows, k = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    entries = st.lists(st.integers(-10**6, 10**6), min_size=rows, max_size=rows)
+    base = [draw(entries) for _ in range(k)]
+    cols = list(base)
+    for _ in range(draw(st.integers(1, 3))):
+        mult = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        cols.append([sum(m * c[i] for m, c in zip(mult, base)) for i in range(rows)])
+    M = matrix_from_columns(draw(st.permutations(cols)), rows)
+    x = draw(st.lists(st.integers(-5, 5), min_size=len(cols), max_size=len(cols)))
+    y = list(mat_vec(M, x))
+    if draw(st.booleans()):
+        y[draw(st.integers(0, rows - 1))] += 1
+    return M, tuple(y)
+
+
 class TestKernelAndSolve:
+    @given(rank_deficient_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_and_solve_against_hermite_and_membership(self, case):
+        """The kernel basis is its own Hermite form and spans ``cols - rank``
+        dimensions; ``M x = y`` is solved exactly when the column lattice of
+        ``M`` contains ``y``."""
+        M, y = case
+        cols = len(M[0])
+        K = kernel_basis(M)
+        assert tuple(K) == hermite_column_form(K, cols)
+        assert len(K) == cols - rational_rank(M)
+        assert all(not any(mat_vec(M, k)) for k in K)
+        x = solve_matrix(M, y)
+        member = Subgroup.from_generators(FPAbGroup(len(M)), columns_of(M)).contains(y)
+        assert (x is not None) == member
+        if member:
+            assert mat_vec(M, x) == y
+
+    def test_no_smith_form_behind_kernels_and_solving(self, monkeypatch):
+        """Kernels, preimages, intersections and solving read a Hermite form
+        only; a Smith form runs in presentations alone."""
+        def no_smith(*args, **kwargs):
+            raise AssertionError("Smith form outside a presentation")
+
+        monkeypatch.setattr(zlinalg, "_smith", no_smith)
+        assert kernel_basis([[2, 4, 6]]) == [(1, 1, -1), (0, 3, -2)]
+        assert kernel_basis([[1, 2], [2, 4]]) == [(2, -1)]
+        assert mat_vec([[2, 4, 6]], solve_matrix([[2, 4, 6]], (10,))) == (10,)
+        assert solve_matrix([[2, 4, 6]], (3,)) is None
+        assert solve_matrix([[1, 2], [2, 4]], (1, 3)) is None
+        G, H = FPAbGroup(1, (4,)), FPAbGroup(1, (2,))
+        f = Hom(G, H, [[2, 0], [1, 1]])  # (a, b) -> (2a, a + b)
+        assert f.kernel() == Subgroup.from_generators(G, [(0, 2)])
+        S = Subgroup.from_generators(H, [(2, 0)])
+        assert f.preimage(S) == Subgroup.from_generators(G, [(1, 1), (0, 2)])
+        S1, S2 = Subgroup.from_generators(G, [(1, 0)]), Subgroup.from_generators(G, [(1, 1)])
+        assert S1.intersection(S2) == Subgroup.from_generators(G, [(4, 0)])
+        assert f(f.solve_element((2, 1))) == (2, 1)
+        assert f.solve_element((1, 0)) is None
+        assert f.solve_element((3, 0)) is None
+
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_kernel_and_solve_stay_bounded(self, n):
+        """An n x n matrix with entries in [-9, 9] and two columns made
+        dependent has a 2-vector kernel and solves with small entries: both
+        come from a Hermite form of ``[M; I]``, not from Smith transforms."""
+        rng = random.Random(n)
+        M = full_rank_matrix(n, rng)
+        for row in M:
+            row[-1] = row[0] - 2 * row[1]
+            row[-2] = 3 * row[2] + row[3]
+        K = kernel_basis(M)
+        assert len(K) == 2
+        assert all(not any(mat_vec(M, k)) for k in K)
+        y = mat_vec(M, [rng.randint(-9, 9) for _ in range(n)])
+        x = solve_matrix(M, y)
+        assert mat_vec(M, x) == y
+        assert max(abs(v).bit_length() for c in K + [x] for v in c) < 1000
+
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
     def test_kernel_columns_annihilate(self, M):
