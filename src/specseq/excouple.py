@@ -64,9 +64,8 @@ from .zdiagrams import (
     kernel_diagram,
     kernels_satisfy_dcc,
     limit_and_lim1,
-    limit_map,
-    colimit_map,
     ml_conditions,
+    padded_hull,
     stable_image,
 )
 from .spectral import (
@@ -313,22 +312,26 @@ class ExactCouple:
             out.add(det2(bd.a, _add(e, bd.c)))
         return sorted(out)
 
-    def _d_check_positions(self):
-        bd = self.bidegrees
-        seen = []
-        for n in self._content_diagonals():
-            dia = self.diagonal(n)
-            for r in dia.padded_range():
-                seen.append(self.position_on(n, r))
-        for e in self.E:
-            seen.append(_sub(e, bd.b))
-            seen.append(_add(e, bd.c))
-        return list(dict.fromkeys(seen))
+    def _hull_positions(self, *others: "ExactCouple"):
+        """On every content diagonal of this couple and ``others``, the
+        positions of the ``padded_hull`` of their D-tower windows."""
+        couples = (self, *others)
+        diagonals = sorted({n for C in couples for n in C._content_diagonals()})
+        return [self.position_on(n, r) for n in diagonals
+                for r in padded_hull(*(C.diagonal(n) for C in couples))]
 
-    def _e_check_positions(self):
+    def _d_check_positions(self, *others: "ExactCouple"):
+        """The hull positions, then the D-ends e - b and e + c of every
+        E-object e of this couple and ``others``."""
+        bd = self.bidegrees
+        ends = [y for C in (self, *others) for e in C.E for y in (_sub(e, bd.b), _add(e, bd.c))]
+        return list(dict.fromkeys([*self._hull_positions(*others), *ends]))
+
+    def _e_check_positions(self, *others: "ExactCouple"):
         bd = self.bidegrees
         return list(dict.fromkeys(
-            [*self.E, *(_add(x, bd.b) for x in self._d_check_positions())]
+            [*(e for C in (self, *others) for e in C.E),
+             *(_add(x, bd.b) for x in self._d_check_positions(*others))]
         ))
 
     @_in_own_table
@@ -965,6 +968,7 @@ class CoupleMorphism:
         self.fD = {tuple(x): f for x, f in fD.items()}
         self.fE = {tuple(x): f for x, f in fE.items()}
         self._towers: Dict[int, ZDiagramMorphism] = {}
+        self._facts: Dict[int, _CoupleMorphismFacts] = {}
         bd = source.bidegrees
         for x, f in self.fD.items():
             if f.domain != source.D_at(x) or f.codomain != target.D_at(x):
@@ -975,15 +979,11 @@ class CoupleMorphism:
         for n in sorted({*source._content_diagonals(), *target._content_diagonals(),
                          *(det2(bd.a, x) for x in self.fD)}):
             self.d_morphism(n)
-        d_pos = list(dict.fromkeys(
-            [*source._d_check_positions(), *target._d_check_positions()]))
-        e_pos = list(dict.fromkeys(
-            [*source._e_check_positions(), *target._e_check_positions()]))
-        for x in d_pos:
+        for x in source._d_check_positions(target):
             if self.fE_at(_add(x, bd.b)).compose(source.j_at(x)) != \
                     target.j_at(x).compose(self.fD_at(x)):
                 raise NotAMorphism(("square with j", x))
-        for e in e_pos:
+        for e in source._e_check_positions(target):
             if self.fD_at(_add(e, bd.c)).compose(source.k_at(e)) != \
                     target.k_at(e).compose(self.fE_at(e)):
                 raise NotAMorphism(("square with k", e))
@@ -1011,13 +1011,20 @@ class CoupleMorphism:
                 raise NotAMorphism(("D-tower", n) + ex.args) from None
         return self._towers[n]
 
+    def _limit_page_window(self, n: int) -> range:
+        """The tower indices r whose E-positions x(n) + ra + b a walk over
+        diagonal n visits: the ``padded_hull`` of diagonals n and n + sigma
+        (whose index r sits at x(n) + ra + b + c) on both sides."""
+        sigma = self.source.bidegrees.sigma
+        return padded_hull(*(C.diagonal(m) for C in (self.source, self.target)
+                             for m in (n, n + sigma)))
+
     def f_infinity(self, n: int) -> Dict[Position, Hom]:
         """Induced maps on the limit pages over the E-positions of diagonal n."""
         bd = self.source.bidegrees
         out = {}
-        for r in self.d_morphism(n).source.padded_range():
-            x = self.source.position_on(n, r)
-            e = _add(x, bd.b)
+        for r in self._limit_page_window(n):
+            e = _add(self.source.position_on(n, r), bd.b)
             sq_s = subquotient(self.source.omega_cycles_at(e),
                                self.source.omega_boundaries_at(e))
             sq_t = subquotient(self.target.omega_cycles_at(e),
@@ -1025,70 +1032,47 @@ class CoupleMorphism:
             out[e] = induced_map(self.fE_at(e), sq_s, sq_t)
         return out
 
-    def eps_maps(self, n: int) -> Dict[Position, Hom]:
-        """Induced maps on the colimit filtration quotients of diagonal n."""
-        comp = colimit_map(self.d_morphism(n))
-        src = self.source.abutments(n).eps
-        tgt = self.target.abutments(n).eps
-        out = {}
-        for x in src:
-            if x in tgt:
-                out[x] = induced_map(comp, src[x], tgt[x])
-        return out
-
 
 class _CoupleMorphismFacts:
-    """What the ``COMPARE_RULES`` read about ``f`` on diagonal n; the induced
-    maps beyond the abutment maps are computed when a clause first reads
-    them."""
+    """What the ``COMPARE_RULES`` read about ``f`` on diagonal n: the facts of
+    its D-tower morphisms on diagonals n (``low``, with the colimit abutment
+    map ``cmap``) and n + sigma (``up``, with ``lmap``), and of its limit
+    pages; each is computed when a clause first reads it."""
 
     def __init__(self, f: CoupleMorphism, n: int):
         self.f, self.n = f, n
         self.S, self.T = f.source, f.target
-        self.dm_low = f.d_morphism(n)
-        self.dm_up = f.d_morphism(n + self.S.bidegrees.sigma)
-        self.Lf = colimit_map(self.dm_low)
-        self.Luf = limit_map(self.dm_up)
+        self._stable: Dict[ExactCouple, bool] = {}
 
     @functools.cached_property
     def f_infinity(self) -> list:
         return list(self.f.f_infinity(self.n).values())
 
     @functools.cached_property
-    def eps(self) -> list:
-        return list(self.f.eps_maps(self.n).values())
-
-    @functools.cached_property
     def low(self) -> _MorphismFacts:
-        """The diagram facts of the D-tower morphism on diagonal n."""
-        return _MorphismFacts(self.dm_low)
+        return _MorphismFacts(self.f.d_morphism(self.n))
 
     @functools.cached_property
     def up(self) -> _MorphismFacts:
-        """The diagram facts of the D-tower morphism on diagonal n + sigma."""
-        return _MorphismFacts(self.dm_up)
+        return _MorphismFacts(self.f.d_morphism(self.n + self.S.bidegrees.sigma))
 
     def all_stable(self, side: ExactCouple) -> bool:
-        return all(
-            side.extension_report(side.position_on(self.n, r))["stable"]
-            for r in side.diagonal(self.n).padded_range()
-        )
-
-    def eps_trivial(self, side: ExactCouple) -> bool:
-        return all(sq.group.is_trivial() for sq in side.abutments(self.n).eps.values())
-
-    def filtration_constant(self, side: ExactCouple) -> bool:
-        return len({tuple(v.basis) for v in side.abutments(self.n).F.values()}) <= 1
+        if side not in self._stable:
+            self._stable[side] = all(
+                side.extension_report(side.position_on(self.n, r))["stable"]
+                for r in self.f._limit_page_window(self.n))
+        return self._stable[side]
 
 
 _PAGES_MONO = ("limit page maps all mono", lambda F: all(g.is_mono() for g in F.f_infinity))
 _PAGES_ISO = ("limit page maps all iso", lambda F: all(g.is_iso() for g in F.f_infinity))
-_EPS_ISO = ("filtration quotient maps all iso", lambda F: all(g.is_iso() for g in F.eps))
+_EPS_ISO = ("filtration quotient maps all iso", lambda F: all(g.is_iso() for g in F.low.eps))
 _IM_R_ISO = ("map on the image of lim -> colim iso", lambda F: F.up.im_R_map.is_iso())
 _LIM_F_ISO = ("map on lim of the image filtration iso", lambda F: F.low.lim_F_map.is_iso())
 _MATCH_LIMIT = ("both sides match the limit abutment",
                 lambda F: F.all_stable(F.S) and F.all_stable(F.T)
-                and F.eps_trivial(F.S) and F.eps_trivial(F.T))
+                and all(sq.group.is_trivial() for filt in (F.low.fA, F.low.fB)
+                        for sq in filt["eps"].values()))
 _COLIM_MONO = "colimit abutment map mono"
 _LIM_ISO = "limit abutment map iso"
 
@@ -1096,59 +1080,58 @@ COMPARE_RULES = {
     "mono-colim-1": (
         (_PAGES_MONO,
          ("map on lim of the image filtration mono", lambda F: F.low.lim_F_map.is_mono())),
-        _COLIM_MONO, lambda F: F.Lf.is_mono()),
+        _COLIM_MONO, lambda F: F.low.cmap.is_mono()),
     "mono-colim-2": (
         (_PAGES_MONO,
          ("lim of the source image filtration zero",
-          lambda F: colimit(F.dm_low.source)[1][F.dm_low.source.p0 - 1].image().is_zero())),
-        _COLIM_MONO, lambda F: F.Lf.is_mono()),
+          lambda F: F.low.fA["F"][F.low.A.p0 - 1].is_zero())),
+        _COLIM_MONO, lambda F: F.low.cmap.is_mono()),
     "epi-colim": (
         (_EPS_ISO,
          ("map on lim of the image filtration epi", lambda F: F.low.lim_F_map.is_epi())),
-        "colimit abutment map epi", lambda F: F.Lf.is_epi()),
+        "colimit abutment map epi", lambda F: F.low.cmap.is_epi()),
     "iso-colim": (
         (_EPS_ISO, _LIM_F_ISO),
-        "colimit abutment map iso", lambda F: F.Lf.is_iso()),
+        "colimit abutment map iso", lambda F: F.low.cmap.is_iso()),
     "mono-lim-1": (
         (("image filtrations constant on both sides",
           # both sides are read, whatever the first one gives
-          lambda F: all([F.filtration_constant(F.S), F.filtration_constant(F.T)])),
+          lambda F: all([len({tuple(S.basis) for S in filt["F"].values()}) <= 1
+                         for filt in (F.low.fA, F.low.fB)])),
          _PAGES_MONO,
          ("map on the image of lim -> colim mono", lambda F: F.up.im_R_map.is_mono())),
-        "limit abutment map mono", lambda F: F.Luf.is_mono()),
+        "limit abutment map mono", lambda F: F.up.lmap.is_mono()),
     "mono-lim-2": (
         (_PAGES_MONO,
          ("colimit abutments trivial on both sides",
-          lambda F: colimit(F.dm_low.source)[0].is_trivial()
-          and colimit(F.dm_low.target)[0].is_trivial()),
+          lambda F: F.low.fA["colim"].is_trivial() and F.low.fB["colim"].is_trivial()),
          ("upper colimit abutment of the source trivial",
-          lambda F: colimit(F.dm_up.source)[0].is_trivial())),
-        "limit abutment map mono", lambda F: F.Luf.is_mono()),
+          lambda F: F.up.fA["colim"].is_trivial())),
+        "limit abutment map mono", lambda F: F.up.lmap.is_mono()),
     "iso-universal": (
         (("limit pages stable on both sides",
           lambda F: F.all_stable(F.S) and F.all_stable(F.T)),
          _PAGES_ISO,
-         ("filtration quotient maps epi", lambda F: all(g.is_epi() for g in F.eps)),
+         ("filtration quotient maps epi", lambda F: all(g.is_epi() for g in F.low.eps)),
          _LIM_F_ISO,
          _IM_R_ISO),
-        "both abutment maps iso", lambda F: F.Lf.is_iso() and F.Luf.is_iso()),
+        "both abutment maps iso", lambda F: F.low.cmap.is_iso() and F.up.lmap.is_iso()),
     "iso-lim-1": (
         (_MATCH_LIMIT, _PAGES_ISO, _IM_R_ISO),
-        _LIM_ISO, lambda F: F.Luf.is_iso()),
+        _LIM_ISO, lambda F: F.up.lmap.is_iso()),
     "iso-lim-2": (
         (_MATCH_LIMIT, _PAGES_ISO,
          ("auxiliary clause (R zero / lim F zero / upper colims trivial / eventually"
           " vanishing)", lambda F: _iso_lim_auxiliary(F.up))),
-        _LIM_ISO, lambda F: F.Luf.is_iso()),
+        _LIM_ISO, lambda F: F.up.lmap.is_iso()),
     "epi-lim": (
         (("limit pages of the source stable", lambda F: F.all_stable(F.S)),
          ("limit page maps all epi", lambda F: all(g.is_epi() for g in F.f_infinity)),
          ("upper colimit abutments trivial on both sides",
-          lambda F: colimit(F.dm_up.source)[0].is_trivial()
-          and colimit(F.dm_up.target)[0].is_trivial()),
+          lambda F: F.up.fA["colim"].is_trivial() and F.up.fB["colim"].is_trivial()),
          ("kernels of the upper tower maps satisfy a descending chain condition",
-          lambda F: kernels_satisfy_dcc(F.dm_up.source))),
-        "limit abutment map epi", lambda F: F.Luf.is_epi()),
+          lambda F: kernels_satisfy_dcc(F.up.A))),
+        "limit abutment map epi", lambda F: F.up.lmap.is_epi()),
 }
 
 
@@ -1159,10 +1142,11 @@ def compare_abutments(f: CoupleMorphism, rule: str, n: int) -> dict:
     conclusion on the induced map of the colimit abutment (of diagonal n) or
     the limit abutment (of diagonal n + sigma).  A failing hypothesis raises
     ``HypothesisFailed``, as in ``zdiagrams.apply_rule``.  The rules are the
-    keys of ``COMPARE_RULES``.
+    keys of ``COMPARE_RULES``; the facts they read are kept on ``f``, one
+    set per diagonal, and shared by every rule.
     """
     return apply_rule(COMPARE_RULES, rule, {"rule": rule, "diagonal": n, "hypotheses": []},
-                      lambda: _CoupleMorphismFacts(f, n))
+                      lambda: f._facts.setdefault(n, _CoupleMorphismFacts(f, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -1408,17 +1392,18 @@ def couple_direct_sum(C1: ExactCouple, C2: ExactCouple) -> ExactCouple:
         _, _, (pr1, pr2) = src_kit
         return inc1.compose(f1.compose(pr1)).add(inc2.compose(f2.compose(pr2)))
 
-    d_pos = list(dict.fromkeys([*C1._d_check_positions(), *C2._d_check_positions()]))
-    e_pos = list(dict.fromkeys([*C1._e_check_positions(), *C2._e_check_positions()]))
-    D = {x: d_kit(x)[0] for x in d_pos}
+    # D and i on the hull only: past it the joined tails supply them
+    hull = C1._hull_positions(C2)
+    e_pos = C1._e_check_positions(C2)
+    D = {x: d_kit(x)[0] for x in hull}
     E = {x: e_kit(x)[0] for x in e_pos}
     i = {
         x: block(C1.i_at(x), C2.i_at(x), d_kit(x), d_kit(_add(x, bd.a)))
-        for x in d_pos
+        for x in hull
     }
     j = {
         x: block(C1.j_at(x), C2.j_at(x), d_kit(x), e_kit(_add(x, bd.b)))
-        for x in d_pos
+        for x in C1._d_check_positions(C2)
     }
     k = {
         x: block(C1.k_at(x), C2.k_at(x), e_kit(x), d_kit(_add(x, bd.c)))

@@ -200,6 +200,16 @@ class ZDiagram:
         return ZDiagram((p0, p0 + len(maps)), groups, maps, left_tail, right_tail)
 
 
+def padded_hull(*diagrams: ZDiagram) -> range:
+    """The padded hull of the diagrams' windows, ``range(min p0 - 1, max p1 + 2)``;
+    past it every diagram is in its tails, as it is at the hull's ends.
+
+    >>> padded_hull(ZDiagram.constant(FPAbGroup(1), 0), ZDiagram.constant(FPAbGroup(1), 5))
+    range(-1, 7)
+    """
+    return range(min(A.p0 for A in diagrams) - 1, max(A.p1 for A in diagrams) + 2)
+
+
 @dataclass(frozen=True)
 class ZDiagramMorphism:
     """A natural transformation between two ZDiagrams on a common window.
@@ -235,14 +245,15 @@ class ZDiagramMorphism:
     def on_window(source: ZDiagram, target: ZDiagram, comps: Dict[int, Hom]) -> "ZDiagramMorphism":
         """Build a morphism from per-index components on the common window.
 
-        The common window runs from the smaller p0 to the larger p1.  A
-        missing component is zero inside it; past it, it is the component
-        at the nearest window end if that one's endpoints fit, else zero.  A
+        The common window runs from the smaller p0 to the larger p1, so its
+        padded range is ``padded_hull(source, target)``.  A missing
+        component is zero inside it; past it, it is the component at the
+        nearest window end if that one's endpoints fit, else zero.  A
         component given outside the padded window must equal the one at
         ``padded_index``, else ``NotAMorphism``.
         """
-        p0 = min(source.p0, target.p0)
-        p1 = max(source.p1, target.p1)
+        hull = padded_hull(source, target)
+        p0, p1 = hull[1], hull[-2]
         A, B = source.pad_to(p0, p1), target.pad_to(p0, p1)
         full = []
         for p in A.padded_range():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from specseq.excouple import ExactCouple, couple_from_filtered_complex
+from specseq.excouple import CoupleMorphism, ExactCouple, couple_from_filtered_complex
 from specseq.zlinalg import FPAbGroup, Hom, NotWellDefined, Subgroup
 from specseq.zdiagrams import HypothesisFailed, Tail, ZDiagram
 
@@ -139,6 +139,32 @@ def doubling_morphism_data():
     fD = {(0, 0): [[1]], (1, -1): [[1]], (2, -2): [[2]]}
     fE = {(0, 0): [[1]]}
     return source, target, fD, fE
+
+
+def translated(C, s):
+    """C with every position moved by s*a and the same tails.
+
+    The diagonals stay where they are, since det(a, a) = 0; only the tower
+    index of each position grows by s.
+    """
+    a = C.bidegrees.a
+
+    def moved(table):
+        return {(x[0] + s * a[0], x[1] + s * a[1]): v for x, v in table.items()}
+
+    return ExactCouple(C.bidegrees, moved(C.D), moved(C.E), moved(C.i), moved(C.j),
+                       moved(C.k), dict(C.diagonal_tails))
+
+
+def multiplication(G, m):
+    """The endomorphism of G that multiplies by m."""
+    return Hom(G, G, [[m * (r == c) for c in range(G.ngens)] for r in range(G.ngens)])
+
+
+def scaling_morphism(C, m):
+    """The endomorphism of the couple C that multiplies every object by m."""
+    return CoupleMorphism(C, C, {x: multiplication(G, m) for x, G in C.D.items()},
+                          {x: multiplication(G, m) for x, G in C.E.items()})
 
 
 def expected_outcome(clauses, verdict, fails_at):

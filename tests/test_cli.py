@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import doubling_morphism_data
+from conftest import doubling_morphism_data, translated
 import specseq
 from specseq import cli, zlinalg
 from specseq.cli import main
 from specseq.excouple import (
     COMPARE_RULES,
     ExactCouple,
+    couple_from_filtered_complex,
     couple_from_json,
     couple_to_json,
     demo_couple,
@@ -49,6 +50,18 @@ def identity_morphism_file(tmp_path, name):
     path = tmp_path / ("%s-identity.json" % name)
     path.write_text(json.dumps({"source": data, "target": data,
                                 "fD": identities(data["D"]), "fE": identities(data["E"])}))
+    return str(path)
+
+
+def morphism_file(tmp_path, name, source, target, fD, fE):
+    """A morphism file from the two couples and the component matrices by
+    position."""
+    def entries(table):
+        return [{"at": list(x), "matrix": m} for x, m in table.items()]
+
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(json.dumps({"source": couple_to_json(source), "target": couple_to_json(target),
+                                "fD": entries(fD), "fE": entries(fE)}))
     return str(path)
 
 
@@ -144,16 +157,30 @@ class TestCompare:
             [("both sides match the limit abutment", False)]),))
 
     def test_tail_component_from_the_common_window(self, capsys, tmp_path):
-        src, tgt, fD, fE = doubling_morphism_data()
-
-        def entries(table):
-            return [{"at": list(x), "matrix": m} for x, m in table.items()]
-
-        path = tmp_path / "doubling.json"
-        path.write_text(json.dumps({"source": couple_to_json(src), "target": couple_to_json(tgt),
-                                    "fD": entries(fD), "fE": entries(fE)}))
-        code, rep = run(capsys, "compare", str(path), "--rule", "mono-colim-1", "--n", "0")
+        path = morphism_file(tmp_path, "doubling", *doubling_morphism_data())
+        code, rep = run(capsys, "compare", path, "--rule", "mono-colim-1", "--n", "0")
         assert code == 0 and rep["ok"]
+
+    def test_failed_hypotheses_past_the_window_of_diagonal_n(self, capsys, tmp_path):
+        """Twice the identity fails a hypothesis wherever the couples sit:
+        on couple3 moved by 5a, whose only E-object lies past the D-window
+        of diagonal 0, and between Z filtered at stage 3 and at stage 0,
+        whose D-windows do not overlap."""
+        C = translated(demo_couple("couple3"), 5)
+        twice = {x: [[2]] for x in C.D}
+        shifted = morphism_file(tmp_path, "shifted", C, C, twice, {x: [[2]] for x in C.E})
+        Z = zlinalg.FPAbGroup(1)
+        S, T = (couple_from_filtered_complex({0: Z}, {}, {k: {0: zlinalg.Subgroup.full(Z)}})
+                for k in (3, 0))
+        disjoint = morphism_file(tmp_path, "disjoint", S, T, {x: [[2]] for x in S.D}, {})
+        for path, rule, passed, clause in (
+                (shifted, "iso-lim-1", ["both sides match the limit abutment"],
+                 "limit page maps all iso"),
+                (disjoint, "iso-colim", [], "filtration quotient maps all iso")):
+            code, rep = run(capsys, "compare", path, "--rule", rule, "--n", "0")
+            assert code == 3 and rep["kind"] == "HypothesisFailed", rep
+            checked = [(c, True) for c in passed] + [(clause, False)]
+            assert rep["witness"] == repr(((rule, clause, checked),))
 
     def test_unknown_rule_is_a_parse_error(self, capsys, tmp_path):
         path = identity_morphism_file(tmp_path, "couple3")

@@ -55,7 +55,9 @@ from conftest import (
     expected_outcome,
     lift_and_hermite,
     random_filtered_complex,
+    scaling_morphism,
     seeded,
+    translated,
 )
 
 Z = FPAbGroup(1)
@@ -932,24 +934,36 @@ class TestDirectSums:
         assert S.abutments(0).lim == Z6
 
     def test_sums_of_filtered_complex_couples(self):
-        """Summands with unequal tails: the sum validates, and its E-infinity
-        and both abutments are the direct sums of the summands'."""
+        """Summands with unequal tails, or with D-windows far apart: the sum
+        validates, and its E-infinity and both abutments are the direct sums
+        of the summands'."""
+        def Z_at(k):
+            # Z in degree 0, filtered at stage k
+            return couple_from_filtered_complex({0: Z}, {}, {k: {0: Subgroup.full(Z)}})
+
+        pairs = [(Z_at(0), Z_at(k)) for k in (1, 2, 3, 5)]
         unequal = 0
         for seed in range(15):
             rng = seeded(1000 + seed)
             C1 = couple_from_filtered_complex(*random_filtered_complex(rng))
-            C2 = couple_from_filtered_complex(*random_filtered_complex(rng))
+            groups, diffs, filtration = random_filtered_complex(rng)
+            C2 = couple_from_filtered_complex(groups, diffs, filtration)
+            # the same complex, filtered five stages later
+            far = couple_from_filtered_complex(
+                groups, diffs, {p + 5: level for p, level in filtration.items()})
             unequal += any(C1.diagonal_tails.get(n, t) != t
                            for n, t in C2.diagonal_tails.items())
+            pairs += [(C1, C2), (C1, far)]
+        for t, (C1, C2) in enumerate(pairs):
             S = couple_direct_sum(C1, C2)
             einf = [C.e_infinity() for C in (C1, C2, S)]
             for e in set(S.E) | set(C1.E) | set(C2.E):
                 g1, g2, gs = (out[e]["sq"].group if e in out else FPAbGroup() for out in einf)
-                assert gs == direct_sum([g1, g2])[0], (seed, e)
+                assert gs == direct_sum([g1, g2])[0], (t, e)
             for n in S._content_diagonals():
                 a1, a2, a_s = (C.abutments(n) for C in (C1, C2, S))
-                assert a_s.colim == direct_sum([a1.colim, a2.colim])[0], (seed, n)
-                assert a_s.lim == direct_sum([a1.lim, a2.lim])[0], (seed, n)
+                assert a_s.colim == direct_sum([a1.colim, a2.colim])[0], (t, n)
+                assert a_s.lim == direct_sum([a1.lim, a2.lim])[0], (t, n)
         assert unequal >= 10
 
     def test_bidegree_mismatch_rejected(self):
@@ -1078,6 +1092,31 @@ class TestComparison:
                     assert compare_abutments(f, rule, 0)["ok"]
                 except HypothesisFailed:
                     pass
+
+    def test_outcomes_are_invariant_under_translation_along_a(self):
+        """Moving a couple by s*a moves no diagonal (det(a, a) = 0), so the
+        times-m endomorphism gets the same outcome of every rule on every
+        content diagonal for every s: the same verdict, or the same failed
+        hypothesis.  A TheoremViolation fails the test."""
+        couples = [demo_couple(name) for name in ("couple1", "couple2", "couple3")]
+        couples += [couple_from_filtered_complex(*random_filtered_complex(seeded(139 + k)))
+                    for k in range(25)]
+        kinds = Counter()
+        for t, C in enumerate(couples):
+            for m in (2, 3):
+                base = {}
+                for s in (0, 5, -4):
+                    f = scaling_morphism(translated(C, s), m)
+                    for n in C._content_diagonals():
+                        for rule in COMPARE_RULES:
+                            try:
+                                got = compare_abutments(f, rule, n)
+                            except HypothesisFailed as exc:
+                                got = exc.args
+                            want = base.setdefault((n, rule), got)
+                            assert got == want, (t, m, s, n, rule)
+                            kinds[type(got).__name__] += 1
+        assert kinds["dict"] and kinds["tuple"], kinds
 
 
 def doubling_morphism():
