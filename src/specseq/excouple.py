@@ -196,9 +196,10 @@ class ExactCouple:
     Every couple owns a result table (``zlinalg.shared_results``), and its
     analysis methods run inside it: the kernels, images, preimages,
     intersections and subquotients they ask for are computed once per
-    couple and shared by all of them, as is the ``AbutmentData`` of each
-    diagonal.  A nested call on another couple switches to that couple's
-    table.  Shared results must not be mutated.
+    couple and shared by all of them, as are the ``AbutmentData`` of each
+    diagonal and the extension report of each position.  A nested call on
+    another couple switches to that couple's table.  Shared results must
+    not be mutated.
     """
 
     def __init__(self, bidegrees: Bidegrees, D: Dict[Position, FPAbGroup],
@@ -613,9 +614,20 @@ class ExactCouple:
         stability verdict of the intersection criterion against the cycle
         subgroups.  Returns the stability verdict and the groups of both
         sequences.
+
+        Computed once per couple and position and kept in the couple's
+        result table, like ``abutments(n)``; later calls return the same
+        dict, which callers must not mutate.
         """
-        bd = self.bidegrees
         x = tuple(x)
+        key = ("extension_report", x)
+        rep = self._results.get(key)
+        if rep is None:
+            rep = self._results[key] = self._extension_report(x)
+        return rep
+
+    def _extension_report(self, x: Position) -> dict:
+        bd = self.bidegrees
         e = _add(x, bd.b)
         t_pos = _add(x, bd.z)
         px = self.position_index(x)

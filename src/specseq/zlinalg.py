@@ -33,10 +33,12 @@ its relations (``group_from_presentation``, under every subquotient).
 Kernels and solving read one Hermite form of ``[M; I]``, the graph of
 ``M``: its columns with zero top part are the kernel, already in Hermite
 form, and ``solve_matrix`` forward-substitutes down the others, which
-carry a preimage each; kernels give intersections and preimages, and
-solving gives ``Hom.solve_element``.  Within the package, elements are
+carry a preimage each; kernels give intersections and preimages.  Each
+``Hom`` builds one graph form, of ``[M | R]`` with ``R`` its codomain's
+relation columns, on first use and keeps it: its ``kernel`` and every
+``solve_element`` read that form.  Within the package, elements are
 solved for only in ``hom_through``, through a ``back`` map that need not
-be injective.
+be injective, whose kernel it also reads.
 * ``shared_results`` -- a context-scoped result table.  While one is open,
   images, preimages (and so kernels), images of subgroups, intersections,
   ``as_group`` and subquotients are looked up by the value of their inputs
@@ -514,7 +516,18 @@ def solve_matrix(M: Matrix, y: Sequence[int]) -> Optional[Vector]:
     cols = len(M[0]) if M else 0
     if rows != len(y):
         raise ValueError("dimension mismatch in solve")
-    image = [c for c in _graph_hermite(M) if any(c[:rows])]
+    return _solve_graph(_graph_hermite(M), rows, y, cols)
+
+
+def _solve_graph(graph: tuple, rows: int, y: Sequence[int], cols: int) -> Optional[Vector]:
+    """The first ``cols`` entries of a solution of ``M x = y``, read off the
+    graph basis of ``[M; I]`` (``_graph_hermite``), or ``None``.
+
+    ``M`` has ``rows`` rows.  ``y`` is written in the echelon image columns
+    of the graph by forward substitution, and the solution is the same
+    combination of their bottom parts.
+    """
+    image = [c for c in graph if any(c[:rows])]
     q = _echelon_coordinates(image, y)
     if q is None:
         return None
@@ -812,9 +825,14 @@ class Hom:
     The matrix has one column per domain generator, written in codomain
     coordinates.  Construction verifies that every domain relation maps into
     the codomain relation lattice and raises ``NotWellDefined`` otherwise.
+
+    The Hermite form of the graph of ``[M | R]`` (``R`` the codomain's
+    relation columns) is built on first use and kept with the map; the
+    kernel and every ``solve_element`` read it.  Equality, hashing and
+    ``repr`` read the endpoints and the matrix only.
     """
 
-    __slots__ = ("domain", "codomain", "matrix")
+    __slots__ = ("domain", "codomain", "matrix", "_graph")
 
     def __init__(self, domain: FPAbGroup, codomain: FPAbGroup, matrix: Matrix):
         if len(matrix) != codomain.ngens or (
@@ -836,6 +854,7 @@ class Hom:
                 raise NotWellDefined(
                     "generator %d of order %d maps to an element of larger order" % (gen, d)
                 )
+        self._graph = None
 
     def __call__(self, v: Sequence[int]) -> Vector:
         v = self.domain.reduce(v)
@@ -928,29 +947,44 @@ class Hom:
 
     def _preimage(self, S: Subgroup) -> Subgroup:
         n_dom = self.domain.ngens
-        if self.codomain.ngens == 0:
+        rows = self.codomain.ngens
+        if rows == 0:
             return Subgroup.full(self.domain)
-        M = [list(r) for r in self.matrix]
-        B = matrix_from_columns(list(S.basis), self.codomain.ngens)
-        stacked = [M[i] + [-x for x in B[i]] for i in range(self.codomain.ngens)]
-        gens = [k[:n_dom] for k in kernel_basis(stacked)]
+        if S.is_zero():
+            # (x, t) in ker [M | R] iff (x, -t) in ker [M | -R]: the graph
+            # form's kernel columns have the x-parts of the general case
+            gens = [c[rows:rows + n_dom] for c in self._graph_form() if not any(c[:rows])]
+        else:
+            M = [list(r) for r in self.matrix]
+            B = matrix_from_columns(list(S.basis), rows)
+            stacked = [M[i] + [-x for x in B[i]] for i in range(rows)]
+            gens = [k[:n_dom] for k in kernel_basis(stacked)]
         return Subgroup.from_generators(self.domain, gens)
 
+    def _graph_form(self) -> tuple:
+        """``_graph_hermite`` of ``[M | R]``, built on first use and kept."""
+        if self._graph is None:
+            M = [list(r) for r in self.matrix]
+            rel = matrix_from_columns(
+                self.codomain.relation_columns(), self.codomain.ngens
+            )
+            self._graph = _graph_hermite([M[i] + rel[i] for i in range(self.codomain.ngens)])
+        return self._graph
+
     def solve_element(self, y: Sequence[int]) -> Optional[Vector]:
-        """One preimage of ``y`` under the map, or ``None`` if ``y`` is absent."""
+        """One preimage of ``y`` under the map, or ``None`` if ``y`` is absent.
+
+        ``y`` is solved for in ``[M | R]`` by forward substitution down the
+        map's graph form, and the preimage is the part on the domain
+        generators.  Zero has the zero preimage, and builds no form.
+        """
         y = self.codomain.reduce(y)
-        n_dom = self.domain.ngens
-        if self.codomain.ngens == 0:
+        if not any(y):
             return self.domain.zero()
-        M = [list(r) for r in self.matrix]
-        rel = matrix_from_columns(
-            self.codomain.relation_columns(), self.codomain.ngens
-        )
-        aug = [M[i] + rel[i] for i in range(self.codomain.ngens)]
-        x = solve_matrix(aug, y)
+        x = _solve_graph(self._graph_form(), self.codomain.ngens, y, self.domain.ngens)
         if x is None:
             return None
-        return self.domain.reduce(x[:n_dom])
+        return self.domain.reduce(x)
 
     def image_of_subgroup(self, S: Subgroup) -> Subgroup:
         if S.ambient != self.domain:

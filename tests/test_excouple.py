@@ -524,6 +524,26 @@ class TestSharedResults:
             assert runs == []
             assert C.abutments(n) is ab
 
+    def test_extension_report_kept_per_position(self, monkeypatch):
+        runs = []
+        short_exact = excouple.short_exact
+
+        def counted(*args):
+            runs.append(args)
+            return short_exact(*args)
+
+        monkeypatch.setattr(excouple, "short_exact", counted)
+        for build in shared_results_inputs():
+            C = build()
+            x = min(C.D, default=(0, 0))
+            rep = C.extension_report(x)
+            assert runs  # the report checks two short exact sequences
+            runs.clear()
+            assert C.extension_report(list(x)) is rep
+            C.classify(x)
+            assert runs == []
+            assert build().extension_report(x) is not rep
+
 
 class TestRandomCouples:
     def test_internal_pages_match_turned_pages(self):
@@ -1103,17 +1123,19 @@ class TestComparison:
                     for k in range(25)]
         kinds = Counter()
         for t, C in enumerate(couples):
-            for m in (2, 3):
-                base = {}
-                for s in (0, 5, -4):
-                    f = scaling_morphism(translated(C, s), m)
+            base = {}
+            for s in (0, 5, -4):
+                # both morphisms read the moved couple's kept reports
+                moved = translated(C, s)
+                for m in (2, 3):
+                    f = scaling_morphism(moved, m)
                     for n in C._content_diagonals():
                         for rule in COMPARE_RULES:
                             try:
                                 got = compare_abutments(f, rule, n)
                             except HypothesisFailed as exc:
                                 got = exc.args
-                            want = base.setdefault((n, rule), got)
+                            want = base.setdefault((m, n, rule), got)
                             assert got == want, (t, m, s, n, rule)
                             kinds[type(got).__name__] += 1
         assert kinds["dict"] and kinds["tuple"], kinds

@@ -8,6 +8,7 @@ Hermite basis.
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -253,6 +254,55 @@ def rank_deficient_systems(draw):
     return M, tuple(y)
 
 
+# Both sides may be trivial, free, torsion or mixed.
+GRAPH_GROUPS = [FPAbGroup(), FPAbGroup(0, (4,)), FPAbGroup(0, (2, 6)), FPAbGroup(1),
+                FPAbGroup(1, (2,)), FPAbGroup(1, (3, 6)), FPAbGroup(2, (4,)),
+                FPAbGroup(0, (2, 4, 8))]
+
+
+@st.composite
+def torsion_homs(draw):
+    """``(f, ys)``: a well-defined map between groups of ``GRAPH_GROUPS``
+    and codomain vectors to solve for: images ``f(x)``, arbitrary vectors
+    (mostly outside the image) and zero."""
+    G, H = draw(st.sampled_from(GRAPH_GROUPS)), draw(st.sampled_from(GRAPH_GROUPS))
+    m = [[0] * G.ngens for _ in range(H.ngens)]
+    for j, d in enumerate(G.orders):
+        for i, o in enumerate(H.orders):
+            # a generator of order d may go to a multiple of o / gcd(o, d)
+            step = (o // math.gcd(o, d) if o else 0) if d else 1
+            m[i][j] = step * draw(st.integers(-40, 40))
+    f = Hom(G, H, m)
+    vectors = st.lists(st.integers(-20, 20), min_size=H.ngens, max_size=H.ngens)
+    xs = draw(st.lists(st.lists(st.integers(-20, 20), min_size=G.ngens, max_size=G.ngens),
+                       max_size=3))
+    ys = [f(x) for x in xs] + draw(st.lists(vectors, max_size=3)) + [H.zero()]
+    return f, ys
+
+
+def kernel_through_negated_relations(f):
+    """``ker f`` as an earlier version built it: the domain parts of the
+    kernel basis of ``[M | -R]``, ``R`` the codomain's relation columns."""
+    rows, n_dom = f.codomain.ngens, f.domain.ngens
+    if rows == 0:
+        return Subgroup.full(f.domain)
+    rel = matrix_from_columns(f.codomain.relation_columns(), rows)
+    stacked = [list(r) + [-x for x in rel[i]] for i, r in enumerate(f.matrix)]
+    return Subgroup.from_generators(f.domain, [k[:n_dom] for k in kernel_basis(stacked)])
+
+
+def solve_through_augmented_matrix(f, y):
+    """``f.solve_element(y)`` as an earlier version computed it: the domain
+    part of ``solve_matrix([M | R], y)``."""
+    y = f.codomain.reduce(y)
+    rows = f.codomain.ngens
+    if rows == 0:
+        return f.domain.zero()
+    rel = matrix_from_columns(f.codomain.relation_columns(), rows)
+    x = solve_matrix([list(r) + rel[i] for i, r in enumerate(f.matrix)], y)
+    return None if x is None else f.domain.reduce(x[:f.domain.ngens])
+
+
 class TestKernelAndSolve:
     @given(rank_deficient_systems())
     @settings(max_examples=200, deadline=None)
@@ -312,6 +362,62 @@ class TestKernelAndSolve:
         x = solve_matrix(M, y)
         assert mat_vec(M, x) == y
         assert max(abs(v).bit_length() for c in K + [x] for v in c) < 1000
+        if n >= 32:
+            # the same answers through one Hom, from its one graph form
+            F = FPAbGroup(n)
+            f = Hom(F, F, M)
+            assert f.kernel() == Subgroup.from_generators(F, K)
+            assert f.solve_element(y) == x
+
+    @given(torsion_homs())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_form_matches_the_old_constructions(self, case):
+        """The kernel and every solution read off the map's one graph form
+        of ``[M | R]`` are those of the separate constructions, and a
+        solution exists exactly for the elements of the image."""
+        f, ys = case
+        assert f.kernel() == kernel_through_negated_relations(f)
+        image = f.image()
+        for y in ys:
+            x = f.solve_element(y)
+            assert x == solve_through_augmented_matrix(f, y)
+            assert (x is None) == (not image.contains(f.codomain.reduce(y)))
+            if x is not None:
+                assert f(x) == f.codomain.reduce(y)
+        # solving first builds the same form for the kernel
+        g = Hom(f.domain, f.codomain, f.matrix)
+        assert [g.solve_element(y) for y in ys] == [f.solve_element(y) for y in ys]
+        assert g.kernel() == f.kernel()
+
+    def test_one_graph_form_per_map(self, monkeypatch):
+        """A map builds its graph form once, for its kernel and all its
+        solutions; an equal map builds its own, and equality, hashing and
+        ``repr`` never read it."""
+        built = []
+        graph_hermite = zlinalg._graph_hermite
+
+        def counted(M):
+            built.append(M)
+            return graph_hermite(M)
+
+        monkeypatch.setattr(zlinalg, "_graph_hermite", counted)
+        G, H = FPAbGroup(1, (4,)), FPAbGroup(1, (6,))
+        f = Hom(G, H, [[2, 0], [1, 3]])  # (a, b) -> (2a, a + 3b)
+        g = Hom(G, H, [[2, 0], [1, 3]])
+        before = (f == g, hash(f), hash(g), repr(f), repr(g))
+        assert f.kernel() == Subgroup.from_generators(G, [(0, 2)])
+        xs = [f.solve_element(y) for y in [(2, 1), (4, 5), (1, 0), (0, 3), (6, 2)]]
+        assert [None if x is None else f(x) for x in xs] == [(2, 1), (4, 5), None, (0, 3), None]
+        assert len(built) == 1
+        assert (f == g, hash(f), hash(g), repr(f), repr(g)) == before
+        assert g.solve_element((2, 1)) == (1, 0)
+        assert len(built) == 2
+        assert g.kernel() == f.kernel()
+        assert len(built) == 2
+        assert (f == g, hash(f), hash(g), repr(f), repr(g)) == before
+        assert f.solve_element((0, 0)) == (0, 0)  # zero needs no form
+        assert Hom(G, H, [[2, 0], [1, 3]]).solve_element((0, 6)) == (0, 0)
+        assert len(built) == 2
 
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
