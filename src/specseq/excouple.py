@@ -45,6 +45,7 @@ from .zlinalg import (
     direct_sum,
     hom_through,
     induced_map,
+    kept,
     require,
     shared_results,
     short_exact,
@@ -150,6 +151,13 @@ class Bidegrees:
         return _sub(self.z, _scale(r - 1, self.a))
 
 
+def _live_hull(diagrams) -> range:
+    """The ``padded_hull`` of the diagrams with a nonzero group, and no index
+    if none has one: an empty tower's placeholder window pins nothing."""
+    live = [A for A in diagrams if not all(G.is_trivial() for G in A.groups)]
+    return padded_hull(*live) if live else range(0)
+
+
 def _in_own_table(method):
     """Run a couple's analysis method inside the couple's result table."""
 
@@ -194,12 +202,13 @@ class ExactCouple:
     (ZERO, CONSTANT) and empty towers are identically zero.
 
     Every couple owns a result table (``zlinalg.shared_results``), and its
-    analysis methods run inside it: the kernels, images, preimages,
+    analysis methods run inside it: the kernels, images, preimages, sums,
     intersections and subquotients they ask for are computed once per
-    couple and shared by all of them, as are the ``AbutmentData`` of each
-    diagonal and the extension report of each position.  A nested call on
-    another couple switches to that couple's table.  Shared results must
-    not be mutated.
+    couple and shared by all of them.  A nested call on another couple
+    switches to that couple's table.  Beside the table, the couple's memo
+    (``zlinalg.kept``) keeps its diagonals, zero maps and spectral
+    sequence, the ``AbutmentData`` of each diagonal and the extension
+    report of each position.  Shared and kept results must not be mutated.
     """
 
     def __init__(self, bidegrees: Bidegrees, D: Dict[Position, FPAbGroup],
@@ -210,8 +219,9 @@ class ExactCouple:
         self.D = {tuple(x): G for x, G in D.items() if not G.is_trivial()}
         self.E = {tuple(x): G for x, G in E.items() if not G.is_trivial()}
         self.diagonal_tails = dict(diagonal_tails or {})
-        self._diagrams: Dict[int, ZDiagram] = {}
-        self._ss: Optional[SpectralSequence] = None
+        # the memo holds the sequence, which holds the table: two dicts, so
+        # that the table is freed with the couple and not by the cyclic GC
+        self._memo: dict = {}
         self._results: dict = {}
         self.i = {tuple(x): f for x, f in i.items() if not f.is_zero()}
         self.j = {tuple(x): f for x, f in j.items() if not f.is_zero()}
@@ -241,34 +251,30 @@ class ExactCouple:
         bd = self.bidegrees
         return _add(_scale(bd.sigma * n, bd.z), _scale(r, bd.a))
 
+    @kept
     def diagonal(self, n: int) -> ZDiagram:
         """The D-tower ... -> D_{x(n)+ra} -i-> D_{x(n)+(r+1)a} -> ... as a ZDiagram.
 
         The diagram index is the offset r along a.
         """
-        if n in self._diagrams:
-            return self._diagrams[n]
         rs = sorted(
             self.position_index(x).r
             for x in self.D
             if det2(self.bidegrees.a, x) == n
         )
         if not rs:
-            dia = ZDiagram((0, 0), (_TRIVIAL,), (), Tail.ZERO, Tail.ZERO)
-        else:
-            left, right = self.diagonal_tails.get(n, (Tail.ZERO, Tail.CONSTANT))
-            r0, r1 = rs[0], rs[-1]
-            groups = tuple(
-                self.D.get(self.position_on(n, r), _TRIVIAL) for r in range(r0, r1 + 1)
-            )
-            maps = []
-            for r in range(r0, r1):
-                x = self.position_on(n, r)
-                maps.append(self.i.get(x)
-                            or Hom.zero_map(groups[r - r0], groups[r - r0 + 1]))
-            dia = ZDiagram((r0, r1), groups, tuple(maps), left, right)
-        self._diagrams[n] = dia
-        return dia
+            return ZDiagram((0, 0), (_TRIVIAL,), (), Tail.ZERO, Tail.ZERO)
+        left, right = self.diagonal_tails.get(n, (Tail.ZERO, Tail.CONSTANT))
+        r0, r1 = rs[0], rs[-1]
+        groups = tuple(
+            self.D.get(self.position_on(n, r), _TRIVIAL) for r in range(r0, r1 + 1)
+        )
+        maps = []
+        for r in range(r0, r1):
+            x = self.position_on(n, r)
+            maps.append(self.i.get(x)
+                        or Hom.zero_map(groups[r - r0], groups[r - r0 + 1]))
+        return ZDiagram((r0, r1), groups, tuple(maps), left, right)
 
     def D_at(self, x: Position) -> FPAbGroup:
         pi = self.position_index(x)
@@ -284,24 +290,20 @@ class ExactCouple:
     def j_at(self, x: Position) -> Hom:
         x = tuple(x)
         f = self.j.get(x)
-        if f is not None:
-            return f
-        return self._zero_map(("j0", x), self.D_at(x), self.E_at(_add(x, self.bidegrees.b)))
+        return self._zero_j(x) if f is None else f
 
     def k_at(self, x: Position) -> Hom:
         x = tuple(x)
         f = self.k.get(x)
-        if f is not None:
-            return f
-        return self._zero_map(("k0", x), self.E_at(x), self.D_at(_add(x, self.bidegrees.c)))
+        return self._zero_k(x) if f is None else f
 
-    def _zero_map(self, key, domain: FPAbGroup, codomain: FPAbGroup) -> Hom:
-        """The zero map of ``j_at``/``k_at`` at one position, built once and
-        kept in the couple's result table."""
-        f = self._results.get(key)
-        if f is None:
-            f = self._results[key] = Hom.zero_map(domain, codomain)
-        return f
+    @kept
+    def _zero_j(self, x: Position) -> Hom:
+        return Hom.zero_map(self.D_at(x), self.E_at(_add(x, self.bidegrees.b)))
+
+    @kept
+    def _zero_k(self, x: Position) -> Hom:
+        return Hom.zero_map(self.E_at(x), self.D_at(_add(x, self.bidegrees.c)))
 
     # -- validation ----------------------------------------------------------
 
@@ -315,11 +317,11 @@ class ExactCouple:
 
     def _hull_positions(self, *others: "ExactCouple"):
         """On every content diagonal of this couple and ``others``, the
-        positions of the ``padded_hull`` of their D-tower windows."""
+        positions of the ``padded_hull`` of their nonzero D-towers' windows."""
         couples = (self, *others)
         diagonals = sorted({n for C in couples for n in C._content_diagonals()})
         return [self.position_on(n, r) for n in diagonals
-                for r in padded_hull(*(C.diagonal(n) for C in couples))]
+                for r in _live_hull(C.diagonal(n) for C in couples)]
 
     def _d_check_positions(self, *others: "ExactCouple"):
         """The hull positions, then the D-ends e - b and e + c of every
@@ -443,22 +445,20 @@ class ExactCouple:
         qs = [e[1] for e in self.E]
         return ((min(ps), max(ps)), (min(qs), max(qs)))
 
+    @kept
     @_in_own_table
     def internal_spectral_sequence(self) -> SpectralSequence:
-        """The couple's one spectral sequence, kept on the couple and shared
-        (do not mutate it).
+        """The couple's one spectral sequence, kept in the couple's memo and
+        shared (do not mutate it).
 
         Page 1 is E with d = jk.  The generic engine turns each later page,
         inside the couple's result table, when it is first asked for, and
         takes its differentials from ``_checked_differentials``.
         """
-        if self._ss is None:
-            first = Page(BigradedGroup(self.page_bounds(), dict(self.E)), self.bidegrees.z,
-                         self.internal_page(1)["d"])
-            self._ss = _CoupleSequence(self._results, 1, first,
-                                       self.bidegrees.differential_bidegree,
-                                       self._checked_differentials)
-        return self._ss
+        first = Page(BigradedGroup(self.page_bounds(), dict(self.E)), self.bidegrees.z,
+                     self.internal_page(1)["d"])
+        return _CoupleSequence(self._results, 1, first, self.bidegrees.differential_bidegree,
+                               self._checked_differentials)
 
     @_in_own_table
     def _checked_differentials(self, r: int, anchored: dict) -> dict:
@@ -493,6 +493,7 @@ class ExactCouple:
 
     # -- abutments -----------------------------------------------------------
 
+    @kept
     @_in_own_table
     def abutments(self, n: int) -> "AbutmentData":
         """Colimit and limit abutments of diagonal n with their filtrations.
@@ -505,16 +506,9 @@ class ExactCouple:
         checked here.
 
         Computed once per couple and diagonal and kept in the couple's
-        result table; later calls (``extension_report``, ``classify``)
-        return the same object, which callers must not mutate.
+        memo; later calls (``extension_report``, ``classify``) return the
+        same object, which callers must not mutate.
         """
-        key = ("abutments", n)
-        ab = self._results.get(key)
-        if ab is None:
-            ab = self._results[key] = self._abutments(n)
-        return ab
-
-    def _abutments(self, n: int) -> "AbutmentData":
         bd = self.bidegrees
         dn = self.diagonal(n)
         dns = self.diagonal(n + bd.sigma)
@@ -601,7 +595,6 @@ class ExactCouple:
                     "page term order is not the product of its ends", x, r)
         return sq_im.group, sq_mid.group, sq_ker.group
 
-    @_in_own_table
     def extension_report(self, x: Position) -> dict:
         """Build and verify the extension data tied to D-position x.
 
@@ -616,16 +609,13 @@ class ExactCouple:
         sequences.
 
         Computed once per couple and position and kept in the couple's
-        result table, like ``abutments(n)``; later calls return the same
-        dict, which callers must not mutate.
+        memo, like ``abutments(n)``; later calls return the same dict,
+        which callers must not mutate.
         """
-        x = tuple(x)
-        key = ("extension_report", x)
-        rep = self._results.get(key)
-        if rep is None:
-            rep = self._results[key] = self._extension_report(x)
-        return rep
+        return self._extension_report(tuple(x))
 
+    @kept
+    @_in_own_table
     def _extension_report(self, x: Position) -> dict:
         bd = self.bidegrees
         e = _add(x, bd.b)
@@ -979,8 +969,7 @@ class CoupleMorphism:
         self.target = target
         self.fD = {tuple(x): f for x, f in fD.items()}
         self.fE = {tuple(x): f for x, f in fE.items()}
-        self._towers: Dict[int, ZDiagramMorphism] = {}
-        self._facts: Dict[int, _CoupleMorphismFacts] = {}
+        self._memo: dict = {}
         bd = source.bidegrees
         for x, f in self.fD.items():
             if f.domain != source.D_at(x) or f.codomain != target.D_at(x):
@@ -1011,25 +1000,32 @@ class CoupleMorphism:
             return f
         return Hom.zero_map(self.source.E_at(x), self.target.E_at(x))
 
+    @kept
     def d_morphism(self, n: int) -> ZDiagramMorphism:
         """The induced morphism of D-towers on diagonal n, built once."""
-        if n not in self._towers:
-            comps = {self.source.position_index(x).r: f for x, f in self.fD.items()
-                     if det2(self.source.bidegrees.a, x) == n}
-            try:
-                self._towers[n] = ZDiagramMorphism.on_window(
-                    self.source.diagonal(n), self.target.diagonal(n), comps)
-            except NotAMorphism as ex:
-                raise NotAMorphism(("D-tower", n) + ex.args) from None
-        return self._towers[n]
+        comps = {self.source.position_index(x).r: f for x, f in self.fD.items()
+                 if det2(self.source.bidegrees.a, x) == n}
+        try:
+            return ZDiagramMorphism.on_window(
+                self.source.diagonal(n), self.target.diagonal(n), comps)
+        except NotAMorphism as ex:
+            raise NotAMorphism(("D-tower", n) + ex.args) from None
+
+    @kept
+    def facts(self, n: int) -> "_CoupleMorphismFacts":
+        """What the ``COMPARE_RULES`` read on diagonal n, one set shared by
+        every rule."""
+        return _CoupleMorphismFacts(self, n)
 
     def _limit_page_window(self, n: int) -> range:
         """The tower indices r whose E-positions x(n) + ra + b a walk over
-        diagonal n visits: the ``padded_hull`` of diagonals n and n + sigma
-        (whose index r sits at x(n) + ra + b + c) on both sides."""
+        diagonal n visits: the ``padded_hull`` of the nonzero towers among
+        diagonals n and n + sigma (whose index r sits at x(n) + ra + b + c)
+        on both sides.  A nonzero E-object there has a nonzero D at r on one
+        of them."""
         sigma = self.source.bidegrees.sigma
-        return padded_hull(*(C.diagonal(m) for C in (self.source, self.target)
-                             for m in (n, n + sigma)))
+        return _live_hull(C.diagonal(m) for C in (self.source, self.target)
+                          for m in (n, n + sigma))
 
     def f_infinity(self, n: int) -> Dict[Position, Hom]:
         """Induced maps on the limit pages over the E-positions of diagonal n."""
@@ -1054,7 +1050,7 @@ class _CoupleMorphismFacts:
     def __init__(self, f: CoupleMorphism, n: int):
         self.f, self.n = f, n
         self.S, self.T = f.source, f.target
-        self._stable: Dict[ExactCouple, bool] = {}
+        self._memo: dict = {}
 
     @functools.cached_property
     def f_infinity(self) -> list:
@@ -1068,12 +1064,10 @@ class _CoupleMorphismFacts:
     def up(self) -> _MorphismFacts:
         return _MorphismFacts(self.f.d_morphism(self.n + self.S.bidegrees.sigma))
 
+    @kept
     def all_stable(self, side: ExactCouple) -> bool:
-        if side not in self._stable:
-            self._stable[side] = all(
-                side.extension_report(side.position_on(self.n, r))["stable"]
-                for r in self.f._limit_page_window(self.n))
-        return self._stable[side]
+        return all(side.extension_report(side.position_on(self.n, r))["stable"]
+                   for r in self.f._limit_page_window(self.n))
 
 
 _PAGES_MONO = ("limit page maps all mono", lambda F: all(g.is_mono() for g in F.f_infinity))
@@ -1155,10 +1149,10 @@ def compare_abutments(f: CoupleMorphism, rule: str, n: int) -> dict:
     the limit abutment (of diagonal n + sigma).  A failing hypothesis raises
     ``HypothesisFailed``, as in ``zdiagrams.apply_rule``.  The rules are the
     keys of ``COMPARE_RULES``; the facts they read are kept on ``f``, one
-    set per diagonal, and shared by every rule.
+    set per diagonal (``f.facts(n)``), and shared by every rule.
     """
     return apply_rule(COMPARE_RULES, rule, {"rule": rule, "diagonal": n, "hypotheses": []},
-                      lambda: f._facts.setdefault(n, _CoupleMorphismFacts(f, n)))
+                      lambda: f.facts(n))
 
 
 # ---------------------------------------------------------------------------
@@ -1386,18 +1380,13 @@ def couple_direct_sum(C1: ExactCouple, C2: ExactCouple) -> ExactCouple:
         A, B = C1.diagonal(n), C2.diagonal(n)
         tails[n] = (joined(A.left_tail, B.left_tail), joined(A.right_tail, B.right_tail))
 
-    d_kits: Dict[Position, tuple] = {}
-    e_kits: Dict[Position, tuple] = {}
-
+    @functools.cache
     def d_kit(x):
-        if x not in d_kits:
-            d_kits[x] = direct_sum([C1.D_at(x), C2.D_at(x)])
-        return d_kits[x]
+        return direct_sum([C1.D_at(x), C2.D_at(x)])
 
+    @functools.cache
     def e_kit(x):
-        if x not in e_kits:
-            e_kits[x] = direct_sum([C1.E_at(x), C2.E_at(x)])
-        return e_kits[x]
+        return direct_sum([C1.E_at(x), C2.E_at(x)])
 
     def block(f1, f2, src_kit, tgt_kit):
         _, (inc1, inc2), _ = tgt_kit

@@ -34,6 +34,7 @@ from .zlinalg import (
     SubquotientData,
     ValidationFailure,
     induced_map,
+    kept,
     require,
     subquotient,
 )
@@ -183,7 +184,7 @@ class SpectralSequence:
         self.pages = [first_page]
         amb = first_page.objects
         self.subquotients = [{x: whole(amb.at(x)) for x in amb.positions()}]
-        self._support_settled = None
+        self._memo: dict = {}
 
     # -- paging --------------------------------------------------------------
 
@@ -282,6 +283,7 @@ class SpectralSequence:
                 )
         return horizon + 1
 
+    @kept
     def support_settled_page(self) -> int:
         """The last page the source is asked for: 1 + the last r < settled
         page for which some x and x + v_r both lie in the starting page's
@@ -293,13 +295,11 @@ class SpectralSequence:
         Page S itself is still asked for, so the source's own checks of
         page S see the last differential that can be nonzero.
         """
-        if self._support_settled is None:
-            settled = self.settled_page()
-            support = self.pages[0].objects.positions()
-            gaps = {(y[0] - x[0], y[1] - x[1]) for x in support for y in support}
-            joined = [r for r in range(self.r0 + 1, settled) if tuple(self.rule(r)) in gaps]
-            self._support_settled = max(joined, default=self.r0) + 1
-        return self._support_settled
+        settled = self.settled_page()
+        support = self.pages[0].objects.positions()
+        gaps = {(y[0] - x[0], y[1] - x[1]) for x in support for y in support}
+        joined = [r for r in range(self.r0 + 1, settled) if tuple(self.rule(r)) in gaps]
+        return max(joined, default=self.r0) + 1
 
     def stabilization_horizon(self) -> int:
         """A page index from which no differential can re-enter the bounds,
@@ -367,7 +367,8 @@ class SSMorphism:
     Only the starting-page components are data; every later component is the
     induced map on the anchored subquotients (and its well-definedness is a
     theorem, re-verified here).  Commutation with the differentials of page r
-    is checked once, the first time a component on page r is read.
+    is checked once (``verify_page``, kept), the first time a component on
+    page r is read.
     """
 
     def __init__(self, source: SpectralSequence, target: SpectralSequence,
@@ -384,7 +385,7 @@ class SSMorphism:
             if f.domain != amb_s.at(x) or f.codomain != amb_t.at(x):
                 raise NotAMorphism(("component endpoints", x))
             self.components[x] = f
-        self._verified = set()
+        self._memo: dict = {}
         self.verify_page(source.r0)
 
     def page_positions(self, r: int) -> set:
@@ -403,8 +404,7 @@ class SSMorphism:
     def component(self, r: int, x: Position) -> Hom:
         """f^r_x, induced on the anchored subquotients, once page r's squares
         commute."""
-        if r not in self._verified:
-            self.verify_page(r)
+        self.verify_page(r)
         return self._induced(r, x)
 
     def _induced(self, r: int, x: Position) -> Hom:
@@ -417,8 +417,10 @@ class SSMorphism:
         except NotWellDefined as e:
             raise NotAMorphism(("not well defined on page %d" % r, x, e.args)) from e
 
-    def verify_page(self, r: int):
-        """Check the commuting squares f d = d f on page r."""
+    @kept
+    def verify_page(self, r: int) -> None:
+        """Check the commuting squares f d = d f on page r, once per page; a
+        failing page keeps nothing, so it raises on every call."""
         ps, pt = self.source.page(r), self.target.page(r)
         if ps.bidegree != pt.bidegree:
             raise NotAMorphism(("bidegree mismatch on page", r))
@@ -429,15 +431,13 @@ class SSMorphism:
             rhs = pt.d_at(x).compose(self._induced(r, x))
             if lhs != rhs:
                 raise NotAMorphism(("square", r, x))
-        self._verified.add(r)
 
     def f_infinity(self) -> Dict[Position, Hom]:
         """The induced map on the limit pages, via restriction to Z-inf/B-inf,
         once the squares of every page up to the later settled page commute."""
         settled = max(self.source.settled_page(), self.target.settled_page())
         for r in range(self.source.r0, settled + 1):
-            if r not in self._verified:
-                self.verify_page(r)
+            self.verify_page(r)
         _, _, data_s = self.source.e_infinity()
         _, _, data_t = self.target.e_infinity()
         out = {}

@@ -54,6 +54,7 @@ from .zlinalg import (
     group_from_presentation,
     hom_on_generators,
     induced_map,
+    kept,
     require,
     subquotient,
 )
@@ -92,10 +93,11 @@ _TRIVIAL = FPAbGroup()
 class ZDiagram:
     """A diagram ... -> A_p -> A_{p+1} -> ... with finite window and tails.
 
-    Derived data -- composites, colimit, limit and lim^1, stable image,
-    image towers, filtrations -- is computed once per instance and kept in
-    ``_memo``, which takes no part in equality, hashing or ``repr``.  The
-    returned objects are shared between all callers: do not mutate them.
+    Derived data -- tail maps, composites, colimit, limit and lim^1, stable
+    image, image towers, filtrations -- is computed once per instance by
+    ``zlinalg.kept`` and kept in ``_memo``, which takes no part in
+    equality, hashing or ``repr``.  The returned objects are shared between
+    all callers: do not mutate them.
     """
 
     window: tuple  # (p0, p1)
@@ -148,37 +150,40 @@ class ZDiagram:
     def map_at(self, p: int) -> Hom:
         """The structure map A_p -> A_{p+1}, extended by the declared tails.
 
-        A tail map is built once and kept in ``_memo``.  Its key clamps p
-        into [p0-2, p1+1], not the padded window: under a ZERO left tail the
-        map at p0-1 is 0 -> A_{p0}, while every map before it is 0 -> 0.
+        A tail map is kept per p clamped into [p0-2, p1+1], not the padded
+        window: under a ZERO left tail the map at p0-1 is 0 -> A_{p0}, while
+        every map before it is 0 -> 0.
         """
         if self.p0 <= p < self.p1:
             return self.maps[p - self.p0]
-        key = ("map_at", min(max(p, self.p0 - 2), self.p1 + 1))
-        f = self._memo.get(key)
-        if f is None:
-            src, dst = self.group_at(p), self.group_at(p + 1)
-            tail = self.left_tail if p < self.p0 else self.right_tail
-            f = Hom.identity(src) if tail is Tail.CONSTANT else Hom.zero_map(src, dst)
-            self._memo[key] = f
-        return f
+        return self._tail_map(min(max(p, self.p0 - 2), self.p1 + 1))
+
+    @kept
+    def _tail_map(self, p: int) -> Hom:
+        src, dst = self.group_at(p), self.group_at(p + 1)
+        tail = self.left_tail if p < self.p0 else self.right_tail
+        return Hom.identity(src) if tail is Tail.CONSTANT else Hom.zero_map(src, dst)
 
     def composite(self, p: int, q: int) -> Hom:
         """The composite A_p -> A_q for p <= q (identity when p == q).
 
-        It is read between the clamped indices.  The composites out of A_p
-        are kept as one chain per p; a call extends the chain by one
-        ``compose`` per missing step, so chains stay in the padded window.
+        It is read between the clamped indices, so the kept composites stay
+        in the padded window.
         """
         if q < p:
             raise ValueError("composite runs forward only")
-        p, q = self.padded_index(p), self.padded_index(q)
-        chain = self._memo.get(("composite", p))
-        if chain is None:
-            chain = self._memo[("composite", p)] = [Hom.identity(self.group_at(p))]
-        while len(chain) <= q - p:
-            chain.append(self.map_at(p + len(chain) - 1).compose(chain[-1]))
-        return chain[q - p]
+        return self._composite(self.padded_index(p), self.padded_index(q))
+
+    @kept
+    def _composite(self, p: int, q: int) -> Hom:
+        """a_{q-1} after the composite A_p -> A_{q-1}: one ``compose`` per
+        step.  The composite 64 steps back is kept first, so a call on a
+        wide window recurses about (q - p) / 64 + 64 deep, not q - p."""
+        if p == q:
+            return Hom.identity(self.group_at(p))
+        if q - p > 64:
+            self._composite(p, q - 64)
+        return self.map_at(q - 1).compose(self._composite(p, q - 1))
 
     def pad_to(self, p0: int, p1: int) -> "ZDiagram":
         """The same diagram presented on a larger window."""
@@ -282,20 +287,7 @@ class ZDiagramMorphism:
 # ---------------------------------------------------------------------------
 
 
-def _per_diagram(fn):
-    """Evaluate ``fn(A, *args)`` once per diagram instance and argument tuple."""
-
-    @functools.wraps(fn)
-    def memoized(A: ZDiagram, *args):
-        key = (fn.__name__,) + args
-        if key not in A._memo:
-            A._memo[key] = fn(A, *args)
-        return A._memo[key]
-
-    return memoized
-
-
-@_per_diagram
+@kept
 def colimit(A: ZDiagram):
     """Colimit with its cocone.
 
@@ -309,7 +301,7 @@ def colimit(A: ZDiagram):
     return G, cocone
 
 
-@_per_diagram
+@kept
 def limit_and_lim1(A: ZDiagram):
     """Limit, cone, and lim^1 (always trivial under the supported tails).
 
@@ -427,12 +419,12 @@ def I_tower(A: ZDiagram, r: int) -> dict:
     return {p: A.composite(p - r, p).image() for p in A.padded_range()}
 
 
-@_per_diagram
+@kept
 def image_towers(A: ZDiagram) -> list:
     """The towers I^r for r = 1, 2, ... up to the first r with I^{r+1} == I^r.
 
     Each tower is built once the one before it is known to change, and the
-    last one is I^omega.  The list is memoized on ``A`` and shared between
+    last one is I^omega.  The list is kept on ``A`` and shared between
     callers: do not mutate it.
 
     Raises:
@@ -454,7 +446,7 @@ def I_omega(A: ZDiagram) -> dict:
     return image_towers(A)[-1]
 
 
-@_per_diagram
+@kept
 def stable_image(A: ZDiagram) -> dict:
     """The stable image: Ibar_p = image(rho_p: lim A -> A_p), per padded index."""
     _, cone, _ = limit_and_lim1(A)
@@ -482,7 +474,7 @@ def ml_conditions(A: ZDiagram) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@_per_diagram
+@kept
 def filtrations(A: ZDiagram) -> dict:
     """Image filtration of the colimit and kernel filtration of the limit.
 
@@ -497,7 +489,7 @@ def filtrations(A: ZDiagram) -> dict:
     * colim F^ >-> lim A -R-> colim A ->> colim coker(rho) is exact, with
       image(R) = colim(Ibar).
 
-    The result is memoized on ``A`` and shared between callers: do not
+    The result is kept on ``A`` and shared between callers: do not
     mutate it or the dicts inside it.
     """
     C, cocone = colimit(A)
@@ -553,7 +545,7 @@ def F_p_as_colimit_of_images(A: ZDiagram, p: int) -> Subgroup:
 # ---------------------------------------------------------------------------
 
 
-@_per_diagram
+@kept
 def kernel_diagram(A: ZDiagram, p: int):
     """The diagram K^p with (K^p)_{p-r} = Ker(A_{p-r} -> A_p), r >= 0.
 
@@ -561,7 +553,7 @@ def kernel_diagram(A: ZDiagram, p: int):
     a ZDiagram on the window [p0-1, p] with zero right tail (the kernel
     vanishes at p and beyond), and ``inclusion`` maps each kernel into A.
     The lemma's identifications lim K^p = F^p and lim I_p = I^omega_p are
-    checked with ``zlinalg.require``.  The result is memoized on ``A`` and
+    checked with ``zlinalg.require``.  The result is kept on ``A`` and
     shared by every p with the same padded index.
     """
     if p != A.padded_index(p):

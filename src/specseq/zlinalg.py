@@ -40,9 +40,13 @@ relation columns, on first use and keeps it: its ``kernel`` and every
 solved for only in ``hom_through``, through a ``back`` map that need not
 be injective, whose kernel it also reads.
 * ``shared_results`` -- a context-scoped result table.  While one is open,
-  images, preimages (and so kernels), images of subgroups, intersections,
-  ``as_group`` and subquotients are looked up by the value of their inputs
-  and computed only once; with none open they are computed on every call.
+  images, preimages (and so kernels), images of subgroups, sums,
+  intersections, ``as_group`` and subquotients are looked up by the value
+  of their inputs and computed only once; with none open they are computed
+  on every call.
+* ``kept`` -- the per-owner memo beside that value table: diagrams,
+  couples, morphisms and spectral sequences keep their derived data in
+  their ``_memo``, once per argument tuple.
 * ``require`` -- the one way every module of the package fails a theorem
   check: it raises ``TheoremViolation(check, witness)``.
 * ``ValidationFailure`` and ``CheckFailure`` -- the two bases of every
@@ -60,6 +64,7 @@ is involved anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -138,12 +143,12 @@ def shared_results(table: dict):
     """Share derived results through ``table`` for the duration of the block.
 
     Inside the block, ``Hom.image``, ``Hom.preimage`` (and so ``kernel`` and
-    ``is_mono``), ``Hom.image_of_subgroup``, ``Subgroup.intersection``,
-    ``Subgroup.as_group`` and ``subquotient`` look up their result in
-    ``table`` by the value of their inputs, and compute and store it only
-    when it is absent.  They are pure functions of those values, so the
-    answers are the same as without a table; equal inputs now get the same
-    result object, which callers must not mutate.  Blocks nest: the
+    ``is_mono``), ``Hom.image_of_subgroup``, ``Subgroup.sum``,
+    ``intersection`` and ``as_group``, and ``subquotient`` look up their
+    result in ``table`` by the value of their inputs, and compute and store
+    it only when it is absent.  They are pure functions of those values, so
+    the answers are the same as without a table; equal inputs now get the
+    same result object, which callers must not mutate.  Blocks nest: the
     innermost table is the one in use, and the previous one is restored on
     exit, also when the block raises.
 
@@ -175,6 +180,27 @@ def _shared(key, compute):
     except KeyError:
         value = table[key] = compute()
         return value
+
+
+def kept(fn):
+    """``fn(owner, *args)``, computed once per owner and argument tuple and
+    kept in ``owner._memo`` under ``(fn.__name__, *args)``; a call that
+    raises keeps nothing.  Every caller gets the kept value: do not mutate it.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def keep(owner, *args):
+        memo = owner._memo
+        key = (name, *args)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = memo[key] = fn(owner, *args)
+        return value
+
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +276,23 @@ def smith_normal_form(M: Matrix):
         entries satisfying ``D[0][0] | D[1][1] | ...``.
 
     Within the package a Smith form runs only in ``group_from_presentation``
-    (through ``_snf_with_inverses``); kernels and solving read a Hermite
-    form of ``[M; I]`` instead.
+    (through ``_smith``); kernels and solving read a Hermite form of
+    ``[M; I]`` instead.
     """
-    return _smith(M, inverses=False)[:3]
+    return _smith(M)[:3]
 
 
-def _snf_with_inverses(M: Matrix):
-    """Smith normal form that also tracks the inverse row transform.
+def _smith(M: Matrix):
+    """The Smith form loop, tracking the inverse row transform too.
 
-    Returns ``(U, D, V, Uinv)`` with ``D = U M V`` and ``Uinv U = I``;
-    ``U``, ``D`` and ``V`` equal those of ``smith_normal_form(M)``.
+    Returns ``(U, D, V, Uinv)`` with ``D = U M V`` and ``Uinv U = I``.
     """
-    return _smith(M, inverses=True)
-
-
-def _smith(M: Matrix, inverses: bool):
-    """Shared SNF loop; ``Uinv`` is ``None`` unless ``inverses``."""
     rows = len(M)
     cols = len(M[0]) if M else 0
     D = [list(row) for row in M]
     U = identity_matrix(rows)
     V = identity_matrix(cols)
-    Uinv = identity_matrix(rows) if inverses else None
+    Uinv = identity_matrix(rows)
 
     def row_combine(i1, i2, s, t, u, v):
         # rows (i1, i2) of D and U <- 2x2 transform; inverse column op on Uinv.
@@ -282,8 +302,6 @@ def _smith(M: Matrix, inverses: bool):
                 a, b = r1[j], r2[j]
                 r1[j] = s * a + t * b
                 r2[j] = u * a + v * b
-        if Uinv is None:
-            return
         # [[s,t],[u,v]] has det +-1; inverse is det * [[v,-t],[-u,s]].
         det = s * v - t * u
         for r in Uinv:
@@ -301,9 +319,8 @@ def _smith(M: Matrix, inverses: bool):
     def negate_row(k):
         for A in (D, U):
             A[k] = [-x for x in A[k]]
-        if Uinv is not None:
-            for r in Uinv:
-                r[k] = -r[k]
+        for r in Uinv:
+            r[k] = -r[k]
 
     n = min(rows, cols)
     for k in range(n):
@@ -647,7 +664,7 @@ def group_from_presentation(ngens: int, relation_cols: Sequence[Sequence[int]]):
         ``G``.
     """
     basis = hermite_column_form(relation_cols, ngens)
-    U, D, _, Uinv = _snf_with_inverses(matrix_from_columns(basis, ngens))
+    U, D, _, Uinv = _smith(matrix_from_columns(basis, ngens))
     n = len(basis)
     free_idx = []
     torsion_idx = []  # (d, old index)
@@ -772,10 +789,10 @@ class Subgroup:
     def sum(self, other: "Subgroup") -> "Subgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatch("subgroups live in different ambient groups")
-        return Subgroup(
+        return _shared(("sum", self, other), lambda: Subgroup(
             self.ambient,
             hermite_column_form(self.basis + other.basis, self.ambient.ngens),
-        )
+        ))
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if other.ambient != self.ambient:

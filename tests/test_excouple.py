@@ -544,6 +544,14 @@ class TestSharedResults:
             assert runs == []
             assert build().extension_report(x) is not rep
 
+    def test_sums_shared_inside_a_table_only(self):
+        G = FPAbGroup(1, (4,))
+        S1, S2 = Subgroup.from_generators(G, [(2, 0)]), Subgroup.from_generators(G, [(0, 2)])
+        with zlinalg.shared_results({}):
+            assert S1.sum(S2) is S1.sum(S2)
+        assert S1.sum(S2) == S1.sum(S2)
+        assert S1.sum(S2) is not S1.sum(S2)
+
 
 class TestRandomCouples:
     def test_internal_pages_match_turned_pages(self):
@@ -1117,7 +1125,10 @@ class TestComparison:
         """Moving a couple by s*a moves no diagonal (det(a, a) = 0), so the
         times-m endomorphism gets the same outcome of every rule on every
         content diagonal for every s: the same verdict, or the same failed
-        hypothesis.  A TheoremViolation fails the test."""
+        hypothesis, read on limit-page windows of the same length.  The
+        couple validates the same number of positions for every s, too: an
+        empty tower pins no window at the origin.  A TheoremViolation fails
+        the test."""
         couples = [demo_couple(name) for name in ("couple1", "couple2", "couple3")]
         couples += [couple_from_filtered_complex(*random_filtered_complex(seeded(139 + k)))
                     for k in range(25)]
@@ -1127,9 +1138,13 @@ class TestComparison:
             for s in (0, 5, -4):
                 # both morphisms read the moved couple's kept reports
                 moved = translated(C, s)
+                checked = moved.validate()
+                assert base.setdefault("checked", checked) == checked, (t, s)
                 for m in (2, 3):
                     f = scaling_morphism(moved, m)
                     for n in C._content_diagonals():
+                        window = len(f._limit_page_window(n))
+                        assert base.setdefault((m, n), window) == window, (t, m, s, n)
                         for rule in COMPARE_RULES:
                             try:
                                 got = compare_abutments(f, rule, n)

@@ -275,6 +275,29 @@ class TestMorphisms:
             for x, h in finf_gf.items():
                 assert h == finf_g[x].compose(finf_f[x])
 
+    def test_each_page_checked_once(self, monkeypatch):
+        """verify_page checks a page's squares once, however often its
+        components are read; a failing page keeps nothing and raises on
+        every call."""
+        ss = two_column_ss(Z4, Z2, Hom(Z4, Z2, [[1]]))
+        m = SSMorphism(ss, ss, {(1, 0): Hom.identity(Z4), (0, 0): Hom.identity(Z2)})
+        positions = m.page_positions(2)
+        reads = []
+        d_at = Page.d_at
+        monkeypatch.setattr(Page, "d_at", lambda page, x: reads.append(x) or d_at(page, x))
+        for _ in range(3):
+            for x in positions:
+                m.component(2, x)
+            m.verify_page(2)
+        # one read of each side's differential per position
+        assert sorted(reads) == sorted([*positions, *positions])
+        broken = broken_square_morphism()
+        for _ in range(2):
+            with pytest.raises(NotAMorphism):
+                broken.verify_page(2)
+            with pytest.raises(NotAMorphism):
+                broken.component(2, (0, 1))
+
     def test_square_checked_on_the_first_read_of_a_later_page(self):
         m = broken_square_morphism()
         assert m.component(1, (2, 0)).is_iso()

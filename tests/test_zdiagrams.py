@@ -550,6 +550,18 @@ class TestMemo:
             for p, q in reversed(pairs):
                 assert A.composite(p, q) == fold(A, p, q), (t, p, q)
 
+    def test_wide_window_composes_once_per_step_without_deep_recursion(self, monkeypatch):
+        # a first call across the window keeps the composite 64 steps back
+        # first, so it recurses about width / 64 + 64 deep, not width deep
+        Z3 = FPAbGroup(0, (3,))
+        A = ZDiagram.from_maps(0, [Hom(Z3, Z3, [[2]])] * 3000)
+        steps = []
+        compose = Hom.compose
+        monkeypatch.setattr(Hom, "compose", lambda f, g: steps.append(f) or compose(f, g))
+        assert A.composite(0, 3005).matrix == ((pow(2, 3000, 3),),)
+        assert A.composite(0, 2999).matrix == ((pow(2, 2999, 3),),)
+        assert len(steps) == 3001  # from 0 to the padded index 3001
+
     def test_image_towers_match_full_budget_reference(self):
         for t in range(20):
             A = random_diagram(seeded(8100 + t))

@@ -33,6 +33,7 @@ from specseq.zlinalg import (
     hom_through,
     identity_matrix,
     induced_map,
+    kept,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -45,7 +46,7 @@ from specseq.zlinalg import (
     subquotient,
 )
 from specseq import zlinalg
-from specseq.zlinalg import _snf_with_inverses
+from specseq.zlinalg import _smith
 from specseq.spectral import whole
 
 from conftest import SMALL_GROUPS, lift_and_hermite, random_hom, seeded
@@ -85,6 +86,47 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+class Owner:
+    """An owner of kept values that records each computation."""
+
+    def __init__(self):
+        self._memo = {}
+        self.runs = []
+
+    @kept
+    def value(self, *args):
+        self.runs.append(args)
+        if "fail" in args:
+            raise ValueError(args)
+        return list(args)
+
+
+class TestKept:
+    def test_equal_arguments_compute_once(self):
+        owner = Owner()
+        first = owner.value(1, (2, 3))
+        assert owner.value(1, (2, 3)) is first
+        assert owner.value(1, (2, 3)) == [1, (2, 3)]
+        assert owner.value(2) == [2]
+        assert owner.runs == [(1, (2, 3)), (2,)]
+        assert owner._memo == {("value", 1, (2, 3)): first, ("value", 2): [2]}
+
+    def test_owners_share_nothing(self):
+        a, b = Owner(), Owner()
+        assert a.value(1) == b.value(1)
+        assert a.value(1) is not b.value(1)
+        assert a.runs == b.runs == [(1,)]
+        assert a._memo is not b._memo
+
+    def test_a_raising_call_keeps_nothing(self):
+        owner = Owner()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                owner.value("fail")
+        assert owner.runs == [("fail",), ("fail",)]
+        assert owner._memo == {}
+
+
 class TestSmithNormalForm:
     @given(small_matrices)
     @settings(max_examples=150, deadline=None)
@@ -114,13 +156,8 @@ class TestSmithNormalForm:
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
     def test_tracked_inverses(self, M):
-        U, _, _, Uinv = _snf_with_inverses(M)
+        U, _, _, Uinv = _smith(M)
         assert mat_mul(Uinv, U) == identity_matrix(len(M))
-
-    @given(small_matrices)
-    @settings(max_examples=100, deadline=None)
-    def test_same_transforms_with_or_without_inverses(self, M):
-        assert smith_normal_form(M) == _snf_with_inverses(M)[:3]
 
     def test_known_diagonal(self):
         # gcd of all entries 2, second determinant divisor 8 => diag (2, 4).
