@@ -284,15 +284,17 @@ def cmd_zeeman(args, _):
 
 
 def _load_two_row(args):
-    data = _object(_read_json(args.file))
-    abutment = {}
-    for n, entry in _object(data["abutment"]).items():
+    def degree(entry):
         entry = _object(entry)
         A = _group_from_json(entry["group"])
         F = Subgroup.from_generators(
             A, [tuple(_integer(x) for x in _array(v)) for v in _array(entry.get("stage", []))]
         )
-        abutment[int(n)] = (A, F)
+        return A, F
+
+    data = _object(_read_json(args.file))
+    # "1" and "01" are one degree: given both, the file is refused
+    abutment = _keyed((int(n), degree(entry)) for n, entry in _object(data["abutment"]).items())
     N = data["N"]
     if type(N) is not int or N < 1:
         raise ValueError('"N" should be an integer >= 1, got %r' % (N,))

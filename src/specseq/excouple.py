@@ -460,11 +460,11 @@ class ExactCouple:
         return _CoupleSequence(self._results, 1, first, self.bidegrees.differential_bidegree,
                                self._checked_differentials)
 
-    @_in_own_table
     def _checked_differentials(self, r: int, anchored: dict) -> dict:
         """d^r from ``internal_page(r)``, once the engine's anchored page r
         agrees with its cycles and boundaries (two independent computation
-        paths); a disagreement raises ``TheoremViolation``."""
+        paths); a disagreement raises ``TheoremViolation``.  Its one caller,
+        the sequence's ``advance``, runs it inside the couple's table."""
         ip = self.internal_page(r)
         for e in self.E:
             require((anchored[e].Z, anchored[e].B) == (ip["Z"][e], ip["B"][e]),

@@ -39,14 +39,14 @@ relation columns, on first use and keeps it: its ``kernel`` and every
 ``solve_element`` read that form.  Within the package, elements are
 solved for only in ``hom_through``, through a ``back`` map that need not
 be injective, whose kernel it also reads.
-* ``shared_results`` -- a context-scoped result table.  While one is open,
-  images, preimages (and so kernels), images of subgroups, sums,
-  intersections, ``as_group`` and subquotients are looked up by the value
-  of their inputs and computed only once; with none open they are computed
-  on every call.
-* ``kept`` -- the per-owner memo beside that value table: diagrams,
-  couples, morphisms and spectral sequences keep their derived data in
-  their ``_memo``, once per argument tuple.
+* Two keep rules for derived results, one per owner and one per value.
+  ``kept`` keeps ``fn(owner, *args)`` in the owner's ``_memo``: diagrams,
+  couples, morphisms and spectral sequences keep their derived data there.
+  ``shared`` looks ``fn(*args)`` up by the value of its arguments in the
+  table a ``shared_results`` block opens: images, preimages (and so
+  kernels), images of subgroups, sums, intersections, ``as_group`` and
+  subquotients are computed once per table, and on every call when no
+  table is open.
 * ``require`` -- the one way every module of the package fails a theorem
   check: it raises ``TheoremViolation(check, witness)``.
 * ``ValidationFailure`` and ``CheckFailure`` -- the two bases of every
@@ -142,15 +142,10 @@ _results: ContextVar = ContextVar("specseq_shared_results", default=None)
 def shared_results(table: dict):
     """Share derived results through ``table`` for the duration of the block.
 
-    Inside the block, ``Hom.image``, ``Hom.preimage`` (and so ``kernel`` and
-    ``is_mono``), ``Hom.image_of_subgroup``, ``Subgroup.sum``,
-    ``intersection`` and ``as_group``, and ``subquotient`` look up their
-    result in ``table`` by the value of their inputs, and compute and store
-    it only when it is absent.  They are pure functions of those values, so
-    the answers are the same as without a table; equal inputs now get the
-    same result object, which callers must not mutate.  Blocks nest: the
-    innermost table is the one in use, and the previous one is restored on
-    exit, also when the block raises.
+    Inside the block, every ``shared`` function looks up its result in
+    ``table`` by the value of its arguments, and computes and stores it only
+    when it is absent.  Blocks nest: the innermost table is the one in use,
+    and the previous one is restored on exit, also when the block raises.
 
     >>> G = FPAbGroup(rank=1, torsion=(4,))
     >>> f = Hom(G, G, [[2, 0], [0, 1]])
@@ -170,16 +165,30 @@ def shared_results(table: dict):
         _results.reset(token)
 
 
-def _shared(key, compute):
-    """``compute()``, looked up under ``key`` in the open result table."""
-    table = _results.get()
-    if table is None:
-        return compute()
-    try:
-        return table[key]
-    except KeyError:
-        value = table[key] = compute()
+def shared(fn):
+    """``fn(*args)``, looked up under ``(fn.__qualname__, *args)`` in the
+    open ``shared_results`` table and computed only when absent; with no
+    table open, computed on every call.  ``fn`` must be a pure function of
+    the values of its arguments, so the answers are the same with a table
+    or without; a call that raises stores nothing.  Equal arguments get the
+    same result object: do not mutate it.
+    """
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def share(*args):
+        table = _results.get()
+        if table is None:
+            return fn(*args)
+        key = (name, *args)
+        try:
+            return table[key]
+        except KeyError:
+            pass
+        value = table[key] = fn(*args)
         return value
+
+    return share
 
 
 def kept(fn):
@@ -786,20 +795,19 @@ class Subgroup:
     def is_zero(self) -> bool:
         return self == Subgroup.zero(self.ambient)
 
+    @shared
     def sum(self, other: "Subgroup") -> "Subgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatch("subgroups live in different ambient groups")
-        return _shared(("sum", self, other), lambda: Subgroup(
+        return Subgroup(
             self.ambient,
             hermite_column_form(self.basis + other.basis, self.ambient.ngens),
-        ))
+        )
 
+    @shared
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatch("subgroups live in different ambient groups")
-        return _shared(("intersection", self, other), lambda: self._intersection(other))
-
-    def _intersection(self, other: "Subgroup") -> "Subgroup":
         n = self.ambient.ngens
         A = self._matrix()
         B = other._matrix()
@@ -812,6 +820,7 @@ class Subgroup:
         """The subgroup as the subquotient ``S / 0`` of its ambient group."""
         return subquotient(self, Subgroup.zero(self.ambient))
 
+    @shared
     def as_group(self):
         """The subgroup as an abstract group with its inclusion map.
 
@@ -821,11 +830,8 @@ class Subgroup:
         Returns:
             ``(S, incl)`` with ``S`` canonical and ``incl: S -> ambient``.
         """
-        def compute():
-            sq = self.as_subquotient()
-            return sq.group, hom_on_generators(sq.group, self.ambient, sq.section_columns())
-
-        return _shared(("as_group", self), compute)
+        sq = self.as_subquotient()
+        return sq.group, hom_on_generators(sq.group, self.ambient, sq.section_columns())
 
     def group(self) -> FPAbGroup:
         return self.as_group()[0]
@@ -937,32 +943,19 @@ class Hom:
 
     # -- kernel / image / preimage ------------------------------------------
 
+    @shared
     def image(self) -> Subgroup:
-        """The image, as a subgroup of the codomain.
-
-        Shared by value in an open ``shared_results`` table; do not mutate.
-        """
-        return _shared(
-            ("image", self.domain, self.codomain, self.matrix),
-            lambda: Subgroup.from_generators(self.codomain, columns_of(self.matrix)),
-        )
+        """The image, as a subgroup of the codomain."""
+        return Subgroup.from_generators(self.codomain, columns_of(self.matrix))
 
     def kernel(self) -> Subgroup:
         return self.preimage(Subgroup.zero(self.codomain))
 
+    @shared
     def preimage(self, S: Subgroup) -> Subgroup:
-        """Full preimage of a subgroup of the codomain.
-
-        Shared by value in an open ``shared_results`` table; do not mutate.
-        """
+        """Full preimage of a subgroup of the codomain."""
         if S.ambient != self.codomain:
             raise AmbientMismatch("subgroup is not inside the codomain")
-        return _shared(
-            ("preimage", self.domain, self.codomain, self.matrix, S),
-            lambda: self._preimage(S),
-        )
-
-    def _preimage(self, S: Subgroup) -> Subgroup:
         n_dom = self.domain.ngens
         rows = self.codomain.ngens
         if rows == 0:
@@ -1003,13 +996,11 @@ class Hom:
             return None
         return self.domain.reduce(x)
 
+    @shared
     def image_of_subgroup(self, S: Subgroup) -> Subgroup:
         if S.ambient != self.domain:
             raise AmbientMismatch("subgroup is not inside the domain")
-        return _shared(
-            ("image_of_subgroup", self.domain, self.codomain, self.matrix, S),
-            lambda: Subgroup.from_generators(self.codomain, [self(c) for c in S.basis]),
-        )
+        return Subgroup.from_generators(self.codomain, [self(c) for c in S.basis])
 
     def is_mono(self) -> bool:
         return self.kernel() == Subgroup.zero(self.domain)
@@ -1114,12 +1105,10 @@ class SubquotientData:
         return list(self._section)
 
 
+@shared
 def subquotient(Z: Subgroup, B: Subgroup) -> SubquotientData:
-    """The subquotient ``Z / B``.
-
-    Shared by value in an open ``shared_results`` table; do not mutate.
-    """
-    return _shared(("subquotient", Z, B), lambda: SubquotientData(Z, B))
+    """The subquotient ``Z / B``."""
+    return SubquotientData(Z, B)
 
 
 def quotient_group(G: FPAbGroup, B: Subgroup):

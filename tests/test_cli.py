@@ -450,6 +450,18 @@ class TestMalformedFiles:
         assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
         assert rep["witness"].startswith("expected")
 
+    def test_two_row_degree_written_two_ways_is_a_parse_error(self, capsys, tmp_path):
+        """Without the check, the last of ``"1"`` and ``"01"`` replaced the
+        other, and the answer hung on the key order."""
+        path = tmp_path / "tworow.json"
+        Z, Z_mod = {"group": {"rank": 1}}, {"group": {"rank": 1}, "stage": [[2]]}
+        for degrees in ({"1": Z_mod, "01": {**Z_mod, "stage": [[4]]}},
+                        {"01": Z_mod, "1": {**Z_mod, "stage": [[4]]}}):
+            path.write_text(json.dumps({"N": 2, "abutment": {"0": Z, **degrees}}))
+            code, rep = run(capsys, "solve-two-row", str(path))
+            assert code == 1 and rep["error"] == "parse" and rep["kind"] == "ValueError"
+            assert rep["witness"].startswith("expected")
+
     def test_malformed_two_row_file_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "tworow.json"
         for abutment in ({"1": {"group": {"rank": 1, "torsion": [2.0]}}},

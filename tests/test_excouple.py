@@ -1,6 +1,7 @@
 """Exact couples: demo values, derived couples, abutments, comparisons."""
 
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
@@ -147,6 +148,18 @@ class TestDemoCouples:
                              C.diagonal_tails)
         with pytest.raises(NotExact):
             broken.validate()
+
+    def test_each_corner_refused(self):
+        C = demo_couple("couple2")
+        no_k = {**C.k, (0, 0): Hom.zero_map(C.k[(0, 0)].domain, C.k[(0, 0)].codomain)}
+        with pytest.raises(NotExact) as exc:
+            ExactCouple(C.bidegrees, C.D, C.E, C.i, C.j, no_k, C.diagonal_tails).validate()
+        assert exc.value.args == (((-1, 0), "ki"),)
+        # E = Z/2 alone: the zero j has no image, the zero k the whole kernel
+        lone = ExactCouple(C.bidegrees, {}, {(0, 0): FPAbGroup(0, (2,))}, {}, {}, {})
+        with pytest.raises(NotExact) as exc:
+            lone.validate()
+        assert exc.value.args == (((0, 0), "jk"),)
 
     def test_default_maps_are_built_once(self):
         for name in ("couple1", "couple2", "couple3"):
@@ -451,8 +464,11 @@ class TestSharedResults:
     def test_values_equal_unshared_run(self, monkeypatch):
         builders = shared_results_inputs()
         shared = [full_analysis(build()) for build in builders]
-        monkeypatch.setattr(zlinalg, "_shared", lambda key, compute: compute())
-        unshared = [full_analysis(build()) for build in builders]
+        # with no table ever open, every shared result is computed afresh
+        monkeypatch.setattr(excouple, "shared_results", lambda table: nullcontext())
+        couples = [build() for build in builders]
+        unshared = [full_analysis(C) for C in couples]
+        assert all(C._results == {} for C in couples)
         assert shared == unshared
 
     def test_no_table_left_open(self):

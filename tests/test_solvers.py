@@ -88,6 +88,47 @@ class TestTwoRowSolve:
             two_row_solve(abutment, 4)
         assert exc.value.args[0] == 2
 
+    def solved(self, abutment):
+        res = two_row_solve(abutment, 4)
+        return ([res["H"][p].describe() for p in range(5)],
+                {p: f.matrix for p, f in res["d2"].items()})
+
+    def test_free_quotient_splits_the_extension(self):
+        H, d2 = self.solved({0: (Z, Subgroup.zero(Z)), 2: (Z, Subgroup.zero(Z))})
+        assert H == ["Z", "0", "Z^2", "0", "Z^2"]
+        assert d2[2] == ((0, 1),)
+
+    def test_trivial_forced_image_keeps_the_quotient(self):
+        H, d2 = self.solved({2: (Z, Subgroup.zero(Z))})
+        assert H == ["0", "0", "Z", "0", "Z"]
+        assert d2[2] == ()
+
+    def test_forced_image_in_Z_is_the_index_subgroup(self):
+        Z2 = FPAbGroup(0, (2,))
+        H, d2 = self.solved({1: (Z, Subgroup.zero(Z)), 2: (Z2, Subgroup.full(Z2))})
+        assert H[3] == "Z" and d2[3] == ((2,),)
+        # quotients of Z are cyclic
+        V = FPAbGroup(0, (2, 2))
+        with pytest.raises(Inconsistent):
+            two_row_solve({1: (Z, Subgroup.zero(Z)), 2: (V, Subgroup.full(V))}, 4)
+
+    def test_forced_image_in_a_finite_group(self):
+        Z2, Z4 = FPAbGroup(0, (2,)), FPAbGroup(0, (4,))
+        H, d2 = self.solved({1: (Z4, Subgroup.zero(Z4)), 2: (Z2, Subgroup.full(Z2))})
+        assert H[3] == "Z/2" and d2[3] == ((2,),)
+
+    def test_unforced_steps_are_underdetermined(self):
+        Z2, Z4, Z_2 = FPAbGroup(0, (2,)), FPAbGroup(0, (4,)), FPAbGroup(2)
+        for abutment in (
+            # an infinite H other than Z: its quotients are not decided
+            {0: (Z_2, Subgroup.zero(Z_2)), 1: (Z2, Subgroup.full(Z2))},
+            # Z/2 by Z/2 need not split
+            {0: (Z4, Subgroup.zero(Z4)), 1: (Z2, Subgroup.full(Z2)), 2: (Z2, Subgroup.zero(Z2))},
+        ):
+            with pytest.raises(Underdetermined) as exc:
+                two_row_solve(abutment, 4)
+            assert exc.value.args == (2,)
+
     def test_solution_replays_through_the_engine(self):
         res = cyclic_group_sequence(6, 8)
         ss = res["ss"]

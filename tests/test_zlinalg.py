@@ -40,6 +40,8 @@ from specseq.zlinalg import (
     matrix_from_columns,
     quotient_group,
     require,
+    shared,
+    shared_results,
     short_exact,
     smith_normal_form,
     solve_matrix,
@@ -125,6 +127,60 @@ class TestKept:
                 owner.value("fail")
         assert owner.runs == [("fail",), ("fail",)]
         assert owner._memo == {}
+
+
+def shared_recorder():
+    """A shared function and the list of the calls it computed."""
+    runs = []
+
+    @shared
+    def value(*args):
+        runs.append(args)
+        if "fail" in args:
+            raise ValueError(args)
+        return list(args)
+
+    return value, runs
+
+
+class TestShared:
+    def test_equal_arguments_compute_once_per_table(self):
+        value, runs = shared_recorder()
+        table = {}
+        with shared_results(table):
+            first = value(1, (2, 3))
+            assert value(1, (2, 3)) is first
+            assert value(2) == [2]
+        assert runs == [(1, (2, 3)), (2,)]
+        name = value.__qualname__
+        assert table == {(name, 1, (2, 3)): first, (name, 2): [2]}
+        with shared_results({}):
+            assert value(1, (2, 3)) is not first
+        assert runs == [(1, (2, 3)), (2,), (1, (2, 3))]
+
+    def test_no_table_computes_every_call(self):
+        value, runs = shared_recorder()
+        assert value(1) == value(1)
+        assert value(1) is not value(1)
+        assert runs == [(1,)] * 4
+
+    def test_a_raising_call_stores_nothing(self):
+        value, runs = shared_recorder()
+        table = {}
+        with shared_results(table):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    value("fail")
+        assert runs == [("fail",), ("fail",)]
+        assert table == {}
+
+    def test_a_map_is_its_own_key(self):
+        G = FPAbGroup(1, (4,))
+        f, g = Hom(G, G, [[2, 0], [0, 1]]), Hom(G, G, [[2, 0], [0, 5]])
+        assert f == g and f is not g
+        with shared_results({}):
+            assert f.kernel() is g.kernel()
+            assert f.image() is g.image()
 
 
 class TestSmithNormalForm:
@@ -906,6 +962,11 @@ class TestSubquotient:
         )
         with pytest.raises(NotWellDefined):
             induced_map(Hom.identity(G), top, small)
+        # cycles land in cycles, but the boundary 2 is not a boundary there
+        mod_2 = subquotient(Subgroup.full(G), Subgroup.from_generators(G, [(2,)]))
+        with pytest.raises(NotWellDefined) as exc:
+            induced_map(Hom.identity(G), mod_2, top)
+        assert exc.value.args == (((2,), (2,)),)
 
 
 @st.composite
