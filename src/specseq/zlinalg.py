@@ -31,14 +31,17 @@ This module provides:
 A Smith normal form runs only in a presentation, on the Hermite basis of
 its relations (``group_from_presentation``, under every subquotient).
 Kernels and solving read one Hermite form of ``[M; I]``, the graph of
-``M``: its columns with zero top part are the kernel, already in Hermite
-form, and ``solve_matrix`` forward-substitutes down the others, which
-carry a preimage each; kernels give intersections and preimages.  Each
-``Hom`` builds one graph form, of ``[M | R]`` with ``R`` its codomain's
-relation columns, on first use and keeps it: its ``kernel`` and every
-``solve_element`` read that form.  Within the package, elements are
-solved for only in ``hom_through``, through a ``back`` map that need not
-be injective, whose kernel it also reads.
+``M``, split once into image and kernel columns: the kernel columns have
+zero top part and are the kernel, already in Hermite form, and
+``solve_matrix`` forward-substitutes down the image columns, which carry
+a preimage each; kernels give intersections and preimages.  Each ``Hom``
+builds one graph form, of ``[M | R]`` with ``R`` its codomain's relation
+columns, on first use and keeps it: its ``image`` is the top parts of the
+image columns, its ``kernel`` the nonzero domain parts of the kernel
+columns, both already Hermite bases, and every ``solve_element`` reads
+the same form.  Within the package, elements are solved for only in
+``hom_through``, through a ``back`` map that need not be injective, whose
+kernel it also reads.
 * Two keep rules for derived results, one per owner and one per value.
   ``kept`` keeps ``fn(owner, *args)`` in the owner's ``_memo``: diagrams,
   couples, morphisms and spectral sequences keep their derived data there.
@@ -493,16 +496,19 @@ def _echelon_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Op
 
 
 def _graph_hermite(M: Matrix) -> tuple:
-    """Hermite basis of the columns ``(M e_j, e_j)`` of ``[M; I]``.
+    """Hermite basis of the columns ``(M e_j, e_j)`` of ``[M; I]``, split as
+    ``(image, kernel)``.
 
-    They span the graph ``{(M x, x)}`` of ``M``.  The basis columns whose
-    first ``len(M)`` entries vanish come last and give the kernel; the
-    others span the image in echelon form, each with a preimage below it.
+    They span the graph ``{(M x, x)}`` of ``M``.  Pivot rows increase, so
+    the basis columns whose first ``len(M)`` entries are nonzero come first:
+    they are ``image``, whose top parts are the Hermite basis of the column
+    lattice of ``M``, each with a preimage below it.  The rest vanish there
+    and are ``kernel``, in Hermite form on the bottom rows.
     """
     rows = len(M)
     cols = len(M[0]) if M else 0
     if not cols:
-        return ()
+        return (), ()
     # Lists, not tuples: hermite_column_form works on lists of its own, and
     # short-lived tuples of the ladder's sizes stay on the tuple free lists.
     stacked = []
@@ -510,19 +516,23 @@ def _graph_hermite(M: Matrix) -> tuple:
         col = [row[j] for row in M] + [0] * cols
         col[rows + j] = 1
         stacked.append(col)
-    return hermite_column_form(stacked, rows + cols)
+    form = hermite_column_form(stacked, rows + cols)
+    split = 0
+    while split < len(form) and any(form[split][:rows]):
+        split += 1
+    return form[:split], form[split:]
 
 
 def kernel_basis(M: Matrix) -> list:
     """The canonical Hermite basis (list of column tuples) of the integer
-    kernel of ``M``: the bottom parts of the graph basis columns of
-    ``[M; I]`` that ``M`` sends to zero.
+    kernel of ``M``: the bottom parts of the kernel columns of the graph
+    basis of ``[M; I]``.
 
     >>> kernel_basis([[2, 4, 6]])
     [(1, 1, -1), (0, 3, -2)]
     """
     rows = len(M)
-    return [c[rows:] for c in _graph_hermite(M) if not any(c[:rows])]
+    return [c[rows:] for c in _graph_hermite(M)[1]]
 
 
 def solve_matrix(M: Matrix, y: Sequence[int]) -> Optional[Vector]:
@@ -542,18 +552,18 @@ def solve_matrix(M: Matrix, y: Sequence[int]) -> Optional[Vector]:
     cols = len(M[0]) if M else 0
     if rows != len(y):
         raise ValueError("dimension mismatch in solve")
-    return _solve_graph(_graph_hermite(M), rows, y, cols)
+    return _solve_graph(_graph_hermite(M)[0], rows, y, cols)
 
 
-def _solve_graph(graph: tuple, rows: int, y: Sequence[int], cols: int) -> Optional[Vector]:
+def _solve_graph(image: tuple, rows: int, y: Sequence[int], cols: int) -> Optional[Vector]:
     """The first ``cols`` entries of a solution of ``M x = y``, read off the
-    graph basis of ``[M; I]`` (``_graph_hermite``), or ``None``.
+    image columns of the graph basis of ``[M; I]`` (``_graph_hermite``), or
+    ``None``.
 
     ``M`` has ``rows`` rows.  ``y`` is written in the echelon image columns
-    of the graph by forward substitution, and the solution is the same
-    combination of their bottom parts.
+    by forward substitution, and the solution is the same combination of
+    their bottom parts.
     """
-    image = [c for c in graph if any(c[:rows])]
     q = _echelon_coordinates(image, y)
     if q is None:
         return None
@@ -850,9 +860,10 @@ class Hom:
     the codomain relation lattice and raises ``NotWellDefined`` otherwise.
 
     The Hermite form of the graph of ``[M | R]`` (``R`` the codomain's
-    relation columns) is built on first use and kept with the map; the
-    kernel and every ``solve_element`` read it.  Equality, hashing and
-    ``repr`` read the endpoints and the matrix only.
+    relation columns) is built on first use and kept with the map, split
+    into image and kernel columns; the image, the kernel and every
+    ``solve_element`` read it.  Equality, hashing and ``repr`` read the
+    endpoints and the matrix only.
     """
 
     __slots__ = ("domain", "codomain", "matrix", "_graph")
@@ -945,8 +956,11 @@ class Hom:
 
     @shared
     def image(self) -> Subgroup:
-        """The image, as a subgroup of the codomain."""
-        return Subgroup.from_generators(self.codomain, columns_of(self.matrix))
+        """The image, as a subgroup of the codomain: the top parts of the
+        image columns of the map's graph form, already the Hermite basis of
+        the column lattice of ``[M | R]``."""
+        rows = self.codomain.ngens
+        return Subgroup(self.codomain, tuple(c[:rows] for c in self._graph_form()[0]))
 
     def kernel(self) -> Subgroup:
         return self.preimage(Subgroup.zero(self.codomain))
@@ -961,18 +975,20 @@ class Hom:
         if rows == 0:
             return Subgroup.full(self.domain)
         if S.is_zero():
-            # (x, t) in ker [M | R] iff (x, -t) in ker [M | -R]: the graph
-            # form's kernel columns have the x-parts of the general case
-            gens = [c[rows:rows + n_dom] for c in self._graph_form() if not any(c[:rows])]
-        else:
-            M = [list(r) for r in self.matrix]
-            B = matrix_from_columns(list(S.basis), rows)
-            stacked = [M[i] + [-x for x in B[i]] for i in range(rows)]
-            gens = [k[:n_dom] for k in kernel_basis(stacked)]
+            # The nonzero x-parts of the graph form's kernel columns are the
+            # Hermite basis of {x : M x in <R>}, which holds the domain's
+            # relations because the map is well defined.
+            parts = (c[rows:rows + n_dom] for c in self._graph_form()[1])
+            return Subgroup(self.domain, tuple(x for x in parts if any(x)))
+        M = [list(r) for r in self.matrix]
+        B = matrix_from_columns(list(S.basis), rows)
+        stacked = [M[i] + [-x for x in B[i]] for i in range(rows)]
+        gens = [k[:n_dom] for k in kernel_basis(stacked)]
         return Subgroup.from_generators(self.domain, gens)
 
     def _graph_form(self) -> tuple:
-        """``_graph_hermite`` of ``[M | R]``, built on first use and kept."""
+        """``_graph_hermite`` of ``[M | R]``, split as ``(image, kernel)``,
+        built on first use and kept."""
         if self._graph is None:
             M = [list(r) for r in self.matrix]
             rel = matrix_from_columns(
@@ -985,13 +1001,14 @@ class Hom:
         """One preimage of ``y`` under the map, or ``None`` if ``y`` is absent.
 
         ``y`` is solved for in ``[M | R]`` by forward substitution down the
-        map's graph form, and the preimage is the part on the domain
-        generators.  Zero has the zero preimage, and builds no form.
+        image columns of the map's graph form, and the preimage is the part
+        on the domain generators.  Zero has the zero preimage, and builds no
+        form.
         """
         y = self.codomain.reduce(y)
         if not any(y):
             return self.domain.zero()
-        x = _solve_graph(self._graph_form(), self.codomain.ngens, y, self.domain.ngens)
+        x = _solve_graph(self._graph_form()[0], self.codomain.ngens, y, self.domain.ngens)
         if x is None:
             return None
         return self.domain.reduce(x)

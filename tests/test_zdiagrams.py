@@ -560,7 +560,8 @@ class TestMemo:
         monkeypatch.setattr(Hom, "compose", lambda f, g: steps.append(f) or compose(f, g))
         assert A.composite(0, 3005).matrix == ((pow(2, 3000, 3),),)
         assert A.composite(0, 2999).matrix == ((pow(2, 2999, 3),),)
-        assert len(steps) == 3001  # from 0 to the padded index 3001
+        # 3001 steps from 0 to the padded index 3001; the first is a_0 itself
+        assert len(steps) == 3000
 
     def test_image_towers_match_full_budget_reference(self):
         for t in range(20):

@@ -384,6 +384,12 @@ def kernel_through_negated_relations(f):
     return Subgroup.from_generators(f.domain, [k[:n_dom] for k in kernel_basis(stacked)])
 
 
+def image_through_generators(f):
+    """``im f`` as an earlier version built it: the Hermite form of the
+    columns of ``M`` with the codomain's relations."""
+    return Subgroup.from_generators(f.codomain, columns_of(f.matrix))
+
+
 def solve_through_augmented_matrix(f, y):
     """``f.solve_element(y)`` as an earlier version computed it: the domain
     part of ``solve_matrix([M | R], y)``."""
@@ -465,43 +471,56 @@ class TestKernelAndSolve:
     @given(torsion_homs())
     @settings(max_examples=200, deadline=None)
     def test_shared_form_matches_the_old_constructions(self, case):
-        """The kernel and every solution read off the map's one graph form
-        of ``[M | R]`` are those of the separate constructions, and a
-        solution exists exactly for the elements of the image."""
+        """The image, the kernel and every solution read off the map's one
+        graph form of ``[M | R]`` are those of the separate constructions,
+        and a solution exists exactly for the elements of the image."""
         f, ys = case
         assert f.kernel() == kernel_through_negated_relations(f)
         image = f.image()
+        assert image == image_through_generators(f)
         for y in ys:
             x = f.solve_element(y)
             assert x == solve_through_augmented_matrix(f, y)
             assert (x is None) == (not image.contains(f.codomain.reduce(y)))
             if x is not None:
                 assert f(x) == f.codomain.reduce(y)
-        # solving first builds the same form for the kernel
+        # solving first builds the same form for the kernel and the image
         g = Hom(f.domain, f.codomain, f.matrix)
         assert [g.solve_element(y) for y in ys] == [f.solve_element(y) for y in ys]
         assert g.kernel() == f.kernel()
+        assert g.image() == image
 
     def test_one_graph_form_per_map(self, monkeypatch):
-        """A map builds its graph form once, for its kernel and all its
-        solutions; an equal map builds its own, and equality, hashing and
-        ``repr`` never read it."""
-        built = []
+        """A map builds its graph form once, for its kernel, its image and
+        all its solutions, and no other Hermite form runs for them; an
+        equal map builds its own, and equality, hashing and ``repr`` never
+        read it."""
+        built, forms = [], []
         graph_hermite = zlinalg._graph_hermite
+        hermite = zlinalg.hermite_column_form
 
         def counted(M):
             built.append(M)
             return graph_hermite(M)
 
-        monkeypatch.setattr(zlinalg, "_graph_hermite", counted)
+        def counted_forms(cols, nrows):
+            forms.append(cols)
+            return hermite(cols, nrows)
+
         G, H = FPAbGroup(1, (4,)), FPAbGroup(1, (6,))
+        kernel = Subgroup.from_generators(G, [(0, 2)])
+        image = Subgroup.from_generators(H, [(2, 1), (0, 3)])
+        monkeypatch.setattr(zlinalg, "_graph_hermite", counted)
+        monkeypatch.setattr(zlinalg, "hermite_column_form", counted_forms)
         f = Hom(G, H, [[2, 0], [1, 3]])  # (a, b) -> (2a, a + 3b)
         g = Hom(G, H, [[2, 0], [1, 3]])
         before = (f == g, hash(f), hash(g), repr(f), repr(g))
-        assert f.kernel() == Subgroup.from_generators(G, [(0, 2)])
+        assert f.kernel() == kernel
+        assert f.image() == image
         xs = [f.solve_element(y) for y in [(2, 1), (4, 5), (1, 0), (0, 3), (6, 2)]]
         assert [None if x is None else f(x) for x in xs] == [(2, 1), (4, 5), None, (0, 3), None]
         assert len(built) == 1
+        assert len(forms) == 1
         assert (f == g, hash(f), hash(g), repr(f), repr(g)) == before
         assert g.solve_element((2, 1)) == (1, 0)
         assert len(built) == 2
