@@ -203,10 +203,10 @@ class ExactCouple:
 
     Every couple owns a result table (``zlinalg.shared_results``), and its
     analysis methods run inside it: the kernels, images, preimages, sums,
-    intersections and subquotients they ask for are computed once per
-    couple and shared by all of them.  A nested call on another couple
-    switches to that couple's table.  Beside the table, the couple's memo
-    (``zlinalg.kept``) keeps its diagonals, zero maps and spectral
+    intersections, subquotients, identity and zero maps they ask for are
+    computed once per couple and shared by all of them.  A nested call on
+    another couple switches to that couple's table.  Beside the table, the
+    couple's memo (``zlinalg.kept``) keeps its diagonals and spectral
     sequence, the ``AbutmentData`` of each diagonal and the extension
     report of each position.  Shared and kept results must not be mutated.
     """
@@ -290,20 +290,12 @@ class ExactCouple:
     def j_at(self, x: Position) -> Hom:
         x = tuple(x)
         f = self.j.get(x)
-        return self._zero_j(x) if f is None else f
+        return Hom.zero_map(self.D_at(x), self.E_at(_add(x, self.bidegrees.b))) if f is None else f
 
     def k_at(self, x: Position) -> Hom:
         x = tuple(x)
         f = self.k.get(x)
-        return self._zero_k(x) if f is None else f
-
-    @kept
-    def _zero_j(self, x: Position) -> Hom:
-        return Hom.zero_map(self.D_at(x), self.E_at(_add(x, self.bidegrees.b)))
-
-    @kept
-    def _zero_k(self, x: Position) -> Hom:
-        return Hom.zero_map(self.E_at(x), self.D_at(_add(x, self.bidegrees.c)))
+        return Hom.zero_map(self.E_at(x), self.D_at(_add(x, self.bidegrees.c))) if f is None else f
 
     # -- validation ----------------------------------------------------------
 
@@ -860,7 +852,7 @@ class ExactCouple:
         filt_s = filtrations(dns)
         Fu = filt_s["F_upper"]
         lo, hi = dns.p0 - 1, dns.p1 + 1
-        newD, newi, newj = {}, {}, {}
+        newD, newE, newi, newj = {}, {}, {}, {}
         for r in range(lo, hi + 1):
             # F^{x+a+b+c} sits at lower-tower position x; its tower index on
             # diagonal n is r - 1 relative to the upper tower's r
@@ -869,20 +861,13 @@ class ExactCouple:
             if r < hi:
                 newi[x] = Hom.identity(filt_s["lim"]).restrict(Fu[r], Fu[r + 1])
             e = _add(x, bd.b)
-            Zw = self.omega_cycles_at(e)
-            Bj = self.j_at(x).image()
-            sqe = subquotient(Zw, Bj)
+            sqe = subquotient(self.omega_cycles_at(e), self.j_at(x).image())
             if sqe.group.is_trivial():
                 continue
+            newE[e] = sqe.group
             # rho lands in the stable image; a k-preimage represents the class
             newj[x] = hom_through(Fu[r].as_subquotient(), dns.composite(dns.p0 - 1, r - 1),
                                   self.k_at(e), Hom.identity(self.E_at(e)), sqe, e)
-        newE = {}
-        for x in list(newD):
-            e = _add(x, bd.b)
-            sqe = subquotient(self.omega_cycles_at(e), self.j_at(x).image())
-            if not sqe.group.is_trivial():
-                newE[e] = sqe.group
         tails = {n: (Tail.ZERO, Tail.CONSTANT)}
         out = ExactCouple(Bidegrees(bd.a, bd.b, bd.c), newD, newE, newi, newj,
                           {}, tails)

@@ -148,18 +148,9 @@ class ZDiagram:
         return self.groups[p - self.p0]
 
     def map_at(self, p: int) -> Hom:
-        """The structure map A_p -> A_{p+1}, extended by the declared tails.
-
-        A tail map is kept per p clamped into [p0-2, p1+1], not the padded
-        window: under a ZERO left tail the map at p0-1 is 0 -> A_{p0}, while
-        every map before it is 0 -> 0.
-        """
+        """The structure map A_p -> A_{p+1}, extended by the declared tails."""
         if self.p0 <= p < self.p1:
             return self.maps[p - self.p0]
-        return self._tail_map(min(max(p, self.p0 - 2), self.p1 + 1))
-
-    @kept
-    def _tail_map(self, p: int) -> Hom:
         src, dst = self.group_at(p), self.group_at(p + 1)
         tail = self.left_tail if p < self.p0 else self.right_tail
         return Hom.identity(src) if tail is Tail.CONSTANT else Hom.zero_map(src, dst)

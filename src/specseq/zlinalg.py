@@ -46,10 +46,10 @@ kernel it also reads.
   ``kept`` keeps ``fn(owner, *args)`` in the owner's ``_memo``: diagrams,
   couples, morphisms and spectral sequences keep their derived data there.
   ``shared`` looks ``fn(*args)`` up by the value of its arguments in the
-  table a ``shared_results`` block opens: images, preimages (and so
-  kernels), images of subgroups, sums, intersections, ``as_group`` and
-  subquotients are computed once per table, and on every call when no
-  table is open.
+  table a ``shared_results`` block opens: identity and zero maps, images,
+  preimages (and so kernels), images of subgroups, sums, intersections,
+  ``as_group`` and subquotients are computed once per table, and on every
+  call when no table is open.
 * ``require`` -- the one way every module of the package fails a theorem
   check: it raises ``TheoremViolation(check, witness)``.
 * ``ValidationFailure`` and ``CheckFailure`` -- the two bases of every
@@ -913,10 +913,12 @@ class Hom:
         )
 
     @staticmethod
+    @shared
     def identity(G: FPAbGroup) -> "Hom":
         return Hom(G, G, identity_matrix(G.ngens))
 
     @staticmethod
+    @shared
     def zero_map(domain: FPAbGroup, codomain: FPAbGroup) -> "Hom":
         return Hom(domain, codomain, zero_matrix(codomain.ngens, domain.ngens))
 
@@ -974,17 +976,18 @@ class Hom:
         rows = self.codomain.ngens
         if rows == 0:
             return Subgroup.full(self.domain)
+        # The kernel of [M | S.basis] is {(x, t) : M x = -S.basis t}, and
+        # its Hermite basis lists the columns with a pivot among the x-rows
+        # first: their x-parts are the Hermite basis of {x : M x in S}, which
+        # holds the domain's relations because the map is well defined.  For
+        # a zero S, S.basis is R, and the map's graph form is that basis.
         if S.is_zero():
-            # The nonzero x-parts of the graph form's kernel columns are the
-            # Hermite basis of {x : M x in <R>}, which holds the domain's
-            # relations because the map is well defined.
-            parts = (c[rows:rows + n_dom] for c in self._graph_form()[1])
-            return Subgroup(self.domain, tuple(x for x in parts if any(x)))
-        M = [list(r) for r in self.matrix]
-        B = matrix_from_columns(list(S.basis), rows)
-        stacked = [M[i] + [-x for x in B[i]] for i in range(rows)]
-        gens = [k[:n_dom] for k in kernel_basis(stacked)]
-        return Subgroup.from_generators(self.domain, gens)
+            kernel = (c[rows:] for c in self._graph_form()[1])
+        else:
+            B = matrix_from_columns(list(S.basis), rows)
+            kernel = kernel_basis([list(r) + B[i] for i, r in enumerate(self.matrix)])
+        parts = (k[:n_dom] for k in kernel)
+        return Subgroup(self.domain, tuple(x for x in parts if any(x)))
 
     def _graph_form(self) -> tuple:
         """``_graph_hermite`` of ``[M | R]``, split as ``(image, kernel)``,

@@ -1,5 +1,6 @@
 """Exact couples: demo values, derived couples, abutments, comparisons."""
 
+import sys
 from collections import Counter
 from contextlib import nullcontext
 
@@ -162,14 +163,16 @@ class TestDemoCouples:
         assert exc.value.args == (((0, 0), "jk"),)
 
     def test_default_maps_are_built_once(self):
+        # zero and identity maps are shared by value in the couple's table
         for name in ("couple1", "couple2", "couple3"):
             C = demo_couple(name)
             C.validate()
             xs = [*C._d_check_positions(), (40, -40)]
-            for x in xs:
-                for at in (C.i_at, C.j_at, C.k_at):
-                    f = at(x)
-                    assert at(x) is f and at(list(x)) is f, (name, x, at.__name__)
+            with zlinalg.shared_results(C._results):
+                for x in xs:
+                    for at in (C.i_at, C.j_at, C.k_at):
+                        f = at(x)
+                        assert at(x) is f and at(list(x)) is f, (name, x, at.__name__)
             assert any(C.j_at(x).is_zero() for x in xs)
             assert any(C.k_at(x).is_zero() for x in xs)
 
@@ -516,6 +519,24 @@ class TestSharedResults:
             full_analysis(build())
             assert built and max(built.values()) == 1
 
+    def test_each_trivial_map_built_once(self, monkeypatch):
+        # the maps an identity or a zero map constructs, keyed by its arguments
+        built = Counter()
+        init = Hom.__init__
+
+        def counted(self, domain, codomain, matrix):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in ("identity", "zero_map"):
+                built[(caller, domain, codomain)] += 1
+            init(self, domain, codomain, matrix)
+
+        monkeypatch.setattr(Hom, "__init__", counted)
+        C = couple_from_filtered_complex(*random_filtered_complex(seeded(211)))
+        for x in C.D:
+            C.classify(x)
+        assert {caller for caller, _, _ in built} == {"identity", "zero_map"}
+        assert sum(built.values()) == len(built)
+
     def test_abutments_computed_once_per_diagonal(self, monkeypatch):
         runs = []
         filtrations = excouple.filtrations
@@ -567,6 +588,16 @@ class TestSharedResults:
             assert S1.sum(S2) is S1.sum(S2)
         assert S1.sum(S2) == S1.sum(S2)
         assert S1.sum(S2) is not S1.sum(S2)
+
+    def test_trivial_maps_shared_inside_a_table_only(self):
+        A, B = FPAbGroup(1, (4,)), FPAbGroup(0, (2,))
+        with zlinalg.shared_results({}):
+            assert Hom.identity(A) is Hom.identity(A)
+            assert Hom.zero_map(A, B) is Hom.zero_map(A, B)
+        assert Hom.identity(A) == Hom.identity(A)
+        assert Hom.identity(A) is not Hom.identity(A)
+        assert Hom.zero_map(A, B) == Hom.zero_map(A, B)
+        assert Hom.zero_map(A, B) is not Hom.zero_map(A, B)
 
 
 class TestRandomCouples:

@@ -384,6 +384,18 @@ def kernel_through_negated_relations(f):
     return Subgroup.from_generators(f.domain, [k[:n_dom] for k in kernel_basis(stacked)])
 
 
+def preimage_through_negated_basis(f, S):
+    """``f.preimage(S)`` as an earlier version built it: the domain parts of
+    the kernel basis of ``[M | -B]``, ``B`` the basis of ``S``, brought to
+    Hermite form with the domain's relations."""
+    rows, n_dom = f.codomain.ngens, f.domain.ngens
+    if rows == 0:
+        return Subgroup.full(f.domain)
+    B = matrix_from_columns(list(S.basis), rows)
+    stacked = [list(r) + [-x for x in B[i]] for i, r in enumerate(f.matrix)]
+    return Subgroup.from_generators(f.domain, [k[:n_dom] for k in kernel_basis(stacked)])
+
+
 def image_through_generators(f):
     """``im f`` as an earlier version built it: the Hermite form of the
     columns of ``M`` with the codomain's relations."""
@@ -489,6 +501,20 @@ class TestKernelAndSolve:
         assert [g.solve_element(y) for y in ys] == [f.solve_element(y) for y in ys]
         assert g.kernel() == f.kernel()
         assert g.image() == image
+
+    @given(torsion_homs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_preimage_matches_the_old_construction(self, case, data):
+        """The preimage of any subgroup ``S``, the x-parts of one Hermite
+        form of the kernel of ``[M | S.basis]``, is that of the separate
+        kernel and Hermite form, and maps into ``S``."""
+        f, _ = case
+        H = f.codomain
+        vectors = st.lists(st.integers(-20, 20), min_size=H.ngens, max_size=H.ngens)
+        S = Subgroup.from_generators(H, data.draw(st.lists(vectors, max_size=3)))
+        P = f.preimage(S)
+        assert P == preimage_through_negated_basis(f, S)
+        assert all(S.contains(f(c)) for c in P.basis)
 
     def test_one_graph_form_per_map(self, monkeypatch):
         """A map builds its graph form once, for its kernel, its image and
