@@ -373,17 +373,6 @@ def torsion_homs(draw):
     return f, ys
 
 
-def kernel_through_negated_relations(f):
-    """``ker f`` as an earlier version built it: the domain parts of the
-    kernel basis of ``[M | -R]``, ``R`` the codomain's relation columns."""
-    rows, n_dom = f.codomain.ngens, f.domain.ngens
-    if rows == 0:
-        return Subgroup.full(f.domain)
-    rel = matrix_from_columns(f.codomain.relation_columns(), rows)
-    stacked = [list(r) + [-x for x in rel[i]] for i, r in enumerate(f.matrix)]
-    return Subgroup.from_generators(f.domain, [k[:n_dom] for k in kernel_basis(stacked)])
-
-
 def preimage_through_negated_basis(f, S):
     """``f.preimage(S)`` as an earlier version built it: the domain parts of
     the kernel basis of ``[M | -B]``, ``B`` the basis of ``S``, brought to
@@ -394,6 +383,12 @@ def preimage_through_negated_basis(f, S):
     B = matrix_from_columns(list(S.basis), rows)
     stacked = [list(r) + [-x for x in B[i]] for i, r in enumerate(f.matrix)]
     return Subgroup.from_generators(f.domain, [k[:n_dom] for k in kernel_basis(stacked)])
+
+
+def kernel_through_negated_relations(f):
+    """``ker f`` as an earlier version built it: the preimage of zero, whose
+    basis is the codomain's relation columns ``R``, through ``[M | -R]``."""
+    return preimage_through_negated_basis(f, Subgroup.zero(f.codomain))
 
 
 def image_through_generators(f):
