@@ -203,12 +203,13 @@ class ExactCouple:
 
     Every couple owns a result table (``zlinalg.shared_results``), and its
     analysis methods run inside it: the kernels, images, preimages, sums,
-    intersections, subquotients, identity and zero maps they ask for are
-    computed once per couple and shared by all of them.  A nested call on
-    another couple switches to that couple's table.  Beside the table, the
-    couple's memo (``zlinalg.kept``) keeps its diagonals and spectral
-    sequence, the ``AbutmentData`` of each diagonal and the extension
-    report of each position.  Shared and kept results must not be mutated.
+    intersections, subquotients, the maps induced between subquotients, and
+    identity and zero maps they ask for are computed once per couple and
+    shared by all of them.  A nested call on another couple switches to
+    that couple's table.  Beside the table, the couple's memo
+    (``zlinalg.kept``) keeps its diagonals and spectral sequence, the
+    ``AbutmentData`` of each diagonal and the extension report of each
+    position.  Shared and kept results must not be mutated.
     """
 
     def __init__(self, bidegrees: Bidegrees, D: Dict[Position, FPAbGroup],

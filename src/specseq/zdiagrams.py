@@ -168,16 +168,19 @@ class ZDiagram:
     @kept
     def _composite(self, p: int, q: int) -> Hom:
         """a_{q-1} after the composite A_p -> A_{q-1}: one ``compose`` per
-        step after the first, which is ``a_p`` itself.  The composite 64
-        steps back is kept first, so a call on a wide window recurses about
-        (q - p) / 64 + 64 deep, not q - p."""
+        step after the first, which is ``a_p`` itself, and none for a step
+        whose map is the identity, which returns the kept composite
+        A_p -> A_{q-1} itself.  The composite 64 steps back is kept first,
+        so a call on a wide window recurses about (q - p) / 64 + 64 deep,
+        not q - p."""
         if p == q:
             return Hom.identity(self.group_at(p))
         if q == p + 1:
             return self.map_at(p)
         if q - p > 64:
             self._composite(p, q - 64)
-        return self.map_at(q - 1).compose(self._composite(p, q - 1))
+        step, before = self.map_at(q - 1), self._composite(p, q - 1)
+        return before if step.is_identity() else step.compose(before)
 
     def pad_to(self, p0: int, p1: int) -> "ZDiagram":
         """The same diagram presented on a larger window."""

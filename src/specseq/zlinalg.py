@@ -48,8 +48,8 @@ kernel it also reads.
   ``shared`` looks ``fn(*args)`` up by the value of its arguments in the
   table a ``shared_results`` block opens: identity and zero maps, images,
   preimages (and so kernels), images of subgroups, sums, intersections,
-  ``as_group`` and subquotients are computed once per table, and on every
-  call when no table is open.
+  ``as_group``, subquotients and the maps they induce are computed once
+  per table, and on every call when no table is open.
 * ``require`` -- the one way every module of the package fails a theorem
   check: it raises ``TheoremViolation(check, witness)``.
 * ``ValidationFailure`` and ``CheckFailure`` -- the two bases of every
@@ -175,6 +175,11 @@ def shared(fn):
     the values of its arguments, so the answers are the same with a table
     or without; a call that raises stores nothing.  Equal arguments get the
     same result object: do not mutate it.
+
+    An argument whose type defines no ``__eq__`` keys by identity.  For a
+    ``SubquotientData`` that is exact: ``subquotient`` is itself shared, so
+    inside a table equal ``(Z, B)`` pairs are one object, and the key holds
+    its object, whose id cannot be reused while the table lives.
     """
     name = fn.__qualname__
 
@@ -925,6 +930,11 @@ class Hom:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
 
+    def is_identity(self) -> bool:
+        return self.domain == self.codomain and all(
+            x == (i == j) for i, row in enumerate(self.matrix) for j, x in enumerate(row)
+        )
+
     def compose(self, first: "Hom") -> "Hom":
         """``self`` after ``first`` (i.e. ``self o first``)."""
         if first.codomain != self.domain:
@@ -1149,6 +1159,7 @@ def cokernel(f: Hom):
     return quotient_group(f.codomain, f.image())
 
 
+@shared
 def induced_map(f: Hom, source: SubquotientData, target: SubquotientData) -> Hom:
     """The map ``source.group -> target.group`` induced by ``f``.
 

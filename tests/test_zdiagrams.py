@@ -550,6 +550,28 @@ class TestMemo:
             for p, q in reversed(pairs):
                 assert A.composite(p, q) == fold(A, p, q), (t, p, q)
 
+    def test_identity_steps_return_the_kept_composite(self, monkeypatch):
+        # interior identity maps, and the CONSTANT right tail: a composite
+        # across an identity step is the composite one step short
+        Z4 = FPAbGroup(0, (4,))
+        f, g = Hom(Z4, Z4, [[3]]), Hom(Z4, Z4, [[2]])
+        A = ZDiagram.from_maps(0, [f, Hom.identity(Z4), Hom.identity(Z4), g])
+        idx = list(A.padded_range())
+        pairs = [(p, q) for p in idx for q in idx if p <= q]
+        steps = []
+        compose = Hom.compose
+        monkeypatch.setattr(Hom, "compose", lambda f, g: steps.append(f) or compose(f, g))
+        composites = {pq: A.composite(*pq) for pq in pairs}
+        monkeypatch.undo()
+        # a step composes only through a map that is not the identity: f
+        # after the zero map into A_0, and g after each of the four
+        # composites into A_3 that are not one step
+        assert sorted(map(id, steps)) == sorted(map(id, [f] + [g] * 4))
+        for p, q in pairs:
+            assert composites[p, q] == fold(A, p, q), (p, q)
+            if q - 1 > p and A.map_at(q - 1).is_identity():
+                assert A.composite(p, q) is A.composite(p, q - 1), (p, q)
+
     def test_wide_window_composes_once_per_step_without_deep_recursion(self, monkeypatch):
         # a first call across the window keeps the composite 64 steps back
         # first, so it recurses about width / 64 + 64 deep, not width deep
@@ -560,8 +582,9 @@ class TestMemo:
         monkeypatch.setattr(Hom, "compose", lambda f, g: steps.append(f) or compose(f, g))
         assert A.composite(0, 3005).matrix == ((pow(2, 3000, 3),),)
         assert A.composite(0, 2999).matrix == ((pow(2, 2999, 3),),)
-        # 3001 steps from 0 to the padded index 3001; the first is a_0 itself
-        assert len(steps) == 3000
+        # 3001 steps from 0 to the padded index 3001; the first is a_0
+        # itself, and the last, into the CONSTANT right tail, is the identity
+        assert len(steps) == 2999
 
     def test_image_towers_match_full_budget_reference(self):
         for t in range(20):

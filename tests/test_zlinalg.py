@@ -182,6 +182,31 @@ class TestShared:
             assert f.kernel() is g.kernel()
             assert f.image() is g.image()
 
+    def test_induced_maps_shared_inside_a_table_only(self):
+        # equal maps between equal subquotients built apart: the subquotients
+        # are one object inside a table, so the induced maps are too
+        G = FPAbGroup(0, (12,))
+        f, g = Hom(G, G, [[5]]), Hom(G, G, [[17]])
+        Z, B = Subgroup.from_generators(G, [(2,)]), Subgroup.from_generators(G, [(6,)])
+        with shared_results({}):
+            assert induced_map(f, subquotient(Z, B), subquotient(Z, B)) is induced_map(
+                g, subquotient(Z, B), subquotient(Z, B))
+        first = induced_map(f, subquotient(Z, B), subquotient(Z, B))
+        again = induced_map(f, subquotient(Z, B), subquotient(Z, B))
+        assert first == again and first is not again
+
+    def test_an_ill_defined_induced_map_stores_nothing(self):
+        G = FPAbGroup(0, (4,))
+        top = subquotient(Subgroup.full(G), Subgroup.zero(G))
+        mod_2 = subquotient(Subgroup.full(G), Subgroup.from_generators(G, [(2,)]))
+        table = {}
+        with shared_results(table):
+            for _ in range(2):
+                with pytest.raises(NotWellDefined) as exc:
+                    induced_map(Hom.identity(G), mod_2, top)
+                assert exc.value.args == (((2,), (2,)),)
+        assert not any(key[0] == induced_map.__qualname__ for key in table)
+
 
 class TestSmithNormalForm:
     @given(small_matrices)
@@ -924,6 +949,15 @@ class TestHom:
         f = Hom(G, G, [[2]])
         S = Subgroup.from_generators(G, [(4,)])
         assert f.preimage(S) == Subgroup.from_generators(G, [(2,)])
+
+    def test_is_identity(self):
+        Z4, Z6 = FPAbGroup(0, (4,)), FPAbGroup(0, (6,))
+        for G in SMALL_GROUPS + [FPAbGroup()]:
+            assert Hom.identity(G).is_identity()
+        assert Hom(Z6, Z6, [[7]]).is_identity()  # 7 = 1 in Z/6
+        assert not Hom(Z6, Z6, [[5]]).is_identity()
+        assert not Hom(Z4, FPAbGroup(0, (2,)), [[1]]).is_identity()
+        assert not Hom(FPAbGroup(1, (2,)), FPAbGroup(1, (2,)), [[1, 0], [1, 1]]).is_identity()
 
     def test_mono_epi_iso(self):
         Z = FPAbGroup(1)
