@@ -631,8 +631,11 @@ class ExactCouple:
         # the cycle-level stability reading must agree with the criterion
         require((Zbar == Zw) == stable, "stability criterion mismatch", x)
 
-        sq_eps, sq_bar, sq_cok_bar, mono_bar, epi_bar = short_exact(Bw, kerk, Zbar, x)
-        _, sq_inf, sq_cok_inf, mono_inf, epi_inf = short_exact(Bw, kerk, Zw, x)
+        bar = short_exact(Bw, kerk, Zbar, x)
+        sq_eps, sq_bar, sq_cok_bar, mono_bar, epi_bar = bar
+        # at a stable position Zw == Zbar, and the sequence is the same one
+        _, sq_inf, sq_cok_inf, mono_inf, epi_inf = (
+            bar if Zw == Zbar else short_exact(Bw, kerk, Zw, x))
         incl = induced_map(Hom.identity(self.E_at(e)), sq_bar, sq_inf)
         require(incl.is_mono(), "stable E does not embed in E-infinity", x)
 

@@ -39,9 +39,10 @@ builds one graph form, of ``[M | R]`` with ``R`` its codomain's relation
 columns, on first use and keeps it: its ``image`` is the top parts of the
 image columns, its ``kernel`` the nonzero domain parts of the kernel
 columns, both already Hermite bases, and every ``solve_element`` reads
-the same form.  Within the package, elements are solved for only in
-``hom_through``, through a ``back`` map that need not be injective, whose
-kernel it also reads.
+the same form.  A map keeps its image and kernel too, after one lookup in
+the open ``shared_results`` table, and its hash.  Within the package,
+elements are solved for only in ``hom_through``, through a ``back`` map
+that need not be injective, whose kernel it also reads.
 * Two keep rules for derived results, one per owner and one per value.
   ``kept`` keeps ``fn(owner, *args)`` in the owner's ``_memo``: diagrams,
   couples, morphisms and spectral sequences keep their derived data there.
@@ -151,14 +152,13 @@ def shared_results(table: dict):
     and the previous one is restored on exit, also when the block raises.
 
     >>> G = FPAbGroup(rank=1, torsion=(4,))
-    >>> f = Hom(G, G, [[2, 0], [0, 1]])
     >>> table = {}
     >>> with shared_results(table):
-    ...     f.kernel() is f.kernel()
+    ...     Hom.identity(G) is Hom.identity(G)
     True
-    >>> f.kernel() is f.kernel()
+    >>> Hom.identity(G) is Hom.identity(G)
     False
-    >>> f.kernel() == f.kernel()
+    >>> Hom.identity(G) == Hom.identity(G)
     True
     """
     token = _results.set(table)
@@ -865,13 +865,17 @@ class Hom:
     the codomain relation lattice and raises ``NotWellDefined`` otherwise.
 
     The Hermite form of the graph of ``[M | R]`` (``R`` the codomain's
-    relation columns) is built on first use and kept with the map, split
-    into image and kernel columns; the image, the kernel and every
-    ``solve_element`` read it.  Equality, hashing and ``repr`` read the
-    endpoints and the matrix only.
+    relation columns) is built on first use, split into image and kernel
+    columns; the image, the kernel and every ``solve_element`` read it.
+    A map keeps its graph form, image, kernel and ``is_identity`` in its
+    ``_memo`` (``kept``), and its hash in ``_hash``, so only the first
+    question about a map is computed.  The first ``image`` or ``kernel``
+    call goes through the open ``shared_results`` table, so equal maps
+    built apart still share one value inside a table.  Equality, hashing
+    and ``repr`` read the endpoints and the matrix only.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "_graph")
+    __slots__ = ("domain", "codomain", "matrix", "_memo", "_hash")
 
     def __init__(self, domain: FPAbGroup, codomain: FPAbGroup, matrix: Matrix):
         if len(matrix) != codomain.ngens or (
@@ -893,7 +897,8 @@ class Hom:
                 raise NotWellDefined(
                     "generator %d of order %d maps to an element of larger order" % (gen, d)
                 )
-        self._graph = None
+        self._memo = {}
+        self._hash = None
 
     def __call__(self, v: Sequence[int]) -> Vector:
         v = self.domain.reduce(v)
@@ -908,7 +913,9 @@ class Hom:
         )
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.matrix))
+        if self._hash is None:
+            self._hash = hash((self.domain, self.codomain, self.matrix))
+        return self._hash
 
     def __repr__(self):
         return "Hom(%s -> %s, %r)" % (
@@ -930,15 +937,21 @@ class Hom:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
 
+    @kept
     def is_identity(self) -> bool:
         return self.domain == self.codomain and all(
             x == (i == j) for i, row in enumerate(self.matrix) for j, x in enumerate(row)
         )
 
     def compose(self, first: "Hom") -> "Hom":
-        """``self`` after ``first`` (i.e. ``self o first``)."""
+        """``self`` after ``first`` (i.e. ``self o first``).  An identity on
+        either side returns the other map itself."""
         if first.codomain != self.domain:
             raise ValueError("homs do not compose")
+        if self.is_identity():
+            return first
+        if first.is_identity():
+            return self
         rows, inner, cols = self.codomain.ngens, self.domain.ngens, first.domain.ngens
         m = [
             [
@@ -966,6 +979,7 @@ class Hom:
 
     # -- kernel / image / preimage ------------------------------------------
 
+    @kept
     @shared
     def image(self) -> Subgroup:
         """The image, as a subgroup of the codomain: the top parts of the
@@ -974,6 +988,7 @@ class Hom:
         rows = self.codomain.ngens
         return Subgroup(self.codomain, tuple(c[:rows] for c in self._graph_form()[0]))
 
+    @kept
     def kernel(self) -> Subgroup:
         return self.preimage(Subgroup.zero(self.codomain))
 
@@ -999,16 +1014,12 @@ class Hom:
         parts = (k[:n_dom] for k in kernel)
         return Subgroup(self.domain, tuple(x for x in parts if any(x)))
 
+    @kept
     def _graph_form(self) -> tuple:
-        """``_graph_hermite`` of ``[M | R]``, split as ``(image, kernel)``,
-        built on first use and kept."""
-        if self._graph is None:
-            M = [list(r) for r in self.matrix]
-            rel = matrix_from_columns(
-                self.codomain.relation_columns(), self.codomain.ngens
-            )
-            self._graph = _graph_hermite([M[i] + rel[i] for i in range(self.codomain.ngens)])
-        return self._graph
+        """``_graph_hermite`` of ``[M | R]``, split as ``(image, kernel)``."""
+        M = [list(r) for r in self.matrix]
+        rel = matrix_from_columns(self.codomain.relation_columns(), self.codomain.ngens)
+        return _graph_hermite([M[i] + rel[i] for i in range(self.codomain.ngens)])
 
     def solve_element(self, y: Sequence[int]) -> Optional[Vector]:
         """One preimage of ``y`` under the map, or ``None`` if ``y`` is absent.

@@ -204,6 +204,40 @@ class TestExtensions:
         assert rep["M_iso"]
         assert rep["lim1_zero"]
 
+    def test_stable_position_builds_one_short_exact_sequence(self, monkeypatch):
+        # at a stable position Zw == Zbar, so the limit-page sequence is the
+        # stable-E sequence: built and checked once, with the same report
+        runs = []
+        short_exact = excouple.short_exact
+
+        def counted(*args):
+            runs.append(args)
+            return short_exact(*args)
+
+        monkeypatch.setattr(excouple, "short_exact", counted)
+        rep = demo_couple("couple2").extension_report((0, 0))
+        assert len(runs) == 1
+        assert rep == {
+            "position": (0, 0),
+            "stable": True,
+            "eps": Z2,
+            "eps_upper": Z3,
+            "stable_e": Z6,
+            "e_infinity": Z6,
+            "limit_term": Z3,
+            "M_iso": True,
+            "lim1_zero": True,
+        }
+        rng = seeded(101)
+        for _ in range(6):
+            C = couple_from_filtered_complex(*random_filtered_complex(rng))
+            for x in C.D:
+                runs.clear()
+                rep = C.extension_report(x)
+                assert rep["stable"] and len(runs) == 1
+                assert rep["e_infinity"] == rep["stable_e"]
+                assert rep["limit_term"] == rep["eps_upper"]
+
 
 class TestSpectralSequenceReuse:
     @staticmethod
@@ -574,7 +608,7 @@ class TestSharedResults:
             C = build()
             x = min(C.D, default=(0, 0))
             rep = C.extension_report(x)
-            assert runs  # the report checks two short exact sequences
+            assert runs  # the report checks its short exact sequences
             runs.clear()
             assert C.extension_report(list(x)) is rep
             C.classify(x)

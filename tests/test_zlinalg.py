@@ -182,6 +182,38 @@ class TestShared:
             assert f.kernel() is g.kernel()
             assert f.image() is g.image()
 
+    def test_a_map_keeps_its_image_and_kernel(self):
+        G = FPAbGroup(1, (4,))
+        f = Hom(G, G, [[2, 0], [0, 1]])
+        assert f.kernel() is f.kernel()
+        assert f.image() is f.image()
+
+    def test_a_second_question_makes_no_table_lookup(self):
+        class Counted(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                self.lookups += 1
+                return super().__getitem__(key)
+
+        G = FPAbGroup(1, (4,))
+        f = Hom(G, G, [[2, 0], [0, 1]])
+        table = Counted()
+        with shared_results(table):
+            kernel, image = f.kernel(), f.image()
+            assert table.lookups == 2  # one miss each
+            for _ in range(3):
+                assert f.kernel() is kernel and f.image() is image
+        assert table.lookups == 2
+
+    def test_a_kept_hash_is_the_value_hash(self):
+        G = FPAbGroup(1, (4,))
+        f = Hom(G, G, [[2, 0], [0, 1]])
+        assert hash(f) == hash(Hom(G, G, [[2, 0], [0, 1]]))
+        assert hash(f) == hash(Hom(G, G, [[2, 0], [0, 5]]))  # 5 = 1 in Z/4
+        f.kernel()
+        assert hash(f) == hash((G, G, ((2, 0), (0, 1))))
+
     def test_induced_maps_shared_inside_a_table_only(self):
         # equal maps between equal subquotients built apart: the subquotients
         # are one object inside a table, so the induced maps are too
@@ -958,6 +990,17 @@ class TestHom:
         assert not Hom(Z6, Z6, [[5]]).is_identity()
         assert not Hom(Z4, FPAbGroup(0, (2,)), [[1]]).is_identity()
         assert not Hom(FPAbGroup(1, (2,)), FPAbGroup(1, (2,)), [[1, 0], [1, 1]]).is_identity()
+
+    def test_identity_operand_returns_the_other_map(self):
+        G, H = FPAbGroup(1, (4,)), FPAbGroup(0, (6,))
+        f = Hom(G, H, [[1, 3]])
+        assert f.compose(Hom.identity(G)) is f
+        assert Hom.identity(H).compose(f) is f
+        assert Hom(H, H, [[7]]).compose(f) is f  # 7 = 1 in Z/6
+        with pytest.raises(ValueError):
+            f.compose(Hom.identity(H))
+        with pytest.raises(ValueError):
+            Hom.identity(G).compose(f)
 
     def test_mono_epi_iso(self):
         Z = FPAbGroup(1)
