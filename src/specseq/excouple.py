@@ -169,6 +169,19 @@ def _in_own_table(method):
     return run
 
 
+def _kept_at(method):
+    """``zlinalg.kept`` for a couple method whose first argument is a
+    position.  Any 2-sequence names a position: it is read as a tuple, so a
+    list and a tuple read the same kept value."""
+    keep = kept(method)
+
+    @functools.wraps(method)
+    def at(self, x, *args):
+        return keep(self, tuple(x), *args)
+
+    return at
+
+
 class _CoupleSequence(SpectralSequence):
     """A couple's spectral sequence: every page is turned inside the couple's
     result table, whoever asks for it."""
@@ -208,8 +221,12 @@ class ExactCouple:
     shared by all of them.  A nested call on another couple switches to
     that couple's table.  Beside the table, the couple's memo
     (``zlinalg.kept``) keeps its diagonals and spectral sequence, the
-    ``AbutmentData`` of each diagonal and the extension report of each
-    position.  Shared and kept results must not be mutated.
+    ``AbutmentData`` of each diagonal, and per position its
+    ``PositionIndex``, its terms ``D_at``, ``i_at``, ``j_at`` and ``k_at``,
+    its cycles and boundaries per level and at omega, and its extension
+    report.  So each question is asked of the table once per couple, and
+    a position may be any 2-sequence.  Shared and kept results must not be
+    mutated.
     """
 
     def __init__(self, bidegrees: Bidegrees, D: Dict[Position, FPAbGroup],
@@ -242,10 +259,10 @@ class ExactCouple:
 
     # -- tower bookkeeping ---------------------------------------------------
 
+    @_kept_at
     def position_index(self, x: Position) -> PositionIndex:
         # Cramer's rule for x = sigma*n*z + r*a on the unimodular [a | z]
         bd = self.bidegrees
-        x = tuple(x)
         return PositionIndex(x, det2(bd.a, x), bd.sigma * det2(x, bd.z))
 
     def position_on(self, n: int, r: int) -> Position:
@@ -277,6 +294,7 @@ class ExactCouple:
                         or Hom.zero_map(groups[r - r0], groups[r - r0 + 1]))
         return ZDiagram((r0, r1), groups, tuple(maps), left, right)
 
+    @_kept_at
     def D_at(self, x: Position) -> FPAbGroup:
         pi = self.position_index(x)
         return self.diagonal(pi.n).group_at(pi.r)
@@ -284,17 +302,18 @@ class ExactCouple:
     def E_at(self, x: Position) -> FPAbGroup:
         return self.E.get(tuple(x), _TRIVIAL)
 
+    @_kept_at
     def i_at(self, x: Position) -> Hom:
         pi = self.position_index(x)
         return self.diagonal(pi.n).map_at(pi.r)
 
+    @_kept_at
     def j_at(self, x: Position) -> Hom:
-        x = tuple(x)
         f = self.j.get(x)
         return Hom.zero_map(self.D_at(x), self.E_at(_add(x, self.bidegrees.b))) if f is None else f
 
+    @_kept_at
     def k_at(self, x: Position) -> Hom:
-        x = tuple(x)
         f = self.k.get(x)
         return Hom.zero_map(self.E_at(x), self.D_at(_add(x, self.bidegrees.c))) if f is None else f
 
@@ -364,12 +383,14 @@ class ExactCouple:
         dia = self.diagonal(n)
         return tower(dia)[dia.padded_index(r)]
 
+    @_kept_at
     def cycles_at(self, e: Position, tau: int) -> Subgroup:
         """Z^tau = k^{-1}(image of the tau-fold i) inside E_e."""
         bd = self.bidegrees
         pt = self.position_index(_add(_sub(e, bd.b), bd.z))
         return self.k_at(e).preimage(self._I_at(pt.n, pt.r, tau))
 
+    @_kept_at
     def boundaries_at(self, e: Position, tau: int) -> Subgroup:
         """B^tau = j(kernel of the tau-fold i out of D_{e-b}) inside E_e."""
         bd = self.bidegrees
@@ -377,11 +398,13 @@ class ExactCouple:
         K = self.diagonal(px.n).composite(px.r, px.r + tau).kernel()
         return self.j_at(px.x).image_of_subgroup(K)
 
+    @_kept_at
     def omega_cycles_at(self, e: Position) -> Subgroup:
         bd = self.bidegrees
         pt = self.position_index(_add(_sub(e, bd.b), bd.z))
         return self.k_at(e).preimage(self._stable_at(pt.n, pt.r, I_omega))
 
+    @_kept_at
     def omega_boundaries_at(self, e: Position) -> Subgroup:
         """B^infinity = j(kernel of D_{e-b} -> colim of its tower)."""
         bd = self.bidegrees
@@ -588,6 +611,8 @@ class ExactCouple:
                     "page term order is not the product of its ends", x, r)
         return sq_im.group, sq_mid.group, sq_ker.group
 
+    @_kept_at
+    @_in_own_table
     def extension_report(self, x: Position) -> dict:
         """Build and verify the extension data tied to D-position x.
 
@@ -605,11 +630,6 @@ class ExactCouple:
         memo, like ``abutments(n)``; later calls return the same dict,
         which callers must not mutate.
         """
-        return self._extension_report(tuple(x))
-
-    @kept
-    @_in_own_table
-    def _extension_report(self, x: Position) -> dict:
         bd = self.bidegrees
         e = _add(x, bd.b)
         t_pos = _add(x, bd.z)
@@ -1315,19 +1335,21 @@ def _filtered_complex_couple(groups, diffs, filtration) -> ExactCouple:
             if S.ambient != C[n]:
                 raise NotFiltered((p, n, "stage not inside its chain group"))
             F[p, n] = S
+    # dF[p, n] = d(F[p, n]), read by the checks and by both tables
+    dF = {(p, n): d[n].image_of_subgroup(F[p, n])
+          for p in range(pmin - 1, pmax + 2) for n in range(lo, hi + 2)}
     for p in range(pmin, pmax + 1):
         for n in degrees:
             if not F[p + 1, n].contains_subgroup(F[p, n]):
                 raise NotFiltered((p, n, "stages not nested"))
-            if not F[p, n - 1].contains_subgroup(d[n].image_of_subgroup(F[p, n])):
+            if not F[p, n - 1].contains_subgroup(dF[p, n]):
                 raise NotFiltered((p, n, "differential leaves the stage"))
 
     # H[p, n] = H_n(F_p C) and Q[p, n] = H_n(F_p C / F_{p-1} C)
-    H = {(p, n): subquotient(d[n].kernel().intersection(F[p, n]),
-                             d[n + 1].image_of_subgroup(F[p, n + 1]))
+    H = {(p, n): subquotient(d[n].kernel().intersection(F[p, n]), dF[p, n + 1])
          for p in range(pmin - 1, pmax + 2) for n in range(lo - 1, hi + 1)}
     Q = {(p, n): subquotient(d[n].preimage(F[p - 1, n - 1]).intersection(F[p, n]),
-                             d[n + 1].image_of_subgroup(F[p, n + 1]).sum(F[p - 1, n]))
+                             dF[p, n + 1].sum(F[p - 1, n]))
          for p in range(pmin, pmax + 2) for n in range(lo, hi + 1)}
 
     D, E, i, j, k, tails = {}, {}, {}, {}, {}, {}

@@ -93,11 +93,14 @@ _TRIVIAL = FPAbGroup()
 class ZDiagram:
     """A diagram ... -> A_p -> A_{p+1} -> ... with finite window and tails.
 
-    Derived data -- tail maps, composites, colimit, limit and lim^1, stable
-    image, image towers, filtrations -- is computed once per instance by
-    ``zlinalg.kept`` and kept in ``_memo``, which takes no part in
-    equality, hashing or ``repr``.  The returned objects are shared between
-    all callers: do not mutate them.
+    The window ends ``p0`` and ``p1`` are read off ``window`` once, when
+    the diagram is built.  Derived data -- composites, colimit, limit and
+    lim^1, stable image, image towers, filtrations, kernel diagrams -- is
+    computed once per instance by ``zlinalg.kept`` and kept in ``_memo``.
+    The tail maps are the identity and zero maps that ``Hom`` shares by
+    value in the open result table.  The window ends and ``_memo`` take no
+    part in equality, hashing or ``repr``.  The returned objects are shared
+    between all callers: do not mutate them.
     """
 
     window: tuple  # (p0, p1)
@@ -105,10 +108,14 @@ class ZDiagram:
     maps: tuple  # maps[p - p0]: A_p -> A_{p+1}, length p1 - p0
     left_tail: Tail = Tail.ZERO
     right_tail: Tail = Tail.CONSTANT
+    p0: int = field(init=False, repr=False, compare=False)
+    p1: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p0, p1 = self.window
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "p1", p1)
         if p1 < p0:
             raise ValueError("empty window")
         if len(self.groups) != p1 - p0 + 1 or len(self.maps) != p1 - p0:
@@ -119,14 +126,6 @@ class ZDiagram:
                 raise ValueError("structure map endpoints disagree at index %d" % p)
 
     # -- window bookkeeping --------------------------------------------------
-
-    @property
-    def p0(self) -> int:
-        return self.window[0]
-
-    @property
-    def p1(self) -> int:
-        return self.window[1]
 
     @property
     def width(self) -> int:

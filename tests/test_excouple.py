@@ -634,6 +634,129 @@ class TestSharedResults:
         assert Hom.zero_map(A, B) is not Hom.zero_map(A, B)
 
 
+class CountedTable(dict):
+    """A result table that counts its lookups and its misses (the values
+    ``zlinalg.shared`` stores)."""
+
+    lookups = misses = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.misses += 1
+        super().__setitem__(key, value)
+
+
+def counted_table(C):
+    """Swap C's result table for a ``CountedTable`` with the same entries."""
+    C._results = CountedTable(C._results)
+    return C._results
+
+
+def workload_analysis(C):
+    """The benchmark's analysis of one couple: validation, the spectral
+    sequence, E-infinity, the abutments of every diagonal and the label of
+    every position."""
+    C.validate()
+    C.internal_spectral_sequence()
+    C.e_infinity()
+    b = C.bidegrees.b
+    xs = sorted((e[0] - b[0], e[1] - b[1]) for e in C.E)
+    for n in sorted({C.position_index(x).n for x in [*C.D, *xs]}):
+        C.abutments(n)
+    for x in xs:
+        C.classify(x)
+
+
+def positions_of(C):
+    """Every position the analysis of C visits: the D- and E-check positions."""
+    return list(dict.fromkeys([*C._d_check_positions(), *C._e_check_positions()]))
+
+
+def kept_round(C):
+    """Every kept per-position accessor at every position of C, with the
+    cycles and boundaries of every level up to the settled page."""
+    taus = range(C.internal_spectral_sequence().settled_page() + 1)
+    xs = positions_of(C)
+    return [
+        *(at(x) for x in xs
+          for at in (C.position_index, C.D_at, C.i_at, C.j_at, C.k_at)),
+        *(at(e, tau) for e in C.E for tau in taus
+          for at in (C.cycles_at, C.boundaries_at)),
+        *(at(e) for e in C.E for at in (C.omega_cycles_at, C.omega_boundaries_at)),
+    ]
+
+
+class TestKeptPositions:
+    """A couple resolves each position, term and cycle or boundary subgroup once."""
+
+    KEPT = ("position_index", "D_at", "i_at", "j_at", "k_at", "cycles_at",
+            "boundaries_at", "omega_cycles_at", "omega_boundaries_at")
+
+    def test_a_list_and_a_tuple_read_the_same_entry(self):
+        for name in ("couple1", "couple2", "couple3"):
+            C = demo_couple(name)
+            for x in [*positions_of(C), (40, -40)]:
+                for at in (C.position_index, C.D_at, C.i_at, C.j_at, C.k_at,
+                           C.omega_cycles_at, C.omega_boundaries_at):
+                    assert at(list(x)) is at(tuple(x)), (name, x, at.__name__)
+                for tau in range(3):
+                    for at in (C.cycles_at, C.boundaries_at):
+                        assert at(list(x), tau) is at(tuple(x), tau), (name, x, tau)
+            assert C.position_index([0, 0]).x == (0, 0)
+
+    def test_a_second_round_makes_no_table_lookup(self):
+        seen = set()
+        for build in shared_results_inputs():
+            C = build()
+            full_analysis(C)
+            table = counted_table(C)
+            with zlinalg.shared_results(table):
+                first = kept_round(C)
+                table.lookups = 0
+                again = kept_round(C)
+            assert table.lookups == 0
+            assert all(u is v for u, v in zip(first, again))
+            seen |= {key[0] for key in C._memo}
+        assert seen >= set(self.KEPT)
+
+    def test_kept_values_equal_a_fresh_couple(self):
+        seen = set()
+        for build in shared_results_inputs():
+            C = build()
+            full_analysis(C)
+            kept_round(C)
+            fresh = build()
+            entries = [(key, v) for key, v in C._memo.items() if key[0] in self.KEPT]
+            for (name, *args), value in entries:
+                assert getattr(fresh, name)(*args) == value, (name, args)
+            seen |= {name for (name, *_), _ in entries}
+        assert seen == set(self.KEPT)
+
+    def test_positions_round_trip_on_demo_and_seeded_couples(self):
+        for build in shared_results_inputs():
+            C = build()
+            for x in [*positions_of(C), *C.D, *C.E]:
+                pi = C.position_index(x)
+                assert pi.x == x and C.position_on(pi.n, pi.r) == x
+
+    def test_lookup_budget_of_the_workload_analysis(self):
+        # misses are the values computed, the same as before each position,
+        # term and cycle or boundary subgroup was kept; lookups are bounded
+        # by their count with them kept
+        misses, lookups = [], 0
+        for build in shared_results_inputs():
+            C = build()
+            table = counted_table(C)
+            workload_analysis(C)
+            misses.append(table.misses)
+            lookups += table.lookups
+        assert misses == [24, 50, 26, 19, 20, 0, 27, 12, 45, 16, 26]
+        assert lookups <= 2499
+
+
 class TestRandomCouples:
     def test_internal_pages_match_turned_pages(self):
         # the anchored engine pages double-check the internal cycle and

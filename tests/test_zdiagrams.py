@@ -630,6 +630,15 @@ class TestMemo:
                                      else Hom.zero_map(f.domain, f.codomain)), (t, p)
                     assert A.map_at(p) is f, (t, p)
 
+    def test_window_ends_are_stored_when_built(self):
+        for t in range(10):
+            A = random_diagram(seeded(8500 + t))
+            # fields of the instance, not properties, and not in its repr
+            assert (vars(A)["p0"], vars(A)["p1"]) == (A.p0, A.p1) == A.window
+            B = A.pad_to(A.p0 - 2, A.p1 + 1)
+            assert (B.p0, B.p1) == (A.p0 - 2, A.p1 + 1) == B.window
+            assert "p0=" not in repr(A) and "p1=" not in repr(A)
+
     def test_memo_changes_neither_equality_nor_hash(self):
         for t in range(5):
             A = random_diagram(seeded(8300 + t))
