@@ -1216,7 +1216,8 @@ def zeeman_check(f, abut_source: dict, abut_target: dict, abut_maps: dict,
         for n, (L, chain) in abut.items():
             if len(chain) != n + 2:
                 raise SetupViolation((label, n, "filtration length"))
-            if not chain[0].is_zero() or chain[-1] != Subgroup.full(L):
+            if (not chain[0].is_zero() or chain[-1].ambient != L
+                    or not chain[-1].is_full()):
                 raise SetupViolation((label, n, "filtration ends"))
             for t in range(n + 1):
                 if not chain[t + 1].contains_subgroup(chain[t]):

@@ -503,7 +503,8 @@ def filtrations(A: ZDiagram) -> dict:
     # The kernel filtration F^p is increasing and stabilizes at the top pad;
     # its union ("colim F^") is the top subgroup, and its limit is the bottom
     # one (which is 0: rho at the bottom pad is the identity).
-    require(F[idx[-1]] == Subgroup.full(C), "image filtration must exhaust the colimit",
+    top = F[idx[-1]]
+    require(top.ambient == C and top.is_full(), "image filtration must exhaust the colimit",
             A.p0, A.p1)
     require(Fu[idx[0]].is_zero(), "kernel filtration must be complete", A.p0, A.p1)
     require(R.kernel() == Fu[idx[-1]], "ker R must be the union of the kernel filtration",

@@ -18,6 +18,10 @@ This module provides:
   it and solve nothing.  ``Subgroup.zero`` and ``Subgroup.full`` are in
   closed form, and no normal form runs for them: the relation columns
   ``d_i * e_i`` and the unit columns ``e_i`` are already Hermite bases.
+  ``is_zero`` and ``is_full`` compare a basis with those columns, and
+  images, preimages, images of subgroups, sums and intersections that a
+  zero or whole subgroup, a zero map or an identity decide are answered in
+  closed form, with no normal form.
 * ``Hom`` -- a homomorphism given by an integer matrix on canonical
   generators, with well-definedness checked at construction.
 * Derived constructions: kernels, images, cokernels, preimages, subquotients
@@ -808,12 +812,26 @@ class Subgroup:
         return all(self.contains(c) for c in other.basis)
 
     def is_zero(self) -> bool:
-        return self == Subgroup.zero(self.ambient)
+        """Whether the subgroup is trivial: its basis is then the ambient
+        relation columns."""
+        return self.basis == self.ambient._relations
+
+    def is_full(self) -> bool:
+        """Whether the subgroup is the whole group: its basis is then the
+        unit columns.  A Hermite basis of ``ngens`` columns has its pivots
+        on the diagonal, and pivots equal to 1 leave nothing else."""
+        basis = self.basis
+        return len(basis) == self.ambient.ngens and all(
+            c[j] == 1 for j, c in enumerate(basis))
 
     @shared
     def sum(self, other: "Subgroup") -> "Subgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatch("subgroups live in different ambient groups")
+        if self.is_zero() or other.is_full():
+            return other
+        if other.is_zero() or self.is_full():
+            return self
         return Subgroup(
             self.ambient,
             hermite_column_form(self.basis + other.basis, self.ambient.ngens),
@@ -823,6 +841,10 @@ class Subgroup:
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatch("subgroups live in different ambient groups")
+        if self.is_zero() or other.is_full():
+            return self
+        if other.is_zero() or self.is_full():
+            return other
         n = self.ambient.ngens
         A = self._matrix()
         B = other._matrix()
@@ -871,7 +893,9 @@ class Hom:
     ``_memo`` (``kept``), and its hash in ``_hash``, so only the first
     question about a map is computed.  The first ``image`` or ``kernel``
     call goes through the open ``shared_results`` table, so equal maps
-    built apart still share one value inside a table.  Equality, hashing
+    built apart still share one value inside a table.  A zero map and an
+    identity answer images, kernels and preimages in closed form and build
+    no graph form for them.  Equality, hashing
     and ``repr`` read the endpoints and the matrix only.
     """
 
@@ -935,7 +959,7 @@ class Hom:
         return Hom(domain, codomain, zero_matrix(codomain.ngens, domain.ngens))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        return not any(map(any, self.matrix))
 
     @kept
     def is_identity(self) -> bool:
@@ -984,7 +1008,12 @@ class Hom:
     def image(self) -> Subgroup:
         """The image, as a subgroup of the codomain: the top parts of the
         image columns of the map's graph form, already the Hermite basis of
-        the column lattice of ``[M | R]``."""
+        the column lattice of ``[M | R]``.  A zero map and an identity build
+        no form."""
+        if self.is_zero():
+            return Subgroup.zero(self.codomain)
+        if self.is_identity():
+            return Subgroup.full(self.codomain)
         rows = self.codomain.ngens
         return Subgroup(self.codomain, tuple(c[:rows] for c in self._graph_form()[0]))
 
@@ -994,13 +1023,17 @@ class Hom:
 
     @shared
     def preimage(self, S: Subgroup) -> Subgroup:
-        """Full preimage of a subgroup of the codomain."""
+        """Full preimage of a subgroup of the codomain.  Under a zero map or
+        of the whole codomain it is the whole domain, and under an identity
+        it is ``S``: these build no form."""
         if S.ambient != self.codomain:
             raise AmbientMismatch("subgroup is not inside the codomain")
+        if S.is_full() or self.is_zero():
+            return Subgroup.full(self.domain)
+        if self.is_identity():
+            return S
         n_dom = self.domain.ngens
         rows = self.codomain.ngens
-        if rows == 0:
-            return Subgroup.full(self.domain)
         # The kernel of [M | S.basis] is {(x, t) : M x = -S.basis t}, and
         # its Hermite basis lists the columns with a pivot among the x-rows
         # first: their x-parts are the Hermite basis of {x : M x in S}, which
@@ -1041,13 +1074,17 @@ class Hom:
     def image_of_subgroup(self, S: Subgroup) -> Subgroup:
         if S.ambient != self.domain:
             raise AmbientMismatch("subgroup is not inside the domain")
+        if S.is_zero() or self.is_zero():
+            return Subgroup.zero(self.codomain)
+        if self.is_identity():
+            return S
         return Subgroup.from_generators(self.codomain, [self(c) for c in S.basis])
 
     def is_mono(self) -> bool:
-        return self.kernel() == Subgroup.zero(self.domain)
+        return self.kernel().is_zero()
 
     def is_epi(self) -> bool:
-        return self.image() == Subgroup.full(self.codomain)
+        return self.image().is_full()
 
     def is_iso(self) -> bool:
         return self.is_mono() and self.is_epi()
@@ -1133,10 +1170,11 @@ class SubquotientData:
         >>> sq.pull_back(Subgroup.from_generators(sq.group, [(2,)])).basis
         ((2,),)
         """
-        if S == Subgroup.zero(self.group):
-            return self.B
-        if S == Subgroup.full(self.group):
-            return self.Z
+        if S.ambient == self.group:
+            if S.is_zero():
+                return self.B
+            if S.is_full():
+                return self.Z
         return Subgroup.from_generators(
             self.Z.ambient, [self.lift(c) for c in S.basis] + list(self.B.basis)
         )

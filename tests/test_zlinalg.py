@@ -430,6 +430,54 @@ def torsion_homs(draw):
     return f, ys
 
 
+@st.composite
+def trivial_homs(draw):
+    """A map that is trivial structure more often than not: a zero map, an
+    identity, a map into or out of the trivial group, or one of
+    ``torsion_homs``."""
+    kind = draw(st.sampled_from(["zero", "identity", "into 0", "out of 0", "any"]))
+    G, H = draw(st.sampled_from(GRAPH_GROUPS)), draw(st.sampled_from(GRAPH_GROUPS))
+    if kind == "zero":
+        return Hom.zero_map(G, H)
+    if kind == "identity":
+        return Hom.identity(G)
+    if kind == "into 0":
+        return Hom.zero_map(G, FPAbGroup())
+    if kind == "out of 0":
+        return Hom.zero_map(FPAbGroup(), H)
+    return draw(torsion_homs())[0]
+
+
+def lattice_subgroups(G):
+    """Strategy: the zero subgroup of ``G``, the whole of ``G``, or a
+    subgroup spanned by up to three random vectors."""
+    vectors = st.lists(st.integers(-20, 20), min_size=G.ngens, max_size=G.ngens)
+    return st.one_of(
+        st.just(Subgroup.zero(G)),
+        st.just(Subgroup.full(G)),
+        st.lists(vectors, max_size=3).map(lambda gens: Subgroup.from_generators(G, gens)),
+    )
+
+
+def count_forms(monkeypatch):
+    """Patch ``_graph_hermite`` and ``hermite_column_form`` to record their
+    arguments, and return the two lists they append to."""
+    built, forms = [], []
+    graph_hermite, hermite = zlinalg._graph_hermite, zlinalg.hermite_column_form
+
+    def counted(M):
+        built.append(M)
+        return graph_hermite(M)
+
+    def counted_forms(cols, nrows):
+        forms.append(cols)
+        return hermite(cols, nrows)
+
+    monkeypatch.setattr(zlinalg, "_graph_hermite", counted)
+    monkeypatch.setattr(zlinalg, "hermite_column_form", counted_forms)
+    return built, forms
+
+
 def preimage_through_negated_basis(f, S):
     """``f.preimage(S)`` as an earlier version built it: the domain parts of
     the kernel basis of ``[M | -B]``, ``B`` the basis of ``S``, brought to
@@ -561,35 +609,79 @@ class TestKernelAndSolve:
         form of the kernel of ``[M | S.basis]``, is that of the separate
         kernel and Hermite form, and maps into ``S``."""
         f, _ = case
-        H = f.codomain
-        vectors = st.lists(st.integers(-20, 20), min_size=H.ngens, max_size=H.ngens)
-        S = Subgroup.from_generators(H, data.draw(st.lists(vectors, max_size=3)))
+        S = data.draw(lattice_subgroups(f.codomain))
         P = f.preimage(S)
         assert P == preimage_through_negated_basis(f, S)
         assert all(S.contains(f(c)) for c in P.basis)
+
+    @given(trivial_homs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_forms_match_the_old_constructions(self, f, data):
+        """The image, kernel, preimages and images of subgroups of zero
+        maps and identities, and those of zero or whole subgroups, are
+        those of the separate constructions."""
+        S = data.draw(lattice_subgroups(f.codomain))
+        T = data.draw(lattice_subgroups(f.domain))
+        assert f.kernel() == kernel_through_negated_relations(f)
+        assert f.image() == image_through_generators(f)
+        assert f.preimage(S) == preimage_through_negated_basis(f, S)
+        assert f.image_of_subgroup(T) == Subgroup.from_generators(
+            f.codomain, [f(c) for c in T.basis])
+
+    @given(st.sampled_from(GRAPH_GROUPS).flatmap(
+        lambda G: st.tuples(lattice_subgroups(G), lattice_subgroups(G))))
+    @settings(max_examples=150, deadline=None)
+    def test_sum_and_intersection_closed_forms(self, pair):
+        """A sum is the span of both bases, and an intersection holds
+        exactly the vectors of a box around 0 that lie in both subgroups;
+        zero and whole operands answer in closed form."""
+        S, T = pair
+        G = S.ambient
+        assert S.sum(T) == Subgroup.from_generators(G, S.basis + T.basis)
+        meet = S.intersection(T)
+        assert meet == Subgroup.from_generators(G, meet.basis)
+        for v in itertools.product(range(-3, 4), repeat=G.ngens):
+            assert meet.contains(v) == (S.contains(v) and T.contains(v)), v
+
+    def test_trivial_lattices_build_no_form(self, monkeypatch):
+        """Zero maps, identities and zero or whole subgroups answer with no
+        Hermite form; a map that is neither still builds its one graph
+        form for its image and kernel."""
+        G, H = FPAbGroup(1, (4,)), FPAbGroup(1, (6,))
+        S = Subgroup.from_generators(H, [(2, 1)])
+        T = Subgroup.from_generators(G, [(1, 2)])
+        kernel = Subgroup.from_generators(G, [(0, 2)])
+        image = Subgroup.from_generators(H, [(2, 1), (0, 3)])
+        zero_G, full_G, zero_H, full_H = (Subgroup.zero(G), Subgroup.full(G),
+                                          Subgroup.zero(H), Subgroup.full(H))
+        built, forms = count_forms(monkeypatch)
+        zero, ident = Hom.zero_map(G, H), Hom.identity(H)
+        f = Hom(G, H, [[2, 0], [1, 3]])  # (a, b) -> (2a, a + 3b)
+        assert zero.image() == zero_H and zero.kernel() == full_G
+        assert zero.preimage(S) == full_G and zero.image_of_subgroup(T) == zero_H
+        assert ident.image() == full_H and ident.kernel() == zero_H
+        assert ident.preimage(S) is S and ident.image_of_subgroup(S) is S
+        assert f.preimage(full_H) == full_G and f.image_of_subgroup(zero_G) == zero_H
+        assert ident.is_iso() and not zero.is_mono() and not zero.is_epi()
+        for A in (zero_H, full_H):
+            for B in (S, zero_H, full_H):
+                assert A.sum(B) is (B if A is zero_H else A)
+                assert B.sum(A) is (B if A is zero_H else A)
+                assert A.intersection(B) is (A if A is zero_H else B)
+                assert B.intersection(A) is (A if A is zero_H else B)
+        assert built == [] and forms == []
+        assert f.image() == image and f.kernel() == kernel
+        assert len(built) == 1 and len(forms) == 1
 
     def test_one_graph_form_per_map(self, monkeypatch):
         """A map builds its graph form once, for its kernel, its image and
         all its solutions, and no other Hermite form runs for them; an
         equal map builds its own, and equality, hashing and ``repr`` never
         read it."""
-        built, forms = [], []
-        graph_hermite = zlinalg._graph_hermite
-        hermite = zlinalg.hermite_column_form
-
-        def counted(M):
-            built.append(M)
-            return graph_hermite(M)
-
-        def counted_forms(cols, nrows):
-            forms.append(cols)
-            return hermite(cols, nrows)
-
         G, H = FPAbGroup(1, (4,)), FPAbGroup(1, (6,))
         kernel = Subgroup.from_generators(G, [(0, 2)])
         image = Subgroup.from_generators(H, [(2, 1), (0, 3)])
-        monkeypatch.setattr(zlinalg, "_graph_hermite", counted)
-        monkeypatch.setattr(zlinalg, "hermite_column_form", counted_forms)
+        built, forms = count_forms(monkeypatch)
         f = Hom(G, H, [[2, 0], [1, 3]])  # (a, b) -> (2a, a + 3b)
         g = Hom(G, H, [[2, 0], [1, 3]])
         before = (f == g, hash(f), hash(g), repr(f), repr(g))
@@ -870,6 +962,7 @@ class TestSubgroups:
             for S in (zero, full):
                 assert S.basis == hermite_column_form(S.basis, n), G
             assert zero.is_zero() and (full.is_zero() == (G.order() == 1))
+            assert full.is_full() and (zero.is_full() == (G.order() == 1))
             assert all(full.contains(c) for c in columns_of(identity_matrix(n)))
 
     @given(subgroups_with_vectors())
@@ -882,6 +975,13 @@ class TestSubgroups:
             assert S.coordinates(v) == x
             assert S.contains(v) == (x is not None)
         assert all(S.contains(v) for v in members)
+
+    @given(subgroups_with_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_trivial_predicates_match_equality(self, case):
+        S, _, _ = case
+        assert S.is_zero() == (S == Subgroup.zero(S.ambient))
+        assert S.is_full() == (S == Subgroup.full(S.ambient))
 
     def test_membership_matches_enumeration(self):
         rng = random.Random(11)
