@@ -222,10 +222,14 @@ class ExactCouple:
     that couple's table.  Beside the table, the couple's memo
     (``zlinalg.kept``) keeps its diagonals and spectral sequence, the
     ``AbutmentData`` of each diagonal, and per position its
-    ``PositionIndex``, its terms ``D_at``, ``i_at``, ``j_at`` and ``k_at``,
-    its cycles and boundaries per level and at omega, and its extension
-    report.  So each question is asked of the table once per couple, and
-    a position may be any 2-sequence.  Shared and kept results must not be
+    ``PositionIndex``, its terms ``D_at``, ``i_at``, ``j_at`` and ``k_at``
+    and its extension report.  Per E-position e it keeps the D-ends
+    ``_ends(e)`` (the ``PositionIndex`` and diagonal of e - b and of e + c,
+    the one place an E-position is resolved), and the cycles, boundaries
+    and their subquotient per level (``subquotient_at``) and at omega
+    (``omega_subquotient_at``), from which the pages and E-infinity are
+    read.  So each question is asked of the table once per couple, and a
+    position may be any 2-sequence.  Shared and kept results must not be
     mutated.
     """
 
@@ -374,44 +378,48 @@ class ExactCouple:
 
     # -- internal spectral sequence ------------------------------------------
 
-    def _I_at(self, n: int, r: int, tau: int) -> Subgroup:
-        """Image of the tau-fold composite into tower position r of diagonal n."""
-        return self.diagonal(n).composite(r - tau, r).image()
-
-    def _stable_at(self, n: int, r: int, tower) -> Subgroup:
-        """``tower`` (``I_omega`` or ``stable_image``) of diagonal n at r."""
-        dia = self.diagonal(n)
-        return tower(dia)[dia.padded_index(r)]
+    @_kept_at
+    def _ends(self, e: Position) -> tuple:
+        """The D-ends of E-position e: the ``PositionIndex`` of its source
+        e - b and of its target e + c, each paired with its diagonal."""
+        bd = self.bidegrees
+        px, pt = (self.position_index(y) for y in (_sub(e, bd.b), _add(e, bd.c)))
+        return (px, self.diagonal(px.n)), (pt, self.diagonal(pt.n))
 
     @_kept_at
     def cycles_at(self, e: Position, tau: int) -> Subgroup:
         """Z^tau = k^{-1}(image of the tau-fold i) inside E_e."""
-        bd = self.bidegrees
-        pt = self.position_index(_add(_sub(e, bd.b), bd.z))
-        return self.k_at(e).preimage(self._I_at(pt.n, pt.r, tau))
+        _, (pt, dt) = self._ends(e)
+        return self.k_at(e).preimage(dt.composite(pt.r - tau, pt.r).image())
 
     @_kept_at
     def boundaries_at(self, e: Position, tau: int) -> Subgroup:
         """B^tau = j(kernel of the tau-fold i out of D_{e-b}) inside E_e."""
-        bd = self.bidegrees
-        px = self.position_index(_sub(e, bd.b))
-        K = self.diagonal(px.n).composite(px.r, px.r + tau).kernel()
+        (px, dx), _ = self._ends(e)
+        K = dx.composite(px.r, px.r + tau).kernel()
         return self.j_at(px.x).image_of_subgroup(K)
 
     @_kept_at
     def omega_cycles_at(self, e: Position) -> Subgroup:
-        bd = self.bidegrees
-        pt = self.position_index(_add(_sub(e, bd.b), bd.z))
-        return self.k_at(e).preimage(self._stable_at(pt.n, pt.r, I_omega))
+        _, (pt, dt) = self._ends(e)
+        return self.k_at(e).preimage(I_omega(dt)[dt.padded_index(pt.r)])
 
     @_kept_at
     def omega_boundaries_at(self, e: Position) -> Subgroup:
         """B^infinity = j(kernel of D_{e-b} -> colim of its tower)."""
-        bd = self.bidegrees
-        px = self.position_index(_sub(e, bd.b))
-        dia = self.diagonal(px.n)
-        K = colimit(dia)[1][dia.padded_index(px.r)].kernel()
+        (px, dx), _ = self._ends(e)
+        K = colimit(dx)[1][dx.padded_index(px.r)].kernel()
         return self.j_at(px.x).image_of_subgroup(K)
+
+    @_kept_at
+    def subquotient_at(self, e: Position, tau: int) -> SubquotientData:
+        """Z^tau / B^tau at e: the term of page tau + 1."""
+        return subquotient(self.cycles_at(e, tau), self.boundaries_at(e, tau))
+
+    @_kept_at
+    def omega_subquotient_at(self, e: Position) -> SubquotientData:
+        """Z^omega / B^infinity at e: the limit-page term."""
+        return subquotient(self.omega_cycles_at(e), self.omega_boundaries_at(e))
 
     @_in_own_table
     def internal_page(self, r: int) -> dict:
@@ -426,11 +434,7 @@ class ExactCouple:
             raise ValueError("pages start at 1")
         bd = self.bidegrees
         v = bd.differential_bidegree(r)
-        Z, B, sq = {}, {}, {}
-        for e in self.E:
-            Z[e] = self.cycles_at(e, r - 1)
-            B[e] = self.boundaries_at(e, r - 1)
-            sq[e] = subquotient(Z[e], B[e])
+        sq = {e: self.subquotient_at(e, r - 1) for e in self.E}
         d = {}
         for e in self.E:
             if sq[e].group.is_trivial():
@@ -438,8 +442,8 @@ class ExactCouple:
             e2 = _add(e, v)
             tgt = sq[e2] if e2 in sq else whole(self.E_at(e2))
             # the relation j o i^-(r-1) o k; the i-preimages live in D_{e2-b}
-            pt = self.position_index(_add(_sub(e, bd.b), bd.z))
-            back = self.diagonal(pt.n).composite(pt.r - (r - 1), pt.r)
+            _, (pt, dt) = self._ends(e)
+            back = dt.composite(pt.r - (r - 1), pt.r)
             de = hom_through(sq[e], self.k_at(e), back, self.j_at(_sub(e2, bd.b)), tgt, e, r)
             if not de.is_zero():
                 d[e] = de
@@ -451,7 +455,8 @@ class ExactCouple:
             img = d[e_prev].image() if e_prev in d else Subgroup.zero(sq[e].group)
             require(sq[e].pull_back(img) == self.boundaries_at(e, r), "boundary identity", e, r)
         groups = {e: sq[e].group for e in self.E if not sq[e].group.is_trivial()}
-        return {"Z": Z, "B": B, "E": groups, "d": d}
+        return {"Z": {e: sq[e].Z for e in self.E}, "B": {e: sq[e].B for e in self.E},
+                "E": groups, "d": d}
 
     def page_bounds(self):
         """Bounding rectangle of the E-support (a single cell if empty)."""
@@ -498,9 +503,8 @@ class ExactCouple:
         """
         out = {}
         for e in self.E:
-            Zw = self.omega_cycles_at(e)
-            Bw = self.omega_boundaries_at(e)
-            out[e] = {"Z": Zw, "B": Bw, "sq": subquotient(Zw, Bw)}
+            sq = self.omega_subquotient_at(e)
+            out[e] = {"Z": sq.Z, "B": sq.B, "sq": sq}
         _, _, data = self.internal_spectral_sequence().e_infinity()
         for e in self.E:
             require((data[e].Z, data[e].B) == (out[e]["Z"], out[e]["B"]),
@@ -571,23 +575,18 @@ class ExactCouple:
 
         are verified.  Returns the groups ``(left, middle, right)``.
         """
-        bd = self.bidegrees
         x = tuple(x)
-        e = _add(x, bd.b)
-        w = _sub(_add(x, bd.z), _scale(r, bd.a))
-        px = self.position_index(x)
-        pw = self.position_index(w)
-        dia_x = self.diagonal(px.n)
-        dia_w = self.diagonal(pw.n)
+        e = _add(x, self.bidegrees.b)
+        (px, dx), (pt, dt) = self._ends(e)
 
         # adjacent images of the i-iterations out of x and x - a
-        ir = dia_x.composite(px.r, px.r + r)
-        ir1 = dia_x.composite(px.r - 1, px.r + r)
+        ir = dx.composite(px.r, px.r + r)
+        ir1 = dx.composite(px.r - 1, px.r + r)
         sq_im = subquotient(ir.image(), ir1.image())
 
-        # adjacent kernels of the i-iterations out of x + b + c - ra
-        jr = dia_w.composite(pw.r, pw.r + r)
-        jr1 = dia_w.composite(pw.r, pw.r + r + 1)
+        # adjacent kernels of the i-iterations out of w = x + b + c - ra
+        jr = dt.composite(pt.r - r, pt.r)
+        jr1 = dt.composite(pt.r - r, pt.r + 1)
         sq_ker = subquotient(jr1.kernel(), jr.kernel())
 
         sq_kb, sq_mid, sq_q, _, _ = short_exact(
@@ -600,7 +599,7 @@ class ExactCouple:
 
         # right identification: apply k, pull back through the iterated i
         # (the result lands in Ker i^{r+1} since i after k is zero)
-        beta = hom_through(sq_q, self.k_at(e), jr, Hom.identity(self.D_at(w)), sq_ker, x, r)
+        beta = hom_through(sq_q, self.k_at(e), jr, Hom.identity(jr.domain), sq_ker, x, r)
         require(beta.is_iso(), "right identification is not an isomorphism", x, r)
 
         if all(
@@ -630,16 +629,14 @@ class ExactCouple:
         memo, like ``abutments(n)``; later calls return the same dict,
         which callers must not mutate.
         """
-        bd = self.bidegrees
-        e = _add(x, bd.b)
-        t_pos = _add(x, bd.z)
-        px = self.position_index(x)
-        pt = self.position_index(t_pos)
+        e = _add(x, self.bidegrees.b)
+        (px, _), (pt, dt) = self._ends(e)
+        t_pos = pt.x
         amb_t = self.D_at(t_pos)
 
         keri = self.i_at(t_pos).kernel()
-        ibar = self._stable_at(pt.n, pt.r, stable_image)
-        iw = self._stable_at(pt.n, pt.r, I_omega)
+        ibar = stable_image(dt)[dt.padded_index(pt.r)]
+        iw = I_omega(dt)[dt.padded_index(pt.r)]
         crit_lhs = ibar.intersection(keri)
         crit_rhs = iw.intersection(keri)
         stable = crit_lhs == crit_rhs
@@ -682,7 +679,7 @@ class ExactCouple:
 
         # five-term sequence: both lim1 terms vanish under supported tails,
         # which limit_and_lim1 checks
-        limit_and_lim1(kernel_diagram(self.diagonal(pt.n), pt.r)[0])
+        limit_and_lim1(kernel_diagram(dt, pt.r)[0])
 
         ab = self.abutments(px.n)
         eps_x = ab.eps.get(x)
@@ -723,17 +720,12 @@ class ExactCouple:
         that fired are reported, and each one that did is checked to imply
         the verdict it supports.  Returns ``label`` and ``sufficient``.
         """
-        bd = self.bidegrees
         x = tuple(x)
         rep = self.extension_report(x)
-        t_pos = _add(x, bd.z)
-        pt = self.position_index(t_pos)
-        px = self.position_index(x)
-        dns = self.diagonal(pt.n)
-        dn = self.diagonal(px.n)
+        (_, dn), (pt, dns) = self._ends(_add(x, self.bidegrees.b))
         ml = ml_conditions(dns)
         sufficient = {
-            "i_mono_at_target": self.i_at(t_pos).is_mono(),
+            "i_mono_at_target": self.i_at(pt.x).is_mono(),
             "omega_ml": ml["omega_ml"],
             "mittag_leffler": ml["mittag_leffler"],
             "upper_tower_vanishes": all(
@@ -743,7 +735,7 @@ class ExactCouple:
                 dn.group_at(r).is_trivial() for r in dn.padded_range()
             ),
             "colim_trivial": colimit(dn)[0].is_trivial(),
-            "i_epi_below": self.i_at(_sub(x, bd.a)).is_epi(),
+            "i_epi_below": self.i_at(_sub(x, self.bidegrees.a)).is_epi(),
         }
         for key in ("omega_ml", "mittag_leffler", "i_mono_at_target"):
             if sufficient[key]:
@@ -1042,11 +1034,8 @@ class CoupleMorphism:
         out = {}
         for r in self._limit_page_window(n):
             e = _add(self.source.position_on(n, r), bd.b)
-            sq_s = subquotient(self.source.omega_cycles_at(e),
-                               self.source.omega_boundaries_at(e))
-            sq_t = subquotient(self.target.omega_cycles_at(e),
-                               self.target.omega_boundaries_at(e))
-            out[e] = induced_map(self.fE_at(e), sq_s, sq_t)
+            out[e] = induced_map(self.fE_at(e), self.source.omega_subquotient_at(e),
+                                 self.target.omega_subquotient_at(e))
         return out
 
 

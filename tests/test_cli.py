@@ -12,8 +12,10 @@ from conftest import doubling_morphism_data, translated
 import specseq
 from specseq import cli, zlinalg
 from specseq.cli import main
+from specseq.zdiagrams import Tail
 from specseq.excouple import (
     COMPARE_RULES,
+    DEMO_BIDEGREES,
     ExactCouple,
     couple_from_filtered_complex,
     couple_from_json,
@@ -131,6 +133,26 @@ class TestCoupleCommands:
         assert code == 0
         # the demo bidegrees are already homological, so T is the identity
         assert rep["matrix"] == [[1, 0], [0, 1]]
+
+    def test_reindex_round_trip(self, capsys, tmp_path, couple2_file):
+        # the swap is its own inverse: reindexing twice gives the input back
+        code, rep = run(capsys, "reindex", couple2_file, "--matrix", "0,1,1,0")
+        assert code == 0 and rep["matrix"] == [[0, 1], [1, 0]]
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps(rep["couple"]))
+        code, back = run(capsys, "reindex", str(swapped), "--matrix", "0,1,1,0")
+        assert code == 0
+        assert back["couple"] == json.loads(Path(couple2_file).read_text())
+
+    def test_pages_of_a_couple_without_E_objects(self, capsys, tmp_path):
+        Z = zlinalg.FPAbGroup(1)
+        tails = {0: (Tail.CONSTANT, Tail.CONSTANT)}
+        C = ExactCouple(DEMO_BIDEGREES, {(0, 0): Z}, {}, {}, {}, {}, tails)
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(couple_to_json(C)))
+        code, rep = run(capsys, "pages", str(path), "--to", "2")
+        assert code == 0
+        assert [page["rendered"] for page in rep["pages"]] == [["(empty page)"]] * 2
 
     def test_out_flag(self, capsys, tmp_path, couple2_file):
         out = tmp_path / "report.json"
@@ -263,6 +285,9 @@ class TestExitCodes:
     def test_theorem_failure(self, capsys):
         code, rep = run(capsys, "zeeman", "--perturb")
         assert code == 3 and rep["kind"] == "SetupViolation"
+        code, rep = run(capsys, "zeeman", "--setup", "II", "--perturb")
+        assert code == 3 and rep["kind"] == "SetupViolation"
+        assert rep["witness"] == repr((("source", 0, "filtration ends"),))
 
     def test_theorem_violation(self, capsys, couple2_file, broken_page_anchoring):
         code, rep = run(capsys, "einf", couple2_file)

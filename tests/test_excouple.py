@@ -684,28 +684,62 @@ def kept_round(C):
         *(at(x) for x in xs
           for at in (C.position_index, C.D_at, C.i_at, C.j_at, C.k_at)),
         *(at(e, tau) for e in C.E for tau in taus
-          for at in (C.cycles_at, C.boundaries_at)),
-        *(at(e) for e in C.E for at in (C.omega_cycles_at, C.omega_boundaries_at)),
+          for at in (C.cycles_at, C.boundaries_at, C.subquotient_at)),
+        *(at(e) for e in C.E
+          for at in (C._ends, C.omega_cycles_at, C.omega_boundaries_at,
+                     C.omega_subquotient_at)),
     ]
+
+
+def comparable(value):
+    """A kept value as it compares across couples: a ``SubquotientData``,
+    which compares by identity, by its pieces and group."""
+    if isinstance(value, SubquotientData):
+        return value.Z, value.B, value.group
+    return value
 
 
 class TestKeptPositions:
     """A couple resolves each position, term and cycle or boundary subgroup once."""
 
-    KEPT = ("position_index", "D_at", "i_at", "j_at", "k_at", "cycles_at",
-            "boundaries_at", "omega_cycles_at", "omega_boundaries_at")
+    KEPT = ("position_index", "D_at", "i_at", "j_at", "k_at", "_ends", "cycles_at",
+            "boundaries_at", "subquotient_at", "omega_cycles_at", "omega_boundaries_at",
+            "omega_subquotient_at")
 
     def test_a_list_and_a_tuple_read_the_same_entry(self):
         for name in ("couple1", "couple2", "couple3"):
             C = demo_couple(name)
             for x in [*positions_of(C), (40, -40)]:
-                for at in (C.position_index, C.D_at, C.i_at, C.j_at, C.k_at,
-                           C.omega_cycles_at, C.omega_boundaries_at):
+                for at in (C.position_index, C.D_at, C.i_at, C.j_at, C.k_at, C._ends,
+                           C.omega_cycles_at, C.omega_boundaries_at, C.omega_subquotient_at):
                     assert at(list(x)) is at(tuple(x)), (name, x, at.__name__)
                 for tau in range(3):
-                    for at in (C.cycles_at, C.boundaries_at):
+                    for at in (C.cycles_at, C.boundaries_at, C.subquotient_at):
                         assert at(list(x), tau) is at(tuple(x), tau), (name, x, tau)
             assert C.position_index([0, 0]).x == (0, 0)
+
+    def test_ends_resolve_source_and_target(self):
+        for build in shared_results_inputs():
+            C = build()
+            bd = C.bidegrees
+            for e in C._e_check_positions():
+                px = C.position_index((e[0] - bd.b[0], e[1] - bd.b[1]))
+                pt = C.position_index((e[0] + bd.c[0], e[1] + bd.c[1]))
+                (qx, dx), (qt, dt) = C._ends(e)
+                assert (qx, qt) == (px, pt)
+                assert dx is C.diagonal(px.n) and dt is C.diagonal(pt.n)
+
+    def test_pages_read_the_kept_subquotients(self):
+        for build in shared_results_inputs():
+            C = build()
+            for r in range(1, C.internal_spectral_sequence().settled_page() + 2):
+                page = C.internal_page(r)
+                for e in C.E:
+                    sq = C.subquotient_at(e, r - 1)
+                    assert (page["Z"][e], page["B"][e]) == (sq.Z, sq.B), (e, r)
+                    assert page["E"].get(e, sq.group) == sq.group
+            for e, v in C.e_infinity().items():
+                assert v["sq"] is C.omega_subquotient_at(e)
 
     def test_a_second_round_makes_no_table_lookup(self):
         seen = set()
@@ -731,7 +765,8 @@ class TestKeptPositions:
             fresh = build()
             entries = [(key, v) for key, v in C._memo.items() if key[0] in self.KEPT]
             for (name, *args), value in entries:
-                assert getattr(fresh, name)(*args) == value, (name, args)
+                again = getattr(fresh, name)(*args)
+                assert comparable(again) == comparable(value), (name, args)
             seen |= {name for (name, *_), _ in entries}
         assert seen == set(self.KEPT)
 
@@ -1400,12 +1435,42 @@ class TestTowerMorphisms:
         assert exc.value.args == (("D-tower", 0, ("component outside the padded window", 5)),)
 
 
-def two_row_morphism():
-    objs = {(0, 0): Z, (1, 0): Z2, (0, 1): Z2}
-    bounds = ((0, 1), (0, 1))
-    src = spectral_sequence_from_page(2, bounds, objs, {}, homological_rule)
-    tgt = spectral_sequence_from_page(2, bounds, objs, {}, homological_rule)
+class TestMorphismRefusals:
+    """Each refusal of ``CoupleMorphism``, with its witness, on maps of the
+    demo couple2 (D: Z/2 at (0, 0), Z/3 at (-1, 0); E: Z/6 at (0, 0))."""
+
+    IDENTITY_D = {(0, 0): Hom.identity(Z2), (-1, 0): Hom.identity(Z3)}
+
+    @pytest.mark.parametrize("fD, fE, witness", [
+        ({(0, 0): Hom.identity(Z3)}, {}, ("component endpoints (D)", (0, 0))),
+        (IDENTITY_D, {(0, 0): Hom.identity(Z2)}, ("component endpoints (E)", (0, 0))),
+        (IDENTITY_D, {(0, 0): Hom.zero_map(Z6, Z6)}, ("square with j", (0, 0))),
+        (IDENTITY_D, {(0, 0): Hom(Z6, Z6, [[5]])}, ("square with k", (0, 0))),
+    ], ids=["D endpoints", "E endpoints", "zero on E", "minus one on E"])
+    def test_refusal_names_its_witness(self, fD, fE, witness):
+        C = demo_couple("couple2")
+        CoupleMorphism(C, C, self.IDENTITY_D, {(0, 0): Hom.identity(Z6)})
+        with pytest.raises(NotAMorphism) as exc:
+            CoupleMorphism(C, C, fD, fE)
+        assert exc.value.args == (witness,)
+
+    def test_bidegrees_must_agree(self):
+        other = zero_couple(Bidegrees((1, -1), (0, 0), (0, -1)))
+        with pytest.raises(NotAMorphism) as exc:
+            CoupleMorphism(demo_couple("couple1"), other, {}, {})
+        assert exc.value.args == ("bidegrees differ",)
+
+
+def identity_on_page(objs, bounds=((0, 1), (0, 1)), r0=2):
+    """The identity between two homological sequences with the same first
+    page ``objs`` and no differentials."""
+    src, tgt = (spectral_sequence_from_page(r0, bounds, objs, {}, homological_rule)
+                for _ in range(2))
     return SSMorphism(src, tgt, {x: Hom.identity(G) for x, G in objs.items()})
+
+
+def two_row_morphism():
+    return identity_on_page({(0, 0): Z, (1, 0): Z2, (0, 1): Z2})
 
 
 def two_row_abutment():
@@ -1414,6 +1479,77 @@ def two_row_abutment():
         0: (Z, [Subgroup.zero(Z), Subgroup.full(Z)]),
         1: (L1, [Subgroup.zero(L1), incs[0].image(), Subgroup.full(L1)]),
     }
+
+
+def zeeman_arguments():
+    """The arguments of a ``zeeman_check`` that passes: the two-row identity
+    with its abutment on both sides, identity abutment maps and setup I."""
+    abut = two_row_abutment()
+    return {"f": two_row_morphism(), "abut_source": abut, "abut_target": dict(abut),
+            "abut_maps": {n: Hom.identity(L) for n, (L, _) in abut.items()},
+            "setup": "I", "edge_oracle": lambda f, n: True}
+
+
+def _set(key, value):
+    return lambda args: args.update({key: value})
+
+
+def _set_degree(side, n, change):
+    """Replace the degree-n abutment of ``side`` by ``change(L, chain)``."""
+    return lambda args: args[side].update({n: change(*args[side][n])})
+
+
+def _set_map(n, make):
+    """Replace the degree-n abutment map by ``make(L)``."""
+    return lambda args: args["abut_maps"].update({n: make(args["abut_source"][n][0])})
+
+
+def _not_nested(args):
+    # a degree-2 abutment Z/2 + Z/2 over E-infinity Z/2 at (0, 2) and at
+    # (2, 0), filtered by the first summand, then by the second
+    L2, incs, _ = direct_sum([Z2, Z2])
+    abut = {2: (L2, [Subgroup.zero(L2), incs[0].image(), incs[1].image(),
+                     Subgroup.full(L2)])}
+    args.update(f=identity_on_page({(0, 0): Z, (0, 2): Z2, (2, 0): Z2}, ((0, 2), (0, 2))),
+                abut_source=abut, abut_target=abut, abut_maps={2: Hom.identity(L2)})
+
+
+def _doubled_corner(args):
+    f = args["f"]
+    args["f"] = SSMorphism(f.source, f.target, {**f.components, (0, 0): Hom(Z, Z, [[2]])})
+
+
+# each setup violation of zeeman_check: how the passing arguments change,
+# and the witness; "position not covered" cannot be raised, since every
+# position of a first-quadrant page in a covered degree is a stage position
+ZEEMAN_VIOLATIONS = [
+    ("starts on page 1", _set("f", identity_on_page({(0, 0): Z}, ((0, 0), (0, 0)), r0=1)),
+     "first-quadrant comparison starts on page 2"),
+    ("support at (-1, 1)",
+     _set("f", identity_on_page({(0, 0): Z, (-1, 1): Z2}, ((-1, 1), (0, 1)))),
+     ("support leaves the first quadrant", (-1, 1))),
+    ("setup II on a homological sequence", _set("setup", "II"),
+     ("differential bidegrees do not match the declared setup", 2)),
+    ("short filtration", _set_degree("abut_source", 1, lambda L, chain: (L, chain[:2])),
+     ("source", 1, "filtration length")),
+    ("filtration from the whole group",
+     _set_degree("abut_target", 0, lambda L, chain: (L, [Subgroup.full(L)] * 2)),
+     ("target", 0, "filtration ends")),
+    ("filtration not nested", _not_nested, ("source", 2, "filtration not nested")),
+    ("quotient mismatch",
+     _set_degree("abut_source", 1, lambda L, chain: (L, [chain[0], chain[0], chain[2]])),
+     ("source", 1, "filtration quotient mismatch", (0, 1))),
+    ("abutment map endpoints", _set_map(1, lambda L: Hom.identity(Z)),
+     (1, "abutment map endpoints")),
+    ("abutment map swaps the stages", _set_map(1, lambda L: Hom(L, L, [[0, 1], [1, 0]])),
+     (1, 1, "abutment map not filtered")),
+    ("abutment map doubles", _set_map(0, lambda L: Hom(L, L, [[2]])),
+     (0, "abutment map not an isomorphism")),
+    ("corner map doubles", _doubled_corner, ("corner map not an isomorphism", (0, 0))),
+    ("no edge rule", _set("edge_oracle", None), "an edge-determination rule is required"),
+    ("edge rule fails in degree 1", _set("edge_oracle", lambda f, n: n != 1),
+     ("edge determination fails", 1)),
+]
 
 
 class TestZeeman:
@@ -1454,6 +1590,16 @@ class TestZeeman:
         maps = {n: Hom.identity(L) for n, (L, _) in abut.items()}
         with pytest.raises(SetupViolation):
             zeeman_check(f, abut, abut, maps, setup="I")
+
+    @pytest.mark.parametrize("change, witness", [case[1:] for case in ZEEMAN_VIOLATIONS],
+                             ids=[case[0] for case in ZEEMAN_VIOLATIONS])
+    def test_setup_violation_names_its_witness(self, change, witness):
+        args = zeeman_arguments()
+        zeeman_check(**args)
+        change(args)
+        with pytest.raises(SetupViolation) as exc:
+            zeeman_check(**args)
+        assert exc.value.args == (witness,)
 
 
 class TestSerialization:

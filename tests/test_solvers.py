@@ -3,7 +3,11 @@
 import pytest
 
 from specseq.zlinalg import FPAbGroup, Hom, Subgroup, direct_sum, quotient_group
-from specseq.spectral import homological_rule, spectral_sequence_from_page
+from specseq.spectral import (
+    cohomological_rule,
+    homological_rule,
+    spectral_sequence_from_page,
+)
 from specseq.excouple import SetupViolation
 from specseq.solvers import (
     Inconsistent,
@@ -75,6 +79,20 @@ class TestTwoRowSolve:
         T = FPAbGroup()
         res = two_row_solve({-1: (T, Subgroup.zero(T)), 0: (Z, Subgroup.zero(Z))}, 4)
         assert res["H"] == two_row_solve({0: (Z, Subgroup.zero(Z))}, 4)["H"]
+
+    def test_nothing_below_the_bottom_row(self):
+        # F_{-1,1} in degree 0 would sit in row 1 at p = -1
+        with pytest.raises(Inconsistent) as exc:
+            two_row_solve({0: (Z, Subgroup.full(Z))}, 4)
+        assert exc.value.args == ((0, "nothing lies below the bottom row"),)
+
+    def test_named_sequences_refuse_degenerate_parameters(self):
+        for k in (1, 0, -2):
+            with pytest.raises(ValueError, match="proper quotient"):
+                cyclic_group_sequence(k, 4)
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                projective_space_sequence(r)
 
     def test_ambiguous_extension_reported(self):
         # H_0 = Z/2 (+) Z/4 has two non-isomorphic subgroups with quotient Z/2
@@ -228,3 +246,39 @@ class TestFiveTerm:
         with pytest.raises(SetupViolation):
             five_term(ss, Z, F01, bad, iso_high,
                       FPAbGroup(), Hom.zero_map(FPAbGroup(), FPAbGroup()))
+
+    def collapsed_arguments(self, **change):
+        """The arguments of ``five_term`` on the collapsed page Z/2 at (0, 1),
+        Z/3 at (1, 0), with ``change`` applied."""
+        Z2, Z3 = FPAbGroup(0, (2,)), FPAbGroup(0, (3,))
+        objects = {(0, 1): Z2, (1, 0): Z3}
+        ss = spectral_sequence_from_page(2, ((0, 1), (0, 1)), objects, {}, homological_rule)
+        H1, incs, _ = direct_sum([Z2, Z3])
+        args = {"ss": ss, "H1": H1, "F01": incs[0].image(), "iso_low": Hom.identity(Z2),
+                "iso_high": Hom.identity(Z3), "H2": FPAbGroup(),
+                "onto": Hom.zero_map(FPAbGroup(), FPAbGroup())}
+        args.update(change)
+        return args
+
+    @pytest.mark.parametrize("change, witness", [
+        ({"ss": spectral_sequence_from_page(1, ((0, 0), (0, 0)), {(0, 0): Z}, {},
+                                            homological_rule)},
+         "the low-degree sequence starts on page 2"),
+        ({"ss": spectral_sequence_from_page(2, ((0, 0), (0, 0)), {(0, 0): Z}, {},
+                                            cohomological_rule)},
+         "differentials must run homologically"),
+        ({"ss": spectral_sequence_from_page(2, ((-1, 0), (0, 1)), {(-1, 1): Z}, {},
+                                            homological_rule)},
+         ("support leaves the first quadrant", (-1, 1))),
+        ({"iso_low": Hom.identity(FPAbGroup(0, (3,)))},
+         "low identification has the wrong endpoints"),
+        ({"iso_high": Hom.identity(FPAbGroup(0, (2,)))},
+         "high identification has the wrong endpoints"),
+        ({"H2": Z, "onto": Hom.identity(Z)}, "degree-2 projection has the wrong endpoints"),
+    ], ids=["page 1", "cohomological", "support at (-1, 1)", "low endpoints",
+            "high endpoints", "projection endpoints"])
+    def test_setup_violation_names_its_witness(self, change, witness):
+        five_term(**self.collapsed_arguments())
+        with pytest.raises(SetupViolation) as exc:
+            five_term(**self.collapsed_arguments(**change))
+        assert exc.value.args == (witness,)

@@ -324,6 +324,38 @@ class TestMorphisms:
         assert exc.value.args[0][:2] == ("not well defined on the limit page", (2, 0))
         assert isinstance(exc.value.__cause__, NotWellDefined)
 
+    def test_starting_pages_must_agree(self):
+        src = two_column_ss(Z4, Z2, Hom.zero_map(Z4, Z2))
+        tgt = two_column_ss(Z4, Z2, Hom.zero_map(Z4, Z2), r0=2)
+        with pytest.raises(NotAMorphism) as exc:
+            SSMorphism(src, tgt, {})
+        assert exc.value.args == ("starting pages differ",)
+
+    def test_component_endpoints_must_match_the_pages(self):
+        ss = two_column_ss(Z4, Z2, Hom.zero_map(Z4, Z2))
+        with pytest.raises(NotAMorphism) as exc:
+            SSMorphism(ss, ss, {(1, 0): Hom.identity(Z2), (0, 0): Hom.identity(Z2)})
+        assert exc.value.args == (("component endpoints", (1, 0)),)
+
+    def test_ill_defined_component_of_a_later_page(self):
+        # page 2's square fails at (2, 0), where the target's page-3 cycles
+        # are zero: page 3 is checked on its own, and its induced map out of
+        # the source's Z at (2, 0) is not defined
+        m = broken_square_morphism()
+        with pytest.raises(NotAMorphism) as exc:
+            m.component(3, (2, 0))
+        assert exc.value.args[0][:2] == ("not well defined on page 3", (2, 0))
+        assert isinstance(exc.value.__cause__, NotWellDefined)
+
+    def test_page_bidegrees_must_agree(self):
+        src = two_column_ss(Z4, Z2, Hom.zero_map(Z4, Z2))
+        tgt = two_column_ss(Z4, Z2, Hom.zero_map(Z4, Z2),
+                            rule=lambda r: homological_rule(r) if r == 1 else (-r, 0))
+        m = SSMorphism(src, tgt, {(1, 0): Hom.identity(Z4), (0, 0): Hom.identity(Z2)})
+        with pytest.raises(NotAMorphism) as exc:
+            m.component(2, (0, 0))
+        assert exc.value.args == (("bidegree mismatch on page", 2),)
+
     def test_mono_does_not_propagate_alone(self):
         found = find_mono_nonpropagation(max_order=8)
         assert found is not None

@@ -268,6 +268,21 @@ def make_ses(rng):
     return f, g
 
 
+class TestMorphismRefusals:
+    def test_windows_must_agree(self):
+        with pytest.raises(ValueError, match="align the windows"):
+            ZDiagramMorphism(ZDiagram.constant(Z), ZDiagram.constant(Z, at=1), ())
+
+    def test_one_component_per_padded_index(self):
+        with pytest.raises(ValueError, match="one component per padded index"):
+            ZDiagramMorphism(ZDiagram.constant(Z), ZDiagram.constant(Z), (times(1),) * 2)
+
+    def test_component_endpoints_must_match_the_groups(self):
+        with pytest.raises(NotAMorphism) as exc:
+            ZDiagramMorphism(ZDiagram.constant(Z), ZDiagram.constant(Z6), (times(1),) * 3)
+        assert exc.value.args == (("component endpoints", -1),)
+
+
 class TestSixTerm:
     def test_constant_ses(self):
         Asub = ZDiagram.constant(Z)
